@@ -1,5 +1,4 @@
-//! Runs every experiment and emits a Markdown paper-vs-measured summary —
-//! the source of `EXPERIMENTS.md`.
+//! Runs every experiment and emits a Markdown paper-vs-measured summary.
 
 use cfr_bench::{engine_with_store, print_store_summary, scale_from_args};
 use cfr_core::{fig4, fig6, table2, table3, table4, table5, table6, table7, table8, FIG4_SCHEMES};
@@ -14,7 +13,7 @@ fn main() {
     println!(
         "All runs: {} committed instructions per (benchmark, strategy, mode); \
          absolute values extrapolated ×{:.0} to the paper's 250M-instruction scale. \
-         The substrate is a synthetic-workload simulator (DESIGN.md §2), so the \
+         The substrate is a synthetic-workload simulator (README, \"Reproducing the paper\"), so the \
          comparison targets *shape* — orderings, ratios, crossovers — not absolute \
          equality.\n",
         scale.max_commits, f

@@ -17,10 +17,7 @@
 //! grants/expiries), asks the daemon for a GC pass over the wire, and
 //! reports the result against the same byte budget.
 
-use cfr_core::{
-    ArtifactStore, GcPolicy, RemoteStore, NS_PROGRAMS, NS_RUNS, NS_WALKS, SHARD_COUNT,
-    STORE_ADDR_ENV,
-};
+use cfr_core::{ArtifactStore, GcPolicy, RemoteStore, SHARD_COUNT, STORE_ADDR_ENV};
 
 /// Maintenance against a running daemon: STATS (occupancy + load), then
 /// GC, all over the protocol — the daemon owns the directory, so a local
@@ -42,15 +39,8 @@ fn remote_maintenance(addr: &str) {
         fmt_bound(policy.max_age_secs, "s"),
     );
     println!(
-        "\npre-gc: {} live records ({} runs / {} walks / {} programs / {} traces), \
-         {} live bytes in {} file bytes",
-        stats.live_records,
-        stats.runs,
-        stats.walks,
-        stats.programs,
-        stats.traces,
-        stats.live_bytes,
-        stats.file_bytes,
+        "\npre-gc: {} live records ({}), {} live bytes in {} file bytes",
+        stats.live_records, stats.namespaces, stats.live_bytes, stats.file_bytes,
     );
     println!(
         "load: {} active connections, pipeline depth hwm {}, \
@@ -116,9 +106,6 @@ fn main() {
         fmt_bound(policy.max_bytes, "bytes"),
         fmt_bound(policy.max_age_secs, "s"),
     );
-    if store.migrated_records() > 0 {
-        println!("migrated: {} v1 records", store.migrated_records());
-    }
 
     println!(
         "\n{:<8} {:>12} {:>14} {:>12}",
@@ -134,12 +121,9 @@ fn main() {
         );
     }
     println!(
-        "\npre-gc: {} live records ({} runs / {} walks / {} programs), \
-         {} live bytes in {} file bytes across {} shards",
+        "\npre-gc: {} live records ({}), {} live bytes in {} file bytes across {} shards",
         store.live_records(),
-        store.namespace_records(NS_RUNS),
-        store.namespace_records(NS_WALKS),
-        store.namespace_records(NS_PROGRAMS),
+        store.namespace_counts(),
         store.live_bytes(),
         store.file_bytes(),
         SHARD_COUNT,

@@ -1,7 +1,7 @@
 //! # cfr-bench
 //!
 //! The reproduction harness: one binary per table/figure of the paper's
-//! evaluation (see `DESIGN.md` §4 for the experiment index), plus criterion
+//! evaluation (indexed in the README's "Reproducing the paper"), plus criterion
 //! microbenchmarks of the substrate (not auto-discovered offline, see
 //! `vendor/README.md`).
 //!

@@ -1,7 +1,6 @@
 //! The Current Frame Register.
 
 use cfr_types::{Pfn, Protection, Vpn};
-use serde::{Deserialize, Serialize};
 
 /// The Current Frame Register: one `<VPN, PFN, protection>` translation.
 ///
@@ -11,7 +10,7 @@ use serde::{Deserialize, Serialize};
 /// switch it is saved/restored like any other piece of process context, and
 /// if the OS must evict or remap the current code page it invalidates the
 /// CFR exactly as it would shoot down a TLB entry.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Cfr {
     vpn: Vpn,
     pfn: Pfn,

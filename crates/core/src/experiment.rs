@@ -11,7 +11,6 @@
 //! all need) are simulated exactly once.
 
 use cfr_types::{AddressingMode, TlbOrganization};
-use serde::{Deserialize, Serialize};
 
 use crate::engine::{Engine, RunKey};
 use crate::simulator::{ItlbChoice, RunReport, SimConfig};
@@ -19,8 +18,8 @@ use crate::strategy::StrategyKind;
 
 /// How big to run each experiment. The paper simulated 250 M committed
 /// instructions; rates are stationary so smaller runs reproduce the same
-/// normalized results (DESIGN.md §2).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+/// normalized results (README, "Reproducing the paper").
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct ExperimentScale {
     /// Committed instructions per run.
     pub max_commits: u64,
@@ -92,7 +91,7 @@ impl ExperimentScale {
 /// One row of Table 2: benchmark characteristics under the default
 /// configuration. Energies in mJ, cycles in raw counts; the bench binary
 /// extrapolates to the paper's 250 M-instruction scale for display.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Table2Row {
     /// Benchmark name.
     pub name: &'static str,
@@ -157,7 +156,7 @@ pub fn table2(engine: &Engine, scale: &ExperimentScale) -> Vec<Table2Row> {
 /// One benchmark's normalized results for one addressing mode: energy (and
 /// cycles) of each scheme relative to the base case (Figure 4's bars, and
 /// Figure 5's when `mode == ViVt`).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Fig4Row {
     /// Benchmark name.
     pub name: &'static str,
@@ -230,7 +229,7 @@ pub fn fig5(engine: &Engine, scale: &ExperimentScale) -> Vec<Fig4Row> {
 // ---------------------------------------------------------------- Table 3
 
 /// Dynamic iTLB lookups for the software schemes, split by cause (VI-PT).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Table3Row {
     /// Benchmark name.
     pub name: &'static str,
@@ -268,7 +267,7 @@ pub fn table3(engine: &Engine, scale: &ExperimentScale) -> Vec<Table3Row> {
 // ---------------------------------------------------------------- Table 4
 
 /// Static and dynamic branch statistics.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Table4Row {
     /// Benchmark name.
     pub name: &'static str,
@@ -354,7 +353,7 @@ pub fn table6_itlbs() -> [(&'static str, TlbOrganization); 4] {
 }
 
 /// One benchmark × one iTLB configuration of Table 6.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Table6Row {
     /// Benchmark name.
     pub name: &'static str,
@@ -440,7 +439,7 @@ pub fn table7(engine: &Engine, scale: &ExperimentScale) -> Vec<(&'static str, [u
 // ---------------------------------------------------------------- Fig 6
 
 /// One benchmark's two-level-vs-monolithic comparison (Figure 6).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Fig6Row {
     /// Benchmark name.
     pub name: &'static str,
@@ -512,7 +511,7 @@ pub fn fig6(engine: &Engine, scale: &ExperimentScale) -> Vec<Fig6Row> {
 
 /// One benchmark's PI-PT study (Table 8): energy (mJ) and cycles for the
 /// four configurations the paper compares.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Table8Row {
     /// Benchmark name.
     pub name: &'static str,

@@ -73,9 +73,10 @@ pub use cfr_types::net::{
     STORE_ADDR_ENV,
 };
 pub use cfr_types::store::{
-    ArtifactStore, ClaimOutcome, GcPolicy, GcReport, ShardOccupancy, StoreBackend, StoreLock,
-    DEFAULT_STORE_DIR, LOCK_FILE_NAME, NS_PROGRAMS, NS_RUNS, NS_SCENARIOS, NS_TRACES, NS_WALKS,
-    SHARD_COUNT, STORE_DIR_ENV, STORE_FORMAT_VERSION, STORE_MAX_AGE_ENV, STORE_MAX_BYTES_ENV,
+    ArtifactStore, ClaimOutcome, GcPolicy, GcReport, NamespaceCounts, ShardOccupancy, StoreBackend,
+    StoreLock, DEFAULT_STORE_DIR, LOCK_FILE_NAME, NAMESPACES, NS_PROGRAMS, NS_RUNS, NS_SCENARIOS,
+    NS_TRACES, NS_WALKS, SHARD_COUNT, STORE_DIR_ENV, STORE_FORMAT_VERSION, STORE_MAX_AGE_ENV,
+    STORE_MAX_BYTES_ENV,
 };
 pub use engine::{Engine, NamespaceTraffic, RunKey, StoreSummary};
 pub use experiment::{

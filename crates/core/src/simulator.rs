@@ -5,7 +5,6 @@ use cfr_energy::{EnergyMeter, EnergyModel};
 use cfr_mem::{TlbConfig, TlbStats, TwoLevelTlb};
 use cfr_types::{AddressingMode, RecordError, RecordReader, RecordWriter, TlbOrganization};
 use cfr_workload::{compile_trace, BenchmarkProfile, CompiledTrace, Program, ProgramCache};
-use serde::{Deserialize, Serialize};
 
 use crate::compiler;
 use crate::strategy::{ItlbModel, LookupBreakdown, Strategy, StrategyKind};
@@ -51,7 +50,7 @@ impl ExecBackend {
 }
 
 /// Which iTLB structure a run models.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum ItlbChoice {
     /// A monolithic TLB of the given shape.
     Mono(TlbOrganization),
@@ -123,7 +122,7 @@ impl ItlbChoice {
 }
 
 /// Everything a single simulation run needs.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SimConfig {
     /// Core + memory-hierarchy configuration (Table 1).
     pub cpu: CpuConfig,
@@ -132,7 +131,8 @@ pub struct SimConfig {
     /// iTLB miss (page-walk) penalty in cycles.
     pub itlb_miss_penalty: u32,
     /// Committed instructions to simulate. The paper ran 250 M; the default
-    /// here is 1/100 of that (rates are stationary, see DESIGN.md).
+    /// here is 1/100 of that (rates are stationary, see the README's
+    /// "Reproducing the paper").
     pub max_commits: u64,
     /// Walker seed (same seed ⇒ identical instruction stream).
     pub seed: u64,
@@ -159,7 +159,7 @@ impl Default for SimConfig {
 }
 
 /// The result of one run.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct RunReport {
     /// Strategy that ran.
     pub strategy: StrategyKind,
@@ -201,8 +201,7 @@ impl RunReport {
 
     /// Serializes the full report — every counter and every energy
     /// component, floats as exact bits — so a warm store read reproduces
-    /// byte-identical experiment output (persistent run store codec; the
-    /// vendored `serde` is a no-op).
+    /// byte-identical experiment output (persistent run store codec).
     pub fn to_record(&self, w: &mut RecordWriter) {
         w.token("report");
         self.strategy.to_record(w);

@@ -19,10 +19,6 @@
 //!   written before a codec change) is a **miss** — re-simulated and
 //!   overwritten, never a crash.
 //!
-//! Old-layout (`<hash>.run`, one file per key) store directories are
-//! detected and migrated by [`ArtifactStore::open`]; records whose codecs
-//! still parse keep serving warm, anything else restarts cold.
-//!
 //! # Local vs. networked storage
 //!
 //! The facade holds a [`StoreBackend`] trait object, not the concrete
@@ -471,42 +467,6 @@ mod tests {
         assert_eq!(store.load(&key), None);
         store.save(&key, &sample_report());
         assert_eq!(store.load(&key).as_ref(), Some(&sample_report()));
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn v1_layout_migrates_and_serves_warm() {
-        let dir = temp_dir("migration");
-        let (key, report) = (sample_key(), sample_report());
-        // Write a PR 2-style one-file-per-key record by hand (the exact
-        // v1 format: magic+version, key section, report section).
-        fs::create_dir_all(&dir).unwrap();
-        let mut w = RecordWriter::new();
-        report.to_record(&mut w);
-        let v1 = format!(
-            "cfr-store 1\nkey {}\nreport {}\n",
-            Store::key_record(&key),
-            w.finish()
-        );
-        fs::write(dir.join("00ab54a98ceb1f0a.run"), v1).unwrap();
-
-        // Open the artifact store first to observe the migration count,
-        // then hand it to the facade (the usual coercion).
-        let artifacts = Arc::new(ArtifactStore::open(&dir, GcPolicy::from_env()).unwrap());
-        assert_eq!(artifacts.migrated_records(), 1);
-        let store = Store::over(artifacts);
-        assert_eq!(
-            store.load(&key).as_ref(),
-            Some(&report),
-            "migrated v1 records keep serving warm"
-        );
-        assert!(
-            !fs::read_dir(&dir)
-                .unwrap()
-                .filter_map(Result::ok)
-                .any(|e| e.path().extension().is_some_and(|x| x == "run")),
-            "v1 files are consumed"
-        );
         let _ = fs::remove_dir_all(&dir);
     }
 

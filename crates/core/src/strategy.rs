@@ -19,14 +19,13 @@
 use cfr_energy::{EnergyMeter, EnergyModel, MeterSlot};
 use cfr_mem::{PageTable, Tlb, TlbConfig, TlbStats, TwoLevelTlb};
 use cfr_types::{AddressingMode, PageGeometry, Pfn, Protection, VirtAddr, Vpn};
-use serde::{Deserialize, Serialize};
 
 use cfr_cpu::{FetchEvent, FetchKind, FetchTranslator, TranslationOutcome};
 
 use crate::cfr::Cfr;
 
 /// Which of the paper's mechanisms a [`Strategy`] implements.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum StrategyKind {
     /// No CFR; iTLB on every translation demand (the paper's *base*).
     Base,
@@ -75,7 +74,7 @@ impl StrategyKind {
     }
 
     /// Serializes as a single lowercase kind token (persistent run store
-    /// codec — the vendored `serde` is a no-op).
+    /// codec).
     pub fn to_record(&self, w: &mut cfr_types::RecordWriter) {
         w.token(match self {
             StrategyKind::Base => "base",
@@ -298,7 +297,7 @@ impl ItlbModel {
 }
 
 /// Per-run lookup cause breakdown (paper Table 3).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct LookupBreakdown {
     /// Lookups triggered at boundary-branch targets or sequential page
     /// crossings (the BOUNDARY case).

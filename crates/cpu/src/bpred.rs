@@ -3,10 +3,9 @@
 
 use cfr_types::VirtAddr;
 use cfr_workload::BranchKind;
-use serde::{Deserialize, Serialize};
 
 /// Predictor configuration.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PredictorConfig {
     /// Bimodal table entries (2-bit counters); power of two.
     pub bimodal_entries: usize,

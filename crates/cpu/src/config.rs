@@ -2,13 +2,12 @@
 
 use cfr_mem::{CacheConfig, DramConfig, TlbConfig};
 use cfr_types::PageGeometry;
-use serde::{Deserialize, Serialize};
 
 use crate::bpred::PredictorConfig;
 
 /// Full processor configuration. [`CpuConfig::default_config`] reproduces
 /// the paper's Table 1 exactly.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct CpuConfig {
     /// RUU (register update unit / instruction window) size, instructions.
     pub ruu_size: usize,

@@ -350,8 +350,8 @@ impl<B: ExecutionBackend> Pipeline<B> {
     /// Generic over the translator so every concrete strategy gets its own
     /// monomorphized copy of the fetch loop — the per-fetch
     /// [`FetchTranslator::on_fetch`] call is direct (and inlinable)
-    /// instead of virtual. Callers holding a trait object use
-    /// [`Pipeline::run_dyn`].
+    /// instead of virtual. `T` may be unsized, so callers holding a
+    /// `&mut dyn FetchTranslator` pass it straight in.
     ///
     /// # Panics
     ///
@@ -472,12 +472,6 @@ impl<B: ExecutionBackend> Pipeline<B> {
     /// switch, applying its ASID or flush policy in between.
     pub fn dtlb_mut(&mut self) -> &mut Tlb {
         &mut self.dtlb
-    }
-
-    /// Dyn-compatible wrapper over [`Pipeline::run`] for callers that only
-    /// hold a `&mut dyn FetchTranslator`.
-    pub fn run_dyn(&mut self, translator: &mut dyn FetchTranslator, max_commits: u64) {
-        self.run(translator, max_commits);
     }
 
     // ---- commit ------------------------------------------------------
@@ -1186,24 +1180,6 @@ mod tests {
             assert_eq!(pipe.dtlb.stats().protection_faults, 1);
         }
         assert_eq!(costs[1], costs[0] + 900, "handler latency not charged");
-    }
-
-    #[test]
-    fn dyn_wrapper_matches_monomorphized_run() {
-        // `run` is generic (monomorphized per translator); `run_dyn` is
-        // the trait-object entry point for callers that only hold a
-        // `&mut dyn FetchTranslator`. Both must drive the identical
-        // simulation.
-        let p = laid();
-        let mut mono_pipe = Pipeline::new(&p, CpuConfig::default_config(), 42);
-        let mut mono_t = NullTranslator::default();
-        mono_pipe.run(&mut mono_t, 10_000);
-
-        let mut dyn_pipe = Pipeline::new(&p, CpuConfig::default_config(), 42);
-        let mut dyn_t = NullTranslator::default();
-        let dyn_ref: &mut dyn FetchTranslator = &mut dyn_t;
-        dyn_pipe.run_dyn(dyn_ref, 10_000);
-        assert_eq!(dyn_pipe.stats(), mono_pipe.stats());
     }
 
     #[test]

@@ -2,10 +2,9 @@
 
 use cfr_mem::{CacheStats, TlbStats};
 use cfr_types::{RecordError, RecordReader, RecordWriter};
-use serde::{Deserialize, Serialize};
 
 /// Everything a run reports (Table 2's columns come from here).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct CpuStats {
     /// Cycles simulated.
     pub cycles: u64,
@@ -69,8 +68,7 @@ impl CpuStats {
     }
 
     /// Serializes every counter, scalars first, then the nested cache/TLB
-    /// stats in declaration order (persistent run store codec — the
-    /// vendored `serde` is a no-op).
+    /// stats in declaration order (persistent run store codec).
     pub fn to_record(&self, w: &mut RecordWriter) {
         w.token("cpustats");
         w.u64(self.cycles);

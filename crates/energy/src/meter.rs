@@ -3,10 +3,9 @@
 use std::fmt;
 
 use cfr_types::{RecordError, RecordReader, RecordWriter};
-use serde::{Deserialize, Serialize};
 
 /// Accumulated energy for one named component.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct ComponentEnergy {
     /// Number of charged events.
     pub events: u64,
@@ -30,7 +29,7 @@ pub struct ComponentEnergy {
 /// assert_eq!(meter.events("cfr_read"), 3);
 /// assert!((meter.total_pj() - 453.8).abs() < 1e-9);
 /// ```
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct EnergyMeter {
     /// Components sorted by name — the handful of distinct components a
     /// run charges makes a dense sorted `Vec` both faster to look up on
@@ -40,7 +39,6 @@ pub struct EnergyMeter {
     /// Bumped whenever component positions can move (insert/clear), so
     /// [`MeterSlot`] caches know to re-resolve. Excluded from equality
     /// and serialization — it is a lookup cache, not accounting state.
-    #[serde(skip)]
     generation: u32,
 }
 

@@ -1,7 +1,5 @@
 //! The analytical energy model and its calibration.
 
-use serde::{Deserialize, Serialize};
-
 pub use cfr_types::{CacheOrganization, TlbOrganization};
 
 /// Technology coefficients, in picojoules, for the component-level model.
@@ -23,7 +21,7 @@ pub use cfr_types::{CacheOrganization, TlbOrganization};
 ///   fetch (the HoA-vs-OPT gap in Figure 4);
 /// - a CFR register read costs ≈ 1% of a CAM search (the SoLA-vs-OPT gap
 ///   net of its extra lookups).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct TechnologyParams {
     /// Constant CAM-search cost: search-line drivers, sense amps, I/O (pJ).
     pub cam_base_pj: f64,
@@ -75,7 +73,7 @@ impl Default for TechnologyParams {
 /// The dynamic-energy model: maps structure shapes to per-event picojoules.
 ///
 /// All methods are pure; accounting lives in [`crate::EnergyMeter`].
-#[derive(Clone, Copy, Debug, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Default)]
 pub struct EnergyModel {
     params: TechnologyParams,
 }

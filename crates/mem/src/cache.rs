@@ -8,10 +8,9 @@
 //! this cache fed physical ones.
 
 use cfr_types::{CacheOrganization, RecordError, RecordReader, RecordWriter};
-use serde::{Deserialize, Serialize};
 
 /// Configuration of one cache level.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CacheConfig {
     /// Geometry (capacity, ways, block size).
     pub organization: CacheOrganization,
@@ -62,7 +61,7 @@ impl CacheConfig {
 }
 
 /// Read or write access.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum AccessKind {
     /// A load or an instruction fetch.
     Read,
@@ -81,7 +80,7 @@ pub struct AccessResult {
 }
 
 /// Hit/miss/writeback counters.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Total accesses.
     pub accesses: u64,
@@ -105,7 +104,7 @@ impl CacheStats {
     }
 
     /// Serializes as `cachestats <accesses> <hits> <misses> <writebacks>`
-    /// (persistent run store codec — the vendored `serde` is a no-op).
+    /// (persistent run store codec).
     pub fn to_record(&self, w: &mut RecordWriter) {
         w.token("cachestats");
         w.u64(self.accesses);

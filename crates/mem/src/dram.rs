@@ -5,10 +5,8 @@
 //! studies) but charges a flat latency — exactly the fidelity sim-outorder's
 //! `mem_access_latency` provides.
 
-use serde::{Deserialize, Serialize};
-
 /// DRAM configuration.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct DramConfig {
     /// Total capacity in bytes.
     pub capacity_bytes: u64,

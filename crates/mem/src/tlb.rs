@@ -1,12 +1,11 @@
 //! Translation lookaside buffers: monolithic and two-level.
 
 use cfr_types::{Pfn, Protection, RecordError, RecordReader, RecordWriter, TlbOrganization, Vpn};
-use serde::{Deserialize, Serialize};
 
 use crate::PageTable;
 
 /// Configuration of one TLB level.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TlbConfig {
     /// Shape (entries, associativity).
     pub organization: TlbOrganization,
@@ -56,7 +55,7 @@ pub struct TlbLookup {
 }
 
 /// Access/hit/miss counters for one TLB.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TlbStats {
     /// Lookups performed.
     pub accesses: u64,
@@ -84,8 +83,7 @@ impl TlbStats {
     }
 
     /// Serializes as `tlbstats2 <accesses> <hits> <misses> <invalidations>
-    /// <protection_faults>` (persistent artifact store codec — the
-    /// vendored `serde` is a no-op).
+    /// <protection_faults>` (persistent artifact store codec).
     pub fn to_record(&self, w: &mut RecordWriter) {
         w.token("tlbstats2");
         w.u64(self.accesses);
@@ -95,32 +93,20 @@ impl TlbStats {
         w.u64(self.protection_faults);
     }
 
-    /// Parses a [`Self::to_record`] stream. The pre-fault-model `tlbstats`
-    /// tag (4 counters, PR 2's run store) is still accepted with
-    /// `protection_faults = 0`, so records migrated from a v1 store keep
-    /// serving warm.
+    /// Parses a [`Self::to_record`] stream.
     ///
     /// # Errors
     ///
     /// Errors on a malformed stream.
     pub fn from_record(r: &mut RecordReader<'_>) -> Result<Self, RecordError> {
-        let tag = r.token()?;
-        if tag != "tlbstats" && tag != "tlbstats2" {
-            return Err(RecordError::new(format!(
-                "expected tag \"tlbstats2\", found {tag:?}"
-            )));
-        }
-        let mut stats = Self {
+        r.expect("tlbstats2")?;
+        Ok(Self {
             accesses: r.u64()?,
             hits: r.u64()?,
             misses: r.u64()?,
             invalidations: r.u64()?,
-            protection_faults: 0,
-        };
-        if tag == "tlbstats2" {
-            stats.protection_faults = r.u64()?;
-        }
-        Ok(stats)
+            protection_faults: r.u64()?,
+        })
     }
 }
 
@@ -1086,26 +1072,6 @@ mod tests {
         r.finish().unwrap();
         assert!(TlbStats::from_record(&mut RecordReader::new("cachestats 1 2 3 4 5")).is_err());
         assert!(TlbStats::from_record(&mut RecordReader::new("tlbstats2 1 2")).is_err());
-    }
-
-    #[test]
-    fn tlb_stats_accepts_pre_fault_records() {
-        // PR 2's run store wrote the 4-counter `tlbstats` tag; records
-        // migrated from a v1 store must keep parsing (with zero faults)
-        // so migration actually preserves warm runs.
-        let mut r = RecordReader::new("tlbstats 10 8 2 1");
-        let stats = TlbStats::from_record(&mut r).unwrap();
-        r.finish().unwrap();
-        assert_eq!(
-            stats,
-            TlbStats {
-                accesses: 10,
-                hits: 8,
-                misses: 2,
-                invalidations: 1,
-                protection_faults: 0,
-            }
-        );
     }
 
     #[test]

@@ -172,15 +172,8 @@ fn maintenance(command: &str, addr: &str) -> ExitCode {
         "stats" => match client.stats() {
             Some(s) => {
                 println!(
-                    "stats: {} live records ({} runs / {} walks / {} programs / {} traces), \
-                     {} live bytes in {} file bytes",
-                    s.live_records,
-                    s.runs,
-                    s.walks,
-                    s.programs,
-                    s.traces,
-                    s.live_bytes,
-                    s.file_bytes,
+                    "stats: {} live records ({}), {} live bytes in {} file bytes",
+                    s.live_records, s.namespaces, s.live_bytes, s.file_bytes,
                 );
                 println!(
                     "load: {} active connections, pipeline depth hwm {}, \
@@ -306,14 +299,10 @@ fn main() -> ExitCode {
             .map_or_else(|| "disabled".into(), |d| format!("every {}s", d.as_secs())),
     );
     println!(
-        "workers: {} multiplexing all connections, read timeout {}s, protocol v{}",
+        "workers: {} multiplexing all connections, read timeout {}s",
         config.workers,
         config.read_timeout.as_secs(),
-        cfr_types::net::PROTOCOL_VERSION,
     );
-    if store.migrated_records() > 0 {
-        println!("migrated: {} v1 records", store.migrated_records());
-    }
     use std::io::Write;
     let _ = std::io::stdout().flush();
     term_signal::install();

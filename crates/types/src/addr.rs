@@ -6,14 +6,11 @@
 //! addressing taxonomy (PI-PT / VI-PT / VI-VT) is about.
 
 use core::fmt;
-use serde::{Deserialize, Serialize};
 
 macro_rules! addr_newtype {
     ($(#[$meta:meta])* $name:ident) => {
         $(#[$meta])*
-        #[derive(
-            Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-        )]
+        #[derive(Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
         pub struct $name(u64);
 
         impl $name {

@@ -8,13 +8,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use crate::store::{
-    ArtifactStore, ClaimOutcome, GcReport, StoreBackend, NS_PROGRAMS, NS_RUNS, NS_TRACES, NS_WALKS,
-};
+use crate::store::{ArtifactStore, ClaimOutcome, GcReport, StoreBackend};
 
-use super::frame::{FrameReader, WireFormat};
+use super::frame::FrameReader;
 use super::proto::{HealthReport, Request, Response, StoreStats};
-use super::{FEATURE_BINARY, PROTOCOL_VERSION};
 use crate::chaos::SplitMix64;
 use crate::record::fnv1a64;
 
@@ -85,7 +82,6 @@ fn reply_matches(req: &Request, resp: &Response) -> bool {
                 Response::Hit { .. } | Response::Granted | Response::Busy
             )
         }
-        Request::Hello { .. } => matches!(resp, Response::Hello { .. }),
         Request::Stats => matches!(resp, Response::Stats(_)),
         Request::Health => matches!(resp, Response::Health(_)),
         Request::Gc => matches!(resp, Response::Gc(_)),
@@ -99,11 +95,7 @@ fn reply_matches(req: &Request, resp: &Response) -> bool {
 fn idempotent(req: &Request) -> bool {
     matches!(
         req,
-        Request::Get { .. }
-            | Request::MGet { .. }
-            | Request::Stats
-            | Request::Health
-            | Request::Hello { .. }
+        Request::Get { .. } | Request::MGet { .. } | Request::Stats | Request::Health
     )
 }
 
@@ -111,8 +103,6 @@ fn idempotent(req: &Request) -> bool {
 struct Conn {
     stream: TcpStream,
     reader: FrameReader,
-    /// The frame format negotiated via `HELLO` on connect.
-    format: WireFormat,
 }
 
 #[derive(Debug, Default)]
@@ -137,11 +127,6 @@ struct ClientState {
 ///   instead of hammering a dead daemon, and the next operation past the
 ///   window reconnects transparently.
 ///
-/// On connect the client sends `HELLO` and upgrades to binary framing
-/// when the server lists the `binary` feature; any hello failure (e.g. a
-/// protocol-v1 daemon answering `err`) falls back to text frames, so old
-/// daemons keep working.
-///
 /// One connection is shared (mutex-serialized) by all threads of the
 /// process. Batched operations ([`RemoteStore::load_many`],
 /// [`RemoteStore::save_many`]) pipeline all their frames into a single
@@ -154,7 +139,6 @@ struct ClientState {
 pub struct RemoteStore {
     addr: String,
     state: Mutex<ClientState>,
-    allow_binary: bool,
     hits: AtomicU64,
     misses: AtomicU64,
     put_errors: AtomicU64,
@@ -167,23 +151,9 @@ impl RemoteStore {
     /// attempted until the first operation.
     #[must_use]
     pub fn new(addr: impl Into<String>) -> Self {
-        Self::with_format(addr, true)
-    }
-
-    /// A client that never upgrades to binary framing — every frame on
-    /// the wire is text. Functionally identical; exists for the
-    /// text-vs-binary comparison in `bench_store` and for debugging with
-    /// a line-oriented capture.
-    #[must_use]
-    pub fn new_text_only(addr: impl Into<String>) -> Self {
-        Self::with_format(addr, false)
-    }
-
-    fn with_format(addr: impl Into<String>, allow_binary: bool) -> Self {
         Self {
             addr: addr.into(),
             state: Mutex::new(ClientState::default()),
-            allow_binary,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             put_errors: AtomicU64::new(0),
@@ -213,8 +183,7 @@ impl RemoteStore {
 
     /// Completed request/reply exchanges — network round trips. A
     /// pipelined batch of any size counts **one**; this against
-    /// [`RemoteStore::requests_sent`] is the batching win `bench_store`
-    /// measures.
+    /// [`RemoteStore::requests_sent`] is the batching win.
     #[must_use]
     pub fn round_trips(&self) -> u64 {
         self.round_trips.load(Ordering::Relaxed)
@@ -226,19 +195,7 @@ impl RemoteStore {
         self.requests_sent.load(Ordering::Relaxed)
     }
 
-    /// The frame format the current connection negotiated (`None` while
-    /// disconnected).
-    #[must_use]
-    pub fn wire_format(&self) -> Option<WireFormat> {
-        self.state
-            .lock()
-            .expect("remote store poisoned")
-            .conn
-            .as_ref()
-            .map(|c| c.format)
-    }
-
-    fn connect_raw(addr: &str, read_timeout: Duration) -> io::Result<TcpStream> {
+    fn connect(addr: &str, read_timeout: Duration) -> io::Result<TcpStream> {
         let sock = addr.to_socket_addrs()?.next().ok_or_else(|| {
             io::Error::new(io::ErrorKind::NotFound, "address resolves to nothing")
         })?;
@@ -247,34 +204,6 @@ impl RemoteStore {
         stream.set_write_timeout(Some(CLIENT_IO_TIMEOUT))?;
         let _ = stream.set_nodelay(true);
         Ok(stream)
-    }
-
-    fn connect(addr: &str, allow_binary: bool) -> io::Result<Conn> {
-        let mut stream = Self::connect_raw(addr, CLIENT_IO_TIMEOUT)?;
-        let mut reader = FrameReader::new();
-        // Negotiate. The hello itself is text — every peer can at least
-        // reject it legibly. A v1 daemon answers `err`, which simply
-        // pins the connection to text frames.
-        let mut format = WireFormat::Text;
-        stream.write_all(
-            &Request::Hello {
-                version: PROTOCOL_VERSION,
-            }
-            .to_frame(WireFormat::Text),
-        )?;
-        let payload = reader.read_frame(&mut stream)?.ok_or_else(|| {
-            io::Error::new(io::ErrorKind::UnexpectedEof, "daemon closed the connection")
-        })?;
-        if let Ok(Response::Hello { features, .. }) = Response::from_payload(&payload) {
-            if allow_binary && features.iter().any(|f| f == FEATURE_BINARY) {
-                format = WireFormat::Binary;
-            }
-        }
-        Ok(Conn {
-            stream,
-            reader,
-            format,
-        })
     }
 
     fn note_failure(&self, state: &mut ClientState) {
@@ -307,7 +236,7 @@ impl RemoteStore {
         // size.
         let mut blob = Vec::new();
         for req in reqs {
-            blob.extend_from_slice(&req.to_frame(conn.format));
+            blob.extend_from_slice(&req.to_frame());
         }
         conn.stream.write_all(&blob)?;
         let mut replies = Vec::with_capacity(reqs.len());
@@ -322,7 +251,7 @@ impl RemoteStore {
             let payload = conn.reader.read_frame(&mut conn.stream)?.ok_or_else(|| {
                 io::Error::new(io::ErrorKind::UnexpectedEof, "daemon closed the connection")
             })?;
-            let response = Response::from_payload(&payload)
+            let response = Response::decode(&payload)
                 .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
             if !reply_matches(req, &response) {
                 return Err(io::Error::new(
@@ -371,8 +300,13 @@ impl RemoteStore {
                         return None; // back off: degrade to a miss immediately
                     }
                 }
-                match Self::connect(&self.addr, self.allow_binary) {
-                    Ok(conn) => state.conn = Some(conn),
+                match Self::connect(&self.addr, CLIENT_IO_TIMEOUT) {
+                    Ok(stream) => {
+                        state.conn = Some(Conn {
+                            stream,
+                            reader: FrameReader::new(),
+                        });
+                    }
                     Err(_) => {
                         self.note_failure(&mut state);
                         return None;
@@ -556,9 +490,8 @@ impl StoreBackend for RemoteStore {
             }
             Some(Response::Granted) => ClaimOutcome::Granted,
             Some(Response::Busy) => ClaimOutcome::Busy,
-            // Error reply (e.g. a pre-claim daemon) or unreachable: the
-            // caller computes locally — a failure is never more than a
-            // miss.
+            // Error reply or unreachable daemon: the caller computes
+            // locally — a failure is never more than a miss.
             _ => ClaimOutcome::Unsupported,
         }
     }
@@ -569,19 +502,19 @@ impl StoreBackend for RemoteStore {
         // whose read timeout outlives the server-side park.
         let exchange = || -> io::Result<Option<String>> {
             let mut stream =
-                Self::connect_raw(&self.addr, timeout.saturating_add(Duration::from_secs(5)))?;
+                Self::connect(&self.addr, timeout.saturating_add(Duration::from_secs(5)))?;
             let timeout_ms = u64::try_from(timeout.as_millis()).unwrap_or(u64::MAX);
             let req = Request::Wait {
                 ns: ns.to_string(),
                 key: key.to_string(),
                 timeout_ms,
             };
-            stream.write_all(&req.to_frame(WireFormat::Text))?;
+            stream.write_all(&req.to_frame())?;
             let mut reader = FrameReader::new();
             let payload = reader.read_frame(&mut stream)?.ok_or_else(|| {
                 io::Error::new(io::ErrorKind::UnexpectedEof, "daemon closed the connection")
             })?;
-            match Response::from_payload(&payload) {
+            match Response::decode(&payload) {
                 Ok(Response::Hit { value }) => Ok(Some(value)),
                 _ => Ok(None),
             }
@@ -594,15 +527,9 @@ impl StoreBackend for RemoteStore {
     }
 
     fn namespace_records(&self, ns: &str) -> usize {
-        let Some(stats) = self.stats() else { return 0 };
-        let count = match ns {
-            NS_RUNS => stats.runs,
-            NS_WALKS => stats.walks,
-            NS_PROGRAMS => stats.programs,
-            NS_TRACES => stats.traces,
-            _ => 0,
-        };
-        usize::try_from(count).unwrap_or(usize::MAX)
+        self.stats().map_or(0, |stats| {
+            usize::try_from(stats.namespaces.get(ns)).unwrap_or(usize::MAX)
+        })
     }
 
     fn describe(&self) -> String {

@@ -1,34 +1,23 @@
-//! Wire framing: the text frame (protocol v1, kept for compatibility)
-//! and the length-prefixed binary frame (protocol v2), both recognized
-//! by one total decoder.
+//! Wire framing: the length-prefixed `cfrb` frame and its total decoder.
 
 use std::io::{self, Read};
 use std::sync::OnceLock;
 
 use super::MAX_FRAME_ENV;
 
-/// Text frame magic: protocol version 1. Bumping it makes every frame
-/// from the other version decode as `Invalid` (a clean error, never a
-/// panic).
-pub const PROTOCOL_MAGIC: &str = "cfr1";
+/// Frame magic. It doubles as the protocol version: a peer speaking
+/// anything else fails at the first four bytes (a clean `Invalid`,
+/// never a misparse).
+pub const FRAME_MAGIC: &[u8; 4] = b"cfrb";
 
-/// Binary frame magic. Shares the `cfr` prefix with the text magic so
-/// the prefix-plausibility check is one comparison; the fourth byte
-/// selects the format.
-pub const BIN_MAGIC: &[u8; 4] = b"cfrb";
-
-/// Binary frame header size: the magic plus a 4-byte little-endian
-/// payload length.
-pub const BIN_HEADER_BYTES: usize = 8;
+/// Frame header size: the magic plus a 4-byte little-endian payload
+/// length.
+const FRAME_HEADER_BYTES: usize = 8;
 
 /// Default upper bound on one frame's payload. A length header beyond
 /// the configured bound ([`max_frame_bytes`]) is corrupt by definition —
 /// the decoder rejects it before allocating.
 pub const MAX_FRAME_BYTES: usize = 64 * 1024 * 1024;
-
-/// Longest legal text-frame header: `cfr1 <8-digit-max length>\n` fits
-/// well within this; anything longer without a newline is garbage.
-pub const MAX_HEADER_BYTES: usize = 16;
 
 /// Smallest admissible [`MAX_FRAME_ENV`] override: control frames
 /// (stats, errors, claim verbs) must always fit.
@@ -49,59 +38,17 @@ pub fn max_frame_bytes() -> usize {
     })
 }
 
-/// Which frame format a payload traveled in. Servers mirror the
-/// request's format; clients pick per [`Request::Hello`] negotiation.
-///
-/// [`Request::Hello`]: super::Request::Hello
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum WireFormat {
-    /// `cfr1 <len>\n<payload>\n`, payload UTF-8 text (protocol v1).
-    Text,
-    /// `cfrb <len LE u32><payload>`, payload raw bytes (protocol v2).
-    Binary,
-}
-
-/// One decoded frame payload, tagged with the format it arrived in.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum WirePayload {
-    /// A text-frame payload (validated UTF-8).
-    Text(String),
-    /// A binary-frame payload.
-    Binary(Vec<u8>),
-}
-
-impl WirePayload {
-    /// The format this payload traveled in (what a reply should mirror).
-    #[must_use]
-    pub fn format(&self) -> WireFormat {
-        match self {
-            Self::Text(_) => WireFormat::Text,
-            Self::Binary(_) => WireFormat::Binary,
-        }
-    }
-}
-
-/// Encodes one payload as a text wire frame (`cfr1 <len>\n<payload>\n`).
-#[must_use]
-pub fn encode_frame(payload: &str) -> Vec<u8> {
-    let mut out = Vec::with_capacity(payload.len() + MAX_HEADER_BYTES + 1);
-    out.extend_from_slice(format!("{PROTOCOL_MAGIC} {}\n", payload.len()).as_bytes());
-    out.extend_from_slice(payload.as_bytes());
-    out.push(b'\n');
-    out
-}
-
-/// Encodes one payload as a binary wire frame (`cfrb` + LE length).
+/// Encodes one payload as a wire frame (`cfrb` + LE length + payload).
 ///
 /// # Panics
 ///
 /// Panics if the payload exceeds `u32::MAX` bytes (far beyond any
 /// configurable frame bound).
 #[must_use]
-pub fn encode_frame_bin(payload: &[u8]) -> Vec<u8> {
+pub fn encode_frame(payload: &[u8]) -> Vec<u8> {
     let len = u32::try_from(payload.len()).expect("frame payload over 4 GiB");
-    let mut out = Vec::with_capacity(BIN_HEADER_BYTES + payload.len());
-    out.extend_from_slice(BIN_MAGIC);
+    let mut out = Vec::with_capacity(FRAME_HEADER_BYTES + payload.len());
+    out.extend_from_slice(FRAME_MAGIC);
     out.extend_from_slice(&len.to_le_bytes());
     out.extend_from_slice(payload);
     out
@@ -109,166 +56,57 @@ pub fn encode_frame_bin(payload: &[u8]) -> Vec<u8> {
 
 /// What [`decode_frame`] found at the head of a byte buffer.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum FrameDecode {
+pub enum FrameDecode<'a> {
     /// The buffer holds a prefix of a well-formed frame; read more bytes.
     Incomplete,
-    /// The buffer can never become a well-formed frame: bad magic, bad
-    /// length, missing terminator, or non-UTF-8 payload. The connection
-    /// should answer with an error and/or disconnect.
+    /// The buffer can never become a well-formed frame: bad magic or a
+    /// length over the frame bound. The connection should answer with
+    /// an error and/or disconnect.
     Invalid,
-    /// One complete frame; `consumed` bytes belong to it.
+    /// One complete frame.
     Frame {
-        /// The decoded payload text.
-        payload: String,
-        /// Total frame length in bytes (header + payload + terminator).
+        /// The frame's payload bytes.
+        payload: &'a [u8],
+        /// Total frame length in bytes (header + payload).
         consumed: usize,
     },
 }
 
-/// What [`decode_wire_frame`] found at the head of a byte buffer.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum WireDecode {
-    /// The buffer holds a prefix of a well-formed frame; read more bytes.
-    Incomplete,
-    /// The buffer can never become a well-formed frame.
-    Invalid,
-    /// One complete frame in either format.
-    Frame {
-        /// The decoded payload, tagged with its format.
-        payload: WirePayload,
-        /// Total frame length in bytes.
-        consumed: usize,
-    },
-}
-
-/// Decodes the **text** frame at the head of `buf` (protocol v1 surface,
-/// unchanged). Total over arbitrary bytes: every input yields
-/// `Incomplete`, `Invalid`, or `Frame` — never a panic, never an
-/// allocation proportional to a corrupt length header.
+/// Decodes the frame at the head of `buf`. Total over arbitrary bytes:
+/// every input yields `Incomplete`, `Invalid`, or `Frame` — never a
+/// panic, never an allocation proportional to a corrupt length header.
 #[must_use]
-pub fn decode_frame(buf: &[u8]) -> FrameDecode {
-    match decode_text_frame(buf, max_frame_bytes()) {
-        WireDecode::Incomplete => FrameDecode::Incomplete,
-        WireDecode::Invalid => FrameDecode::Invalid,
-        WireDecode::Frame { payload, consumed } => match payload {
-            WirePayload::Text(payload) => FrameDecode::Frame { payload, consumed },
-            WirePayload::Binary(_) => unreachable!("text decoder yields text payloads"),
-        },
-    }
+pub fn decode_frame(buf: &[u8]) -> FrameDecode<'_> {
+    decode_frame_limit(buf, max_frame_bytes())
 }
 
-/// Decodes the frame at the head of `buf`, accepting **either** format
-/// (the magic's fourth byte selects). Total over arbitrary bytes.
-#[must_use]
-pub fn decode_wire_frame(buf: &[u8]) -> WireDecode {
-    decode_wire_frame_limit(buf, max_frame_bytes())
-}
-
-/// [`decode_wire_frame`] with an explicit payload bound (the env-free
-/// core, also what the guard tests drive directly).
-#[must_use]
-pub fn decode_wire_frame_limit(buf: &[u8], max_payload: usize) -> WireDecode {
-    // Disambiguate on the fourth byte; while fewer than four bytes are
-    // buffered, stay Incomplete iff they are a plausible shared prefix.
-    match buf.get(3) {
-        None => {
-            if buf.iter().zip(b"cfr").all(|(&b, &e)| b == e) {
-                WireDecode::Incomplete
-            } else {
-                WireDecode::Invalid
-            }
-        }
-        Some(b'b') => decode_bin_frame(buf, max_payload),
-        Some(_) => decode_text_frame(buf, max_payload),
+/// [`decode_frame`] with an explicit payload bound (the env-free core,
+/// also what the guard tests drive directly).
+fn decode_frame_limit(buf: &[u8], max_payload: usize) -> FrameDecode<'_> {
+    // While the header is still arriving, stay Incomplete only as long
+    // as the bytes so far are a prefix of the magic.
+    if !buf.iter().zip(FRAME_MAGIC).all(|(b, m)| b == m) {
+        return FrameDecode::Invalid;
     }
-}
-
-fn decode_bin_frame(buf: &[u8], max_payload: usize) -> WireDecode {
-    debug_assert!(buf.len() >= 4);
-    if &buf[..4] != BIN_MAGIC {
-        return WireDecode::Invalid;
-    }
-    if buf.len() < BIN_HEADER_BYTES {
-        return WireDecode::Incomplete;
-    }
-    let len = u32::from_le_bytes([buf[4], buf[5], buf[6], buf[7]]) as usize;
+    let Some(header) = buf.get(..FRAME_HEADER_BYTES) else {
+        return FrameDecode::Incomplete;
+    };
+    let len = u32::from_le_bytes([header[4], header[5], header[6], header[7]]) as usize;
     if len > max_payload {
-        return WireDecode::Invalid;
+        return FrameDecode::Invalid;
     }
-    let total = BIN_HEADER_BYTES + len;
-    if buf.len() < total {
-        return WireDecode::Incomplete;
-    }
-    WireDecode::Frame {
-        payload: WirePayload::Binary(buf[BIN_HEADER_BYTES..total].to_vec()),
-        consumed: total,
-    }
-}
-
-fn decode_text_frame(buf: &[u8], max_payload: usize) -> WireDecode {
-    let header_region = &buf[..buf.len().min(MAX_HEADER_BYTES)];
-    let Some(nl) = header_region.iter().position(|&b| b == b'\n') else {
-        if buf.len() >= MAX_HEADER_BYTES {
-            return WireDecode::Invalid; // no newline where one must be
-        }
-        // Incomplete only while the bytes so far are a plausible header
-        // prefix: the magic, a space, then decimal digits.
-        let shape = b"cfr1 ";
-        for (i, &b) in buf.iter().enumerate() {
-            let plausible = match shape.get(i) {
-                Some(&expected) => b == expected,
-                None => b.is_ascii_digit(),
-            };
-            if !plausible {
-                return WireDecode::Invalid;
-            }
-        }
-        return WireDecode::Incomplete;
-    };
-    let Ok(header) = core::str::from_utf8(&buf[..nl]) else {
-        return WireDecode::Invalid;
-    };
-    let mut tokens = header.split(' ');
-    if tokens.next() != Some(PROTOCOL_MAGIC) {
-        return WireDecode::Invalid;
-    }
-    let Some(len_text) = tokens.next() else {
-        return WireDecode::Invalid;
-    };
-    // Digits only: `parse` alone would accept a leading `+`.
-    if tokens.next().is_some()
-        || len_text.is_empty()
-        || !len_text.bytes().all(|b| b.is_ascii_digit())
-    {
-        return WireDecode::Invalid;
-    }
-    let Ok(len) = len_text.parse::<usize>() else {
-        return WireDecode::Invalid;
-    };
-    if len > max_payload {
-        return WireDecode::Invalid;
-    }
-    let Some(total) = (nl + 1).checked_add(len).and_then(|t| t.checked_add(1)) else {
-        return WireDecode::Invalid;
-    };
-    if buf.len() < total {
-        return WireDecode::Incomplete;
-    }
-    if buf[total - 1] != b'\n' {
-        return WireDecode::Invalid;
-    }
-    match core::str::from_utf8(&buf[nl + 1..total - 1]) {
-        Ok(payload) => WireDecode::Frame {
-            payload: WirePayload::Text(payload.to_string()),
-            consumed: total,
+    match buf[FRAME_HEADER_BYTES..].get(..len) {
+        Some(payload) => FrameDecode::Frame {
+            payload,
+            consumed: FRAME_HEADER_BYTES + len,
         },
-        Err(_) => WireDecode::Invalid,
+        None => FrameDecode::Incomplete,
     }
 }
 
 /// A streaming frame reader: buffers partial reads across calls so a
 /// frame split over several TCP segments (or interrupted by a read
-/// timeout) reassembles correctly. Accepts both wire formats.
+/// timeout) reassembles correctly.
 #[derive(Debug, Default)]
 pub struct FrameReader {
     buf: Vec<u8>,
@@ -290,31 +128,32 @@ impl FrameReader {
         self.buf.len()
     }
 
-    /// Reads one frame from `stream`. `Ok(None)` is a clean EOF at a
-    /// frame boundary; `ErrorKind::InvalidData` means the peer sent bytes
-    /// that can never become a frame (the caller should error-reply
-    /// and/or disconnect); timeouts surface as the underlying
-    /// `WouldBlock`/`TimedOut` error with the partial frame retained for
-    /// the next call.
+    /// Reads one frame's payload from `stream`. `Ok(None)` is a clean
+    /// EOF at a frame boundary; `ErrorKind::InvalidData` means the peer
+    /// sent bytes that can never become a frame (the caller should
+    /// error-reply and/or disconnect); timeouts surface as the
+    /// underlying `WouldBlock`/`TimedOut` error with the partial frame
+    /// retained for the next call.
     ///
     /// # Errors
     ///
     /// Any I/O error from `stream`, plus `InvalidData` for corrupt and
     /// `UnexpectedEof` for mid-frame EOFs.
-    pub fn read_frame(&mut self, stream: &mut impl Read) -> io::Result<Option<WirePayload>> {
+    pub fn read_frame(&mut self, stream: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
         loop {
-            match decode_wire_frame(&self.buf) {
-                WireDecode::Frame { payload, consumed } => {
+            match decode_frame(&self.buf) {
+                FrameDecode::Frame { payload, consumed } => {
+                    let payload = payload.to_vec();
                     self.buf.drain(..consumed);
                     return Ok(Some(payload));
                 }
-                WireDecode::Invalid => {
+                FrameDecode::Invalid => {
                     return Err(io::Error::new(
                         io::ErrorKind::InvalidData,
                         "malformed frame",
                     ));
                 }
-                WireDecode::Incomplete => {}
+                FrameDecode::Incomplete => {}
             }
             let mut chunk = [0u8; 4096];
             let n = stream.read(&mut chunk)?;
@@ -338,119 +177,89 @@ mod tests {
     use super::*;
 
     #[test]
-    fn text_frame_round_trips() {
-        for payload in ["", "x", "get runs 3\nkey", "line\nwith\nnewlines", "π ≠ τ"] {
-            let bytes = encode_frame(payload);
-            match decode_frame(&bytes) {
-                FrameDecode::Frame {
-                    payload: got,
-                    consumed,
-                } => {
-                    assert_eq!(got, payload);
-                    assert_eq!(consumed, bytes.len());
-                }
-                other => panic!("{payload:?} decoded to {other:?}"),
-            }
-            // The dual-format decoder agrees and tags the format.
-            match decode_wire_frame(&bytes) {
-                WireDecode::Frame {
-                    payload: WirePayload::Text(got),
-                    consumed,
-                } => {
-                    assert_eq!(got, payload);
-                    assert_eq!(consumed, bytes.len());
-                }
-                other => panic!("{payload:?} wire-decoded to {other:?}"),
-            }
-        }
-    }
-
-    #[test]
-    fn binary_frame_round_trips() {
+    fn frames_round_trip() {
         for payload in [
             b"".as_slice(),
             b"x",
             b"\x00\xff\x01binary bytes",
+            "π ≠ τ\nwith newlines".as_bytes(),
             &[7u8; 4096],
         ] {
-            let bytes = encode_frame_bin(payload);
-            match decode_wire_frame(&bytes) {
-                WireDecode::Frame {
-                    payload: WirePayload::Binary(got),
-                    consumed,
-                } => {
-                    assert_eq!(got, payload);
-                    assert_eq!(consumed, bytes.len());
+            let bytes = encode_frame(payload);
+            assert_eq!(
+                decode_frame(&bytes),
+                FrameDecode::Frame {
+                    payload,
+                    consumed: bytes.len()
                 }
-                other => panic!("binary payload decoded to {other:?}"),
-            }
+            );
         }
     }
 
     #[test]
     fn frame_prefixes_are_incomplete_and_garbage_is_invalid() {
-        let bytes = encode_frame("hello world");
+        let bytes = encode_frame(b"hello world");
         for cut in 0..bytes.len() {
             assert_eq!(
                 decode_frame(&bytes[..cut]),
                 FrameDecode::Incomplete,
-                "prefix of a valid text frame at {cut}"
-            );
-        }
-        let bin = encode_frame_bin(b"hello world");
-        for cut in 0..bin.len() {
-            assert_eq!(
-                decode_wire_frame(&bin[..cut]),
-                WireDecode::Incomplete,
-                "prefix of a valid binary frame at {cut}"
+                "prefix of a valid frame at {cut}"
             );
         }
         for garbage in [
             b"nonsense bytes here".as_slice(),
-            b"cfr2 5\nhello\n",
-            b"cfr1 x\npayload\n",
-            b"cfr1 +5\nhello\n",
-            b"cfr1 99999999999999999999\n",
-            b"cfr1 5\nhelloX",
+            b"c\x00",
+            b"cfr1 5\nhello\n",           // a foreign magic
             b"cfrB\x05\x00\x00\x00hello", // magic is case-sensitive
         ] {
             assert_eq!(decode_frame(garbage), FrameDecode::Invalid, "{garbage:?}");
-            assert_eq!(
-                decode_wire_frame(garbage),
-                WireDecode::Invalid,
-                "{garbage:?}"
-            );
         }
-        // A binary frame is not a *text* frame (v1 callers see Invalid,
-        // not a misparse).
-        assert_eq!(decode_frame(&bin), FrameDecode::Invalid);
     }
 
     #[test]
     fn corrupt_length_headers_are_rejected_before_allocating() {
-        let huge = format!("cfr1 {}\n", MAX_FRAME_BYTES + 1);
-        assert_eq!(decode_frame(huge.as_bytes()), FrameDecode::Invalid);
-        let mut bin = BIN_MAGIC.to_vec();
+        let mut bin = FRAME_MAGIC.to_vec();
         bin.extend_from_slice(&u32::MAX.to_le_bytes());
-        assert_eq!(decode_wire_frame(&bin), WireDecode::Invalid);
+        assert_eq!(decode_frame(&bin), FrameDecode::Invalid);
     }
 
     #[test]
-    fn frame_limit_is_enforced_in_both_formats() {
+    fn frame_limit_is_enforced() {
         // A payload over an explicit bound is Invalid even when complete
         // and well-formed; at the bound it decodes.
-        let payload = "0123456789";
-        let text = encode_frame(payload);
-        let bin = encode_frame_bin(payload.as_bytes());
-        assert_eq!(decode_wire_frame_limit(&text, 9), WireDecode::Invalid);
-        assert_eq!(decode_wire_frame_limit(&bin, 9), WireDecode::Invalid);
+        let bin = encode_frame(b"0123456789");
+        assert_eq!(decode_frame_limit(&bin, 9), FrameDecode::Invalid);
         assert!(matches!(
-            decode_wire_frame_limit(&text, 10),
-            WireDecode::Frame { .. }
+            decode_frame_limit(&bin, 10),
+            FrameDecode::Frame { .. }
         ));
-        assert!(matches!(
-            decode_wire_frame_limit(&bin, 10),
-            WireDecode::Frame { .. }
-        ));
+    }
+
+    #[test]
+    fn reader_reassembles_split_frames_and_flags_mid_frame_eof() {
+        let mut wire = encode_frame(b"first");
+        wire.extend_from_slice(&encode_frame(b"second"));
+        // One byte per read: every frame spans many reads.
+        struct Trickle<'a>(&'a [u8]);
+        impl Read for Trickle<'_> {
+            fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
+                let Some((&b, rest)) = self.0.split_first() else {
+                    return Ok(0);
+                };
+                out[0] = b;
+                self.0 = rest;
+                Ok(1)
+            }
+        }
+        let mut reader = FrameReader::new();
+        let mut stream = Trickle(&wire);
+        assert_eq!(reader.read_frame(&mut stream).unwrap().unwrap(), b"first");
+        assert_eq!(reader.read_frame(&mut stream).unwrap().unwrap(), b"second");
+        assert!(reader.read_frame(&mut stream).unwrap().is_none());
+        let mut torn = Trickle(&wire[..wire.len() - 1]);
+        let mut reader = FrameReader::new();
+        reader.read_frame(&mut torn).unwrap();
+        let err = reader.read_frame(&mut torn).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
     }
 }

@@ -1,9 +1,8 @@
 //! The networked store: protocol codec, TCP client, and daemon server.
 //!
-//! PR 3's sharded [`ArtifactStore`] is single-machine: every process
-//! opens the shard files directly. PR 5 put **one process in charge of
-//! the shards** behind a tiny request/reply protocol; this revision
-//! grows that daemon into a multiplexed service front-end:
+//! The sharded [`ArtifactStore`] is single-machine: every process opens
+//! the shard files directly. This module puts **one process in charge
+//! of the shards** behind a small request/reply protocol:
 //!
 //! - [`StoreServer`] — a std-only TCP daemon that exclusively owns an
 //!   [`ArtifactStore`] and serves it from a **fixed worker pool over a
@@ -21,24 +20,20 @@
 //!   the machine-local store, saves go to the daemon — falling back to
 //!   the local layer only while the daemon is unreachable.
 //!
-//! # Wire formats
+//! # Wire format
 //!
-//! Every message (request or response) is one **frame**, in one of two
-//! self-describing formats:
+//! Every message (request or response) is one length-prefixed
+//! **frame**:
 //!
 //! ```text
-//! text:    cfr1 <payload-bytes>\n<payload>\n          (protocol v1, kept)
-//! binary:  cfrb <4-byte LE payload-bytes><payload>    (protocol v2)
+//! cfrb<payload length: 4 bytes, LE><payload>
 //! ```
 //!
-//! The first bytes disambiguate, so a server accepts either format on
-//! any frame and **mirrors the request's format in its reply**. A
-//! client discovers whether the server speaks binary via the `HELLO`
-//! verb ([`Request::Hello`]) and upgrades only after the server lists
-//! the `binary` feature — text frames keep working forever, which is
-//! the compatibility story for protocol v1 peers and for humans with
-//! `nc`. Binary framing spares multi-MB program/trace records the text
-//! codec's header scans and re-validation on every hop.
+//! The payload is a tag byte followed by little-endian, length-prefixed
+//! fields ([`Request`], [`Response`]). The `cfrb` magic is the protocol
+//! version: every client and server ships from this workspace, so there
+//! is nothing to negotiate, and a peer speaking anything else fails at
+//! the first four bytes with an `err` reply and a disconnect.
 //!
 //! Frame payload size is bounded ([`max_frame_bytes`], default
 //! [`MAX_FRAME_BYTES`], override [`MAX_FRAME_ENV`]): a garbage length
@@ -47,15 +42,9 @@
 //!
 //! # Verbs
 //!
-//! `GET`/`PUT`/`STATS`/`GC`/`SHUTDOWN` from protocol v1, plus:
-//!
+//! - `GET`/`PUT` — one record.
 //! - `MGET`/`MPUT` — batch lookups/saves: an entire plan's keys in one
 //!   round trip (the engine's batched warm probe).
-//! - `HELLO` — version/feature negotiation (see above).
-//! - `HEALTH` — liveness probe: uptime, shard occupancy, live record
-//!   and byte counts, and whether the daemon is draining (refusing new
-//!   connections while it answers in-flight frames). Surfaced by the
-//!   `cfr-store-serve health` subcommand.
 //! - `CLAIM`/`WAIT` — **global cold-key dedup**: `CLAIM` asks for the
 //!   exclusive right to compute a missing key (lease-bounded; the reply
 //!   is the stored value if someone already published it, `granted` if
@@ -64,6 +53,14 @@
 //!   lease expires. A dead client's claim expires — or is released the
 //!   moment its connection drops — and waiters degrade to computing
 //!   locally, preserving the store's every-failure-is-a-miss contract.
+//! - `STATS` — occupancy (live records and bytes, per-namespace counts)
+//!   and service counters.
+//! - `HEALTH` — liveness probe: uptime, shard occupancy, live record
+//!   and byte counts, and whether the daemon is draining (refusing new
+//!   connections while it answers in-flight frames). Surfaced by the
+//!   `cfr-store-serve health` subcommand.
+//! - `GC` — a compaction pass under the daemon's policy.
+//! - `SHUTDOWN` — graceful drain, then exit.
 //!
 //! The decoders are total functions over arbitrary bytes —
 //! `Incomplete` / `Invalid` / `Frame`, never a panic — which is what
@@ -79,9 +76,8 @@ mod server;
 
 pub use client::{LayeredStore, RemoteStore};
 pub use frame::{
-    decode_frame, decode_wire_frame, encode_frame, encode_frame_bin, max_frame_bytes, FrameDecode,
-    FrameReader, WireDecode, WireFormat, WirePayload, BIN_HEADER_BYTES, BIN_MAGIC, MAX_FRAME_BYTES,
-    MAX_HEADER_BYTES, PROTOCOL_MAGIC,
+    decode_frame, encode_frame, max_frame_bytes, FrameDecode, FrameReader, FRAME_MAGIC,
+    MAX_FRAME_BYTES,
 };
 pub use proto::{HealthReport, Request, Response, StoreStats};
 pub use server::{ServerConfig, StoreServer};
@@ -110,18 +106,6 @@ pub const DEFAULT_CLAIM_LEASE: Duration = Duration::from_secs(30);
 
 /// Default port the daemon binds when none is given.
 pub const DEFAULT_DAEMON_ADDR: &str = "127.0.0.1:7433";
-
-/// The protocol version this build speaks (reported by `HELLO`).
-pub const PROTOCOL_VERSION: u32 = 2;
-
-/// Feature token: the peer accepts binary frames.
-pub const FEATURE_BINARY: &str = "binary";
-
-/// Feature token: the peer serves `MGET`/`MPUT` batches.
-pub const FEATURE_BATCH: &str = "batch";
-
-/// Feature token: the peer serves `CLAIM`/`WAIT` global dedup.
-pub const FEATURE_CLAIM: &str = "claim";
 
 /// The claim lease this process uses ([`CLAIM_LEASE_ENV`], else
 /// [`DEFAULT_CLAIM_LEASE`]).

@@ -1,30 +1,23 @@
-//! The request/response grammar, in both codecs.
-//!
-//! Payloads are either UTF-8 **text** (protocol v1's grammar, extended
-//! with the batch/claim/hello verbs) or **binary** (tag byte + length-
-//! prefixed fields). Both codecs are total over arbitrary input and
-//! enforce the same field validity rules, so a message decoded from one
-//! codec always re-encodes cleanly in the other — the text↔binary
-//! equivalence the property tests pin.
+//! The request/response grammar: a tag byte followed by little-endian,
+//! length-prefixed fields. The decoders are total over arbitrary bytes
+//! and enforce the store's record shapes (namespace one token, keys and
+//! values single-line), so a decoded `Put` can always be stored without
+//! tripping the store's own input assertions.
 
-use crate::store::GcReport;
+use crate::store::{GcReport, NamespaceCounts};
 
-use super::frame::{encode_frame, encode_frame_bin, WireFormat, WirePayload};
+use super::frame::encode_frame;
 
-pub(crate) fn valid_ns(ns: &str) -> bool {
+fn valid_ns(ns: &str) -> bool {
     !ns.is_empty() && !ns.contains(char::is_whitespace)
 }
 
-pub(crate) fn valid_key(key: &str) -> bool {
+fn valid_key(key: &str) -> bool {
     !key.is_empty() && !key.contains('\n')
 }
 
-pub(crate) fn valid_value(value: &str) -> bool {
+fn valid_value(value: &str) -> bool {
     !value.contains('\n')
-}
-
-fn valid_feature(token: &str) -> bool {
-    valid_ns(token)
 }
 
 /// One client request. The daemon's whole command surface.
@@ -80,12 +73,6 @@ pub enum Request {
         /// Longest time to stay parked, in milliseconds (server-clamped).
         timeout_ms: u64,
     },
-    /// Version/feature negotiation: the reply lists what the server
-    /// speaks (`binary`, `batch`, `claim`).
-    Hello {
-        /// The client's protocol version.
-        version: u32,
-    },
     /// Report occupancy (live records/bytes, per-namespace counts) and
     /// service counters.
     Stats,
@@ -100,7 +87,7 @@ pub enum Request {
     Shutdown,
 }
 
-// Binary tags. A tag outside this table decodes to a descriptive error.
+// Tags. A tag outside this table decodes to a descriptive error.
 const TAG_GET: u8 = 1;
 const TAG_PUT: u8 = 2;
 const TAG_STATS: u8 = 3;
@@ -110,7 +97,6 @@ const TAG_MGET: u8 = 6;
 const TAG_MPUT: u8 = 7;
 const TAG_CLAIM: u8 = 8;
 const TAG_WAIT: u8 = 9;
-const TAG_HELLO: u8 = 10;
 const TAG_HEALTH: u8 = 11;
 
 const TAG_HIT: u8 = 1;
@@ -122,18 +108,17 @@ const TAG_ERR: u8 = 6;
 const TAG_MGOT: u8 = 7;
 const TAG_GRANTED: u8 = 8;
 const TAG_BUSY: u8 = 9;
-const TAG_RHELLO: u8 = 10;
 const TAG_RHEALTH: u8 = 11;
 
-/// A little-endian cursor over a binary payload: every read is
-/// bounds-checked and returns a descriptive error, so the binary
-/// decoders are total over arbitrary bytes.
-struct BinReader<'a> {
+/// A little-endian cursor over a payload: every read is bounds-checked
+/// and returns a descriptive error, so the decoders are total over
+/// arbitrary bytes.
+struct PayloadReader<'a> {
     buf: &'a [u8],
     pos: usize,
 }
 
-impl<'a> BinReader<'a> {
+impl<'a> PayloadReader<'a> {
     fn new(buf: &'a [u8]) -> Self {
         Self { buf, pos: 0 }
     }
@@ -198,55 +183,9 @@ fn push_str(out: &mut Vec<u8>, s: &str) {
 }
 
 impl Request {
-    /// Serializes this request as a text frame payload.
+    /// Serializes this request as a frame payload.
     #[must_use]
-    pub fn encode(&self) -> String {
-        match self {
-            Self::Get { ns, key } => format!("get {ns} {}\n{key}", key.len()),
-            Self::Put { ns, key, value } => {
-                format!("put {ns} {} {}\n{key}\n{value}", key.len(), value.len())
-            }
-            Self::MGet { items } => {
-                let mut out = format!("mget {}", items.len());
-                for (ns, key) in items {
-                    out.push('\n');
-                    out.push_str(ns);
-                    out.push('\n');
-                    out.push_str(key);
-                }
-                out
-            }
-            Self::MPut { items } => {
-                let mut out = format!("mput {}", items.len());
-                for (ns, key, value) in items {
-                    out.push('\n');
-                    out.push_str(ns);
-                    out.push('\n');
-                    out.push_str(key);
-                    out.push('\n');
-                    out.push_str(value);
-                }
-                out
-            }
-            Self::Claim { ns, key, lease_ms } => {
-                format!("claim {ns} {} {lease_ms}\n{key}", key.len())
-            }
-            Self::Wait {
-                ns,
-                key,
-                timeout_ms,
-            } => format!("wait {ns} {} {timeout_ms}\n{key}", key.len()),
-            Self::Hello { version } => format!("hello {version}"),
-            Self::Stats => "stats".to_string(),
-            Self::Health => "health".to_string(),
-            Self::Gc => "gc".to_string(),
-            Self::Shutdown => "shutdown".to_string(),
-        }
-    }
-
-    /// Serializes this request as a binary frame payload.
-    #[must_use]
-    pub fn encode_bin(&self) -> Vec<u8> {
+    pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
         match self {
             Self::Get { ns, key } => {
@@ -301,10 +240,6 @@ impl Request {
                 push_str(&mut out, key);
                 out.extend_from_slice(&timeout_ms.to_le_bytes());
             }
-            Self::Hello { version } => {
-                out.push(TAG_HELLO);
-                out.extend_from_slice(&version.to_le_bytes());
-            }
             Self::Stats => out.push(TAG_STATS),
             Self::Health => out.push(TAG_HEALTH),
             Self::Gc => out.push(TAG_GC),
@@ -313,202 +248,21 @@ impl Request {
         out
     }
 
-    /// Serializes this request as a complete wire frame in `format`.
+    /// Serializes this request as a complete wire frame.
     #[must_use]
-    pub fn to_frame(&self, format: WireFormat) -> Vec<u8> {
-        match format {
-            WireFormat::Text => encode_frame(&self.encode()),
-            WireFormat::Binary => encode_frame_bin(&self.encode_bin()),
-        }
+    pub fn to_frame(&self) -> Vec<u8> {
+        encode_frame(&self.encode())
     }
 
-    /// Parses a frame payload in either codec.
-    ///
-    /// # Errors
-    ///
-    /// A one-line description of what is malformed.
-    pub fn from_payload(payload: &WirePayload) -> Result<Self, String> {
-        match payload {
-            WirePayload::Text(text) => Self::decode(text),
-            WirePayload::Binary(bytes) => Self::decode_bin(bytes),
-        }
-    }
-
-    /// Parses a text frame payload. Total over arbitrary strings: every
+    /// Parses a frame payload. Total over arbitrary bytes: every
     /// malformed payload is a descriptive `Err`, never a panic — the
-    /// server turns it into an `err` reply. Field shapes are enforced
-    /// here (namespace one token, key/value single-line, lengths exact),
-    /// so a decoded `Put` can always be stored without tripping the
-    /// store's own input assertions.
+    /// server turns it into an `err` reply.
     ///
     /// # Errors
     ///
     /// A one-line description of what is malformed.
-    pub fn decode(payload: &str) -> Result<Self, String> {
-        let (head, body) = payload
-            .split_once('\n')
-            .map_or((payload, None), |(h, b)| (h, Some(b)));
-        let mut tokens = head.split(' ');
-        let verb = tokens.next().unwrap_or("");
-        match verb {
-            "get" => {
-                let ns = tokens.next().ok_or("get: missing namespace")?;
-                let klen: usize = tokens
-                    .next()
-                    .and_then(|t| t.parse().ok())
-                    .ok_or("get: bad key length")?;
-                if tokens.next().is_some() {
-                    return Err("get: trailing tokens".into());
-                }
-                let key = body.ok_or("get: missing key line")?;
-                if key.len() != klen || !valid_key(key) || !valid_ns(ns) {
-                    return Err("get: malformed namespace or key".into());
-                }
-                Ok(Self::Get {
-                    ns: ns.to_string(),
-                    key: key.to_string(),
-                })
-            }
-            "put" => {
-                let ns = tokens.next().ok_or("put: missing namespace")?;
-                let klen: usize = tokens
-                    .next()
-                    .and_then(|t| t.parse().ok())
-                    .ok_or("put: bad key length")?;
-                let vlen: usize = tokens
-                    .next()
-                    .and_then(|t| t.parse().ok())
-                    .ok_or("put: bad value length")?;
-                if tokens.next().is_some() {
-                    return Err("put: trailing tokens".into());
-                }
-                let body = body.ok_or("put: missing key/value lines")?;
-                let expected = klen.checked_add(1).and_then(|n| n.checked_add(vlen));
-                if expected != Some(body.len()) {
-                    return Err("put: body length mismatch".into());
-                }
-                // `get(..)` (not slicing) so a length landing inside a
-                // multi-byte character is an error, not a panic.
-                let key = body.get(..klen).ok_or("put: key not UTF-8 aligned")?;
-                let sep = body.get(klen..=klen);
-                let value = body.get(klen + 1..).ok_or("put: value not UTF-8 aligned")?;
-                if sep != Some("\n") || !valid_ns(ns) || !valid_key(key) || !valid_value(value) {
-                    return Err("put: malformed namespace, key, or value".into());
-                }
-                Ok(Self::Put {
-                    ns: ns.to_string(),
-                    key: key.to_string(),
-                    value: value.to_string(),
-                })
-            }
-            "mget" => {
-                let n: usize = tokens
-                    .next()
-                    .and_then(|t| t.parse().ok())
-                    .ok_or("mget: bad item count")?;
-                if tokens.next().is_some() {
-                    return Err("mget: trailing tokens".into());
-                }
-                let mut lines = body.map(|b| b.split('\n'));
-                let mut items = Vec::new();
-                for _ in 0..n {
-                    let it = lines.as_mut().ok_or("mget: missing item lines")?;
-                    let ns = it.next().ok_or("mget: missing namespace line")?;
-                    let key = it.next().ok_or("mget: missing key line")?;
-                    if !valid_ns(ns) || !valid_key(key) {
-                        return Err("mget: malformed namespace or key".into());
-                    }
-                    items.push((ns.to_string(), key.to_string()));
-                }
-                if lines.and_then(|mut it| it.next()).is_some() {
-                    return Err("mget: trailing lines".into());
-                }
-                Ok(Self::MGet { items })
-            }
-            "mput" => {
-                let n: usize = tokens
-                    .next()
-                    .and_then(|t| t.parse().ok())
-                    .ok_or("mput: bad item count")?;
-                if tokens.next().is_some() {
-                    return Err("mput: trailing tokens".into());
-                }
-                let mut lines = body.map(|b| b.split('\n'));
-                let mut items = Vec::new();
-                for _ in 0..n {
-                    let it = lines.as_mut().ok_or("mput: missing item lines")?;
-                    let ns = it.next().ok_or("mput: missing namespace line")?;
-                    let key = it.next().ok_or("mput: missing key line")?;
-                    let value = it.next().ok_or("mput: missing value line")?;
-                    if !valid_ns(ns) || !valid_key(key) || !valid_value(value) {
-                        return Err("mput: malformed namespace, key, or value".into());
-                    }
-                    items.push((ns.to_string(), key.to_string(), value.to_string()));
-                }
-                if lines.and_then(|mut it| it.next()).is_some() {
-                    return Err("mput: trailing lines".into());
-                }
-                Ok(Self::MPut { items })
-            }
-            "claim" | "wait" => {
-                let ns = tokens.next().ok_or("claim/wait: missing namespace")?;
-                let klen: usize = tokens
-                    .next()
-                    .and_then(|t| t.parse().ok())
-                    .ok_or("claim/wait: bad key length")?;
-                let ms: u64 = tokens
-                    .next()
-                    .and_then(|t| t.parse().ok())
-                    .ok_or("claim/wait: bad millisecond field")?;
-                if tokens.next().is_some() {
-                    return Err("claim/wait: trailing tokens".into());
-                }
-                let key = body.ok_or("claim/wait: missing key line")?;
-                if key.len() != klen || !valid_key(key) || !valid_ns(ns) {
-                    return Err("claim/wait: malformed namespace or key".into());
-                }
-                let ns = ns.to_string();
-                let key = key.to_string();
-                Ok(if verb == "claim" {
-                    Self::Claim {
-                        ns,
-                        key,
-                        lease_ms: ms,
-                    }
-                } else {
-                    Self::Wait {
-                        ns,
-                        key,
-                        timeout_ms: ms,
-                    }
-                })
-            }
-            "hello" if body.is_none() => {
-                let version: u32 = tokens
-                    .next()
-                    .and_then(|t| t.parse().ok())
-                    .ok_or("hello: bad version")?;
-                if tokens.next().is_some() {
-                    return Err("hello: trailing tokens".into());
-                }
-                Ok(Self::Hello { version })
-            }
-            "stats" if body.is_none() && tokens.next().is_none() => Ok(Self::Stats),
-            "health" if body.is_none() && tokens.next().is_none() => Ok(Self::Health),
-            "gc" if body.is_none() && tokens.next().is_none() => Ok(Self::Gc),
-            "shutdown" if body.is_none() && tokens.next().is_none() => Ok(Self::Shutdown),
-            other => Err(format!("unknown request verb {other:?}")),
-        }
-    }
-
-    /// Parses a binary frame payload. Total over arbitrary bytes, and
-    /// enforces exactly the field validity rules the text codec does.
-    ///
-    /// # Errors
-    ///
-    /// A one-line description of what is malformed.
-    pub fn decode_bin(payload: &[u8]) -> Result<Self, String> {
-        let mut r = BinReader::new(payload);
+    pub fn decode(payload: &[u8]) -> Result<Self, String> {
+        let mut r = PayloadReader::new(payload);
         let tag = r.u8("request tag")?;
         let req = match tag {
             TAG_GET => {
@@ -576,9 +330,6 @@ impl Request {
                     }
                 }
             }
-            TAG_HELLO => Self::Hello {
-                version: r.u32("hello version")?,
-            },
             TAG_STATS => Self::Stats,
             TAG_HEALTH => Self::Health,
             TAG_GC => Self::Gc,
@@ -599,14 +350,8 @@ pub struct StoreStats {
     pub live_bytes: u64,
     /// Physical shard-file bytes (live + dead).
     pub file_bytes: u64,
-    /// Live records in the `runs` namespace.
-    pub runs: u64,
-    /// Live records in the `walks` namespace.
-    pub walks: u64,
-    /// Live records in the `programs` namespace.
-    pub programs: u64,
-    /// Live records in the `traces` namespace.
-    pub traces: u64,
+    /// Live records per namespace.
+    pub namespaces: NamespaceCounts,
     /// Connections currently open.
     pub active_connections: u64,
     /// High-water mark of requests queued on one connection — how deep
@@ -665,13 +410,6 @@ pub enum Response {
     /// `CLAIM` reply: another live client holds the claim — `WAIT` for
     /// the value instead of computing.
     Busy,
-    /// `HELLO` reply: what this server speaks.
-    Hello {
-        /// The server's protocol version.
-        version: u32,
-        /// Feature tokens (`binary`, `batch`, `claim`).
-        features: Vec<String>,
-    },
     /// `STATS` reply.
     Stats(StoreStats),
     /// `HEALTH` reply.
@@ -687,77 +425,9 @@ pub enum Response {
 }
 
 impl Response {
-    /// Serializes this response as a text frame payload.
+    /// Serializes this response as a frame payload.
     #[must_use]
-    pub fn encode(&self) -> String {
-        match self {
-            Self::Hit { value } => format!("hit {}\n{value}", value.len()),
-            Self::Miss => "miss".to_string(),
-            Self::Done => "ok".to_string(),
-            Self::MGot { values } => {
-                let mut out = format!("mgot {}", values.len());
-                for slot in values {
-                    match slot {
-                        Some(value) => {
-                            out.push_str(&format!("\nhit {}\n", value.len()));
-                            out.push_str(value);
-                        }
-                        None => out.push_str("\nmiss"),
-                    }
-                }
-                out
-            }
-            Self::Granted => "granted".to_string(),
-            Self::Busy => "busy".to_string(),
-            Self::Hello { version, features } => {
-                let mut out = format!("hello {version}");
-                for f in features {
-                    out.push(' ');
-                    out.push_str(f);
-                }
-                out
-            }
-            Self::Stats(s) => format!(
-                "stats {} {} {} {} {} {} {} {} {} {} {} {} {}",
-                s.live_records,
-                s.live_bytes,
-                s.file_bytes,
-                s.runs,
-                s.walks,
-                s.programs,
-                s.traces,
-                s.active_connections,
-                s.pipeline_hwm,
-                s.batched_keys,
-                s.max_batch,
-                s.claims_granted,
-                s.claims_expired
-            ),
-            Self::Health(h) => format!(
-                "health {} {} {} {} {} {}",
-                h.uptime_secs,
-                u64::from(h.draining),
-                h.shards_occupied,
-                h.shard_count,
-                h.live_records,
-                h.file_bytes
-            ),
-            Self::Gc(r) => format!(
-                "gcdone {} {} {} {} {} {}",
-                r.live_records,
-                r.live_bytes,
-                r.dead_bytes_dropped,
-                r.evicted_age,
-                r.evicted_size,
-                r.shards_rewritten
-            ),
-            Self::Error { message } => format!("err {}", message.replace('\n', " ")),
-        }
-    }
-
-    /// Serializes this response as a binary frame payload.
-    #[must_use]
-    pub fn encode_bin(&self) -> Vec<u8> {
+    pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
         match self {
             Self::Hit { value } => {
@@ -785,35 +455,20 @@ impl Response {
             }
             Self::Granted => out.push(TAG_GRANTED),
             Self::Busy => out.push(TAG_BUSY),
-            Self::Hello { version, features } => {
-                out.push(TAG_RHELLO);
-                out.extend_from_slice(&version.to_le_bytes());
-                out.extend_from_slice(
-                    &u32::try_from(features.len())
-                        .expect("feature list over u32::MAX")
-                        .to_le_bytes(),
-                );
-                for f in features {
-                    push_str(&mut out, f);
-                }
-            }
             Self::Stats(s) => {
                 out.push(TAG_RSTATS);
-                for n in [
-                    s.live_records,
-                    s.live_bytes,
-                    s.file_bytes,
-                    s.runs,
-                    s.walks,
-                    s.programs,
-                    s.traces,
-                    s.active_connections,
-                    s.pipeline_hwm,
-                    s.batched_keys,
-                    s.max_batch,
-                    s.claims_granted,
-                    s.claims_expired,
-                ] {
+                for n in [s.live_records, s.live_bytes, s.file_bytes]
+                    .into_iter()
+                    .chain(s.namespaces.0)
+                    .chain([
+                        s.active_connections,
+                        s.pipeline_hwm,
+                        s.batched_keys,
+                        s.max_batch,
+                        s.claims_granted,
+                        s.claims_expired,
+                    ])
+                {
                     out.extend_from_slice(&n.to_le_bytes());
                 }
             }
@@ -847,192 +502,19 @@ impl Response {
         out
     }
 
-    /// Serializes this response as a complete wire frame in `format`.
+    /// Serializes this response as a complete wire frame.
     #[must_use]
-    pub fn to_frame(&self, format: WireFormat) -> Vec<u8> {
-        match format {
-            WireFormat::Text => encode_frame(&self.encode()),
-            WireFormat::Binary => encode_frame_bin(&self.encode_bin()),
-        }
+    pub fn to_frame(&self) -> Vec<u8> {
+        encode_frame(&self.encode())
     }
 
-    /// Parses a frame payload in either codec.
+    /// Parses a frame payload; total over arbitrary bytes.
     ///
     /// # Errors
     ///
     /// A one-line description of what is malformed.
-    pub fn from_payload(payload: &WirePayload) -> Result<Self, String> {
-        match payload {
-            WirePayload::Text(text) => Self::decode(text),
-            WirePayload::Binary(bytes) => Self::decode_bin(bytes),
-        }
-    }
-
-    /// Parses a text frame payload; total over arbitrary strings.
-    ///
-    /// # Errors
-    ///
-    /// A one-line description of what is malformed.
-    pub fn decode(payload: &str) -> Result<Self, String> {
-        fn numbers<'a>(
-            tokens: &mut impl Iterator<Item = &'a str>,
-            n: usize,
-            verb: &str,
-        ) -> Result<Vec<u64>, String> {
-            let mut out = Vec::with_capacity(n);
-            for _ in 0..n {
-                out.push(
-                    tokens
-                        .next()
-                        .and_then(|t| t.parse().ok())
-                        .ok_or_else(|| format!("{verb}: bad numeric field"))?,
-                );
-            }
-            Ok(out)
-        }
-        let (head, body) = payload
-            .split_once('\n')
-            .map_or((payload, None), |(h, b)| (h, Some(b)));
-        let mut tokens = head.split(' ');
-        let verb = tokens.next().unwrap_or("");
-        match verb {
-            "hit" => {
-                let vlen = numbers(&mut tokens, 1, verb)?[0];
-                if tokens.next().is_some() {
-                    return Err("hit: trailing tokens".into());
-                }
-                let value = body.ok_or("hit: missing value line")?;
-                if value.len() as u64 != vlen || !valid_value(value) {
-                    return Err("hit: value length mismatch".into());
-                }
-                Ok(Self::Hit {
-                    value: value.to_string(),
-                })
-            }
-            "miss" if body.is_none() && tokens.next().is_none() => Ok(Self::Miss),
-            "ok" if body.is_none() && tokens.next().is_none() => Ok(Self::Done),
-            "mgot" => {
-                let n: usize = tokens
-                    .next()
-                    .and_then(|t| t.parse().ok())
-                    .ok_or("mgot: bad slot count")?;
-                if tokens.next().is_some() {
-                    return Err("mgot: trailing tokens".into());
-                }
-                let mut lines = body.map(|b| b.split('\n'));
-                let mut values = Vec::new();
-                for _ in 0..n {
-                    let it = lines.as_mut().ok_or("mgot: missing slot lines")?;
-                    let slot = it.next().ok_or("mgot: missing slot line")?;
-                    if slot == "miss" {
-                        values.push(None);
-                        continue;
-                    }
-                    let vlen: usize = slot
-                        .strip_prefix("hit ")
-                        .and_then(|t| t.parse().ok())
-                        .ok_or("mgot: malformed slot line")?;
-                    let value = it.next().ok_or("mgot: missing value line")?;
-                    if value.len() != vlen {
-                        return Err("mgot: value length mismatch".into());
-                    }
-                    values.push(Some(value.to_string()));
-                }
-                if lines.and_then(|mut it| it.next()).is_some() {
-                    return Err("mgot: trailing lines".into());
-                }
-                Ok(Self::MGot { values })
-            }
-            "granted" if body.is_none() && tokens.next().is_none() => Ok(Self::Granted),
-            "busy" if body.is_none() && tokens.next().is_none() => Ok(Self::Busy),
-            "hello" if body.is_none() => {
-                let version: u32 = tokens
-                    .next()
-                    .and_then(|t| t.parse().ok())
-                    .ok_or("hello: bad version")?;
-                let features: Vec<String> = tokens.map(str::to_string).collect();
-                if features.iter().any(|f| !valid_feature(f)) {
-                    return Err("hello: malformed feature token".into());
-                }
-                Ok(Self::Hello { version, features })
-            }
-            "stats" if body.is_none() => {
-                // 7 numbers is a protocol-v1 peer; the 6 service
-                // counters read as zero.
-                let all: Vec<u64> = tokens
-                    .map(|t| t.parse::<u64>().map_err(|_| "stats: bad numeric field"))
-                    .collect::<Result<_, _>>()?;
-                if all.len() != 7 && all.len() != 13 {
-                    return Err("stats: wrong field count".into());
-                }
-                let at = |i: usize| all.get(i).copied().unwrap_or(0);
-                Ok(Self::Stats(StoreStats {
-                    live_records: at(0),
-                    live_bytes: at(1),
-                    file_bytes: at(2),
-                    runs: at(3),
-                    walks: at(4),
-                    programs: at(5),
-                    traces: at(6),
-                    active_connections: at(7),
-                    pipeline_hwm: at(8),
-                    batched_keys: at(9),
-                    max_batch: at(10),
-                    claims_granted: at(11),
-                    claims_expired: at(12),
-                }))
-            }
-            "health" if body.is_none() => {
-                let v = numbers(&mut tokens, 6, verb)?;
-                if tokens.next().is_some() {
-                    return Err("health: trailing tokens".into());
-                }
-                if v[1] > 1 {
-                    return Err("health: draining flag must be 0 or 1".into());
-                }
-                Ok(Self::Health(HealthReport {
-                    uptime_secs: v[0],
-                    draining: v[1] == 1,
-                    shards_occupied: u32::try_from(v[2])
-                        .map_err(|_| "health: shard count over u32")?,
-                    shard_count: u32::try_from(v[3]).map_err(|_| "health: shard count over u32")?,
-                    live_records: v[4],
-                    file_bytes: v[5],
-                }))
-            }
-            "gcdone" if body.is_none() => {
-                let v = numbers(&mut tokens, 6, verb)?;
-                if tokens.next().is_some() {
-                    return Err("gcdone: trailing tokens".into());
-                }
-                #[allow(clippy::cast_possible_truncation)]
-                Ok(Self::Gc(GcReport {
-                    live_records: v[0],
-                    live_bytes: v[1],
-                    dead_bytes_dropped: v[2],
-                    evicted_age: v[3],
-                    evicted_size: v[4],
-                    shards_rewritten: v[5] as u32,
-                }))
-            }
-            "err" => {
-                let message = head.strip_prefix("err ").unwrap_or("").to_string();
-                if body.is_some() {
-                    return Err("err: unexpected body".into());
-                }
-                Ok(Self::Error { message })
-            }
-            other => Err(format!("unknown response verb {other:?}")),
-        }
-    }
-
-    /// Parses a binary frame payload; total over arbitrary bytes.
-    ///
-    /// # Errors
-    ///
-    /// A one-line description of what is malformed.
-    pub fn decode_bin(payload: &[u8]) -> Result<Self, String> {
-        let mut r = BinReader::new(payload);
+    pub fn decode(payload: &[u8]) -> Result<Self, String> {
+        let mut r = PayloadReader::new(payload);
         let tag = r.u8("response tag")?;
         let resp = match tag {
             TAG_HIT => {
@@ -1064,29 +546,22 @@ impl Response {
             }
             TAG_GRANTED => Self::Granted,
             TAG_BUSY => Self::Busy,
-            TAG_RHELLO => {
-                let version = r.u32("hello version")?;
-                let n = r.u32("hello feature count")?;
-                let mut features = Vec::new();
-                for _ in 0..n {
-                    let f = r.str_field("hello feature")?;
-                    if !valid_feature(&f) {
-                        return Err("hello: malformed feature token".into());
-                    }
-                    features.push(f);
-                }
-                Self::Hello { version, features }
-            }
             TAG_RSTATS => {
                 let mut next = |what| r.u64(what);
+                let (live_records, live_bytes, file_bytes) = (
+                    next("stats field")?,
+                    next("stats field")?,
+                    next("stats field")?,
+                );
+                let mut namespaces = NamespaceCounts::default();
+                for count in &mut namespaces.0 {
+                    *count = next("stats namespace count")?;
+                }
                 Self::Stats(StoreStats {
-                    live_records: next("stats field")?,
-                    live_bytes: next("stats field")?,
-                    file_bytes: next("stats field")?,
-                    runs: next("stats field")?,
-                    walks: next("stats field")?,
-                    programs: next("stats field")?,
-                    traces: next("stats field")?,
+                    live_records,
+                    live_bytes,
+                    file_bytes,
+                    namespaces,
                     active_connections: next("stats field")?,
                     pipeline_hwm: next("stats field")?,
                     batched_keys: next("stats field")?,
@@ -1184,7 +659,6 @@ mod tests {
                 key: "cold key".into(),
                 timeout_ms: 12_345,
             },
-            Request::Hello { version: 2 },
             Request::Stats,
             Request::Health,
             Request::Gc,
@@ -1213,28 +687,17 @@ mod tests {
             },
             Response::Granted,
             Response::Busy,
-            Response::Hello {
-                version: 2,
-                features: vec!["batch".into(), "binary".into(), "claim".into()],
-            },
-            Response::Hello {
-                version: 1,
-                features: vec![],
-            },
             Response::Stats(StoreStats {
                 live_records: 1,
                 live_bytes: 2,
                 file_bytes: 3,
-                runs: 4,
-                walks: 5,
-                programs: 6,
-                traces: 7,
-                active_connections: 8,
-                pipeline_hwm: 9,
-                batched_keys: 10,
-                max_batch: 11,
-                claims_granted: 12,
-                claims_expired: 13,
+                namespaces: NamespaceCounts([4, 5, 6, 7, 8]),
+                active_connections: 9,
+                pipeline_hwm: 10,
+                batched_keys: 11,
+                max_batch: 12,
+                claims_granted: 13,
+                claims_expired: 14,
             }),
             Response::Health(HealthReport {
                 uptime_secs: 3600,
@@ -1270,153 +733,61 @@ mod tests {
     fn request_and_response_codecs_round_trip() {
         for req in sample_requests() {
             assert_eq!(Request::decode(&req.encode()).as_ref(), Ok(&req));
-            assert_eq!(Request::decode_bin(&req.encode_bin()).as_ref(), Ok(&req));
         }
         for resp in sample_responses() {
             assert_eq!(Response::decode(&resp.encode()).as_ref(), Ok(&resp));
-            assert_eq!(Response::decode_bin(&resp.encode_bin()).as_ref(), Ok(&resp));
         }
     }
 
     #[test]
-    fn text_and_binary_codecs_agree() {
-        // The same message decoded from either codec is the same value —
-        // the codecs are two encodings of one grammar.
-        for req in sample_requests() {
-            assert_eq!(
-                Request::decode(&req.encode()),
-                Request::decode_bin(&req.encode_bin())
-            );
-        }
-        for resp in sample_responses() {
-            assert_eq!(
-                Response::decode(&resp.encode()),
-                Response::decode_bin(&resp.encode_bin())
-            );
-        }
-    }
-
-    #[test]
-    fn v1_stats_responses_still_decode() {
-        // A protocol-v1 peer sends 7 numbers; the service counters read
-        // as zero.
-        let got = Response::decode("stats 1 2 3 4 5 6 7").unwrap();
-        assert_eq!(
-            got,
-            Response::Stats(StoreStats {
-                live_records: 1,
-                live_bytes: 2,
-                file_bytes: 3,
-                runs: 4,
-                walks: 5,
-                programs: 6,
-                traces: 7,
-                ..StoreStats::default()
-            })
-        );
-    }
-
-    #[test]
-    fn malformed_requests_are_errors_not_panics() {
-        for bad in [
-            "",
-            "get",
-            "get runs",
-            "get runs 5\nab",             // length mismatch
-            "get runs 2\nab extra\nline", // newline in key
-            "put runs 1 1\nk",
-            "put runs 1 1\nkXv",
-            "stats extra",
-            "gc 1",
-            "frobnicate",
-            "get r\u{a0}ns 1\nk", // non-ASCII whitespace in ns
-            "mget",
-            "mget x",
-            "mget 2\nruns\nkey",        // one item short
-            "mget 1\nruns\nkey\nextra", // trailing line
-            "mget 1\n\nkey",            // empty ns
-            "mput 1\nruns\nkey",        // missing value line
-            "claim runs 3\nkey",        // missing lease field
-            "claim runs 3 x\nkey",
-            "wait runs 2 100\nkey", // key length mismatch
-            "hello",
-            "hello x",
-            "hello 2 extra",
-            "health extra",
-            "health\nbody",
-        ] {
-            assert!(Request::decode(bad).is_err(), "{bad:?} must not decode");
-        }
-        for bad in [
-            "",
-            "hit",
-            "hit 5\nab",
-            "stats 1 2 3",
-            "stats 1 2 3 4 5 6 7 8", // neither 7 nor 13 fields
-            "gcdone 1",
-            "frob",
-            "mgot",
-            "mgot 2\nmiss",        // one slot short
-            "mgot 1\nhit 5\nab",   // value length mismatch
-            "mgot 1\nmiss\nextra", // trailing line
-            "granted 1",
-            "busy extra",
-            "hello",
-            "hello x",
-            "hello 2 bad\u{a0}token",
-            "health 1 0 2 16 3",         // one field short
-            "health 1 0 2 16 3 4 5",     // one field over
-            "health 1 2 2 16 3 4",       // draining flag must be 0|1
-            "health 1 0 2 16 3 4\nbody", // unexpected body
-        ] {
-            assert!(Response::decode(bad).is_err(), "{bad:?} must not decode");
-        }
-    }
-
-    #[test]
-    fn malformed_binary_payloads_are_errors_not_panics() {
+    fn malformed_payloads_are_errors_not_panics() {
         // Truncations of every valid message must error cleanly.
         for req in sample_requests() {
-            let bytes = req.encode_bin();
+            let bytes = req.encode();
             for cut in 0..bytes.len() {
                 assert!(
-                    Request::decode_bin(&bytes[..cut]).is_err(),
+                    Request::decode(&bytes[..cut]).is_err(),
                     "truncated {req:?} at {cut} must not decode"
                 );
             }
         }
         for resp in sample_responses() {
-            let bytes = resp.encode_bin();
+            let bytes = resp.encode();
             for cut in 0..bytes.len() {
                 assert!(
-                    Response::decode_bin(&bytes[..cut]).is_err(),
+                    Response::decode(&bytes[..cut]).is_err(),
                     "truncated {resp:?} at {cut} must not decode"
                 );
             }
         }
         // Bad tags, trailing bytes, corrupt field lengths, invalid
         // fields.
-        assert!(Request::decode_bin(&[99]).is_err());
-        assert!(Response::decode_bin(&[99]).is_err());
-        let mut trailing = Request::Stats.encode_bin();
+        assert!(Request::decode(&[99]).is_err());
+        assert!(Response::decode(&[99]).is_err());
+        let mut trailing = Request::Stats.encode();
         trailing.push(0);
-        assert!(Request::decode_bin(&trailing).is_err());
+        assert!(Request::decode(&trailing).is_err());
         // A corrupt string length larger than the payload must not
         // allocate or panic.
         let mut huge = vec![TAG_GET];
         huge.extend_from_slice(&u32::MAX.to_le_bytes());
-        assert!(Request::decode_bin(&huge).is_err());
-        // A namespace with whitespace is rejected by the binary codec
-        // exactly like the text codec.
-        let bad_ns = Request::Get {
-            ns: "runs".into(),
-            key: "k".into(),
+        assert!(Request::decode(&huge).is_err());
+        // The store's record shapes are enforced: namespace one token,
+        // keys non-empty and single-line, values single-line.
+        let get = |ns: &str, key: &str| Request::Get {
+            ns: ns.into(),
+            key: key.into(),
+        };
+        for bad in [
+            get("r\u{a0}ns", "k"),
+            get("", "k"),
+            get("runs", ""),
+            get("runs", "two\nlines"),
+            Request::MPut {
+                items: vec![("runs".into(), "k".into(), "two\nlines".into())],
+            },
+        ] {
+            assert!(Request::decode(&bad.encode()).is_err(), "{bad:?}");
         }
-        .encode_bin();
-        let patched: Vec<u8> = bad_ns
-            .iter()
-            .map(|&b| if b == b'u' { b' ' } else { b })
-            .collect();
-        assert!(Request::decode_bin(&patched).is_err());
     }
 }

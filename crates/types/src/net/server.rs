@@ -26,13 +26,10 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use crate::store::{
-    ArtifactStore, GcPolicy, NS_PROGRAMS, NS_RUNS, NS_TRACES, NS_WALKS, SHARD_COUNT,
-};
+use crate::store::{ArtifactStore, GcPolicy, SHARD_COUNT};
 
-use super::frame::{WireDecode, WireFormat};
+use super::frame::{decode_frame, FrameDecode};
 use super::proto::{HealthReport, Request, Response, StoreStats};
-use super::{FEATURE_BATCH, FEATURE_BINARY, FEATURE_CLAIM, PROTOCOL_VERSION};
 
 /// Longest lease/park a client may ask for; larger requests clamp here
 /// so one bad client cannot park resources for hours.
@@ -394,7 +391,6 @@ enum OutSlot {
     /// released, or `deadline` passes (client-requested timeout).
     Waiting {
         cell: Arc<WaitCell>,
-        format: WireFormat,
         deadline: Instant,
     },
 }
@@ -420,11 +416,7 @@ impl ConnState {
             match self.out.front() {
                 None => return false,
                 Some(OutSlot::Ready(_)) => return true,
-                Some(OutSlot::Waiting {
-                    cell,
-                    format,
-                    deadline,
-                }) => {
+                Some(OutSlot::Waiting { cell, deadline }) => {
                     let outcome = match cell.peek() {
                         Some(outcome) => outcome,
                         None if Instant::now() >= *deadline => None, // timed out: miss
@@ -434,8 +426,7 @@ impl ConnState {
                         Some(value) => Response::Hit { value },
                         None => Response::Miss,
                     };
-                    let bytes = response.to_frame(*format);
-                    self.out[0] = OutSlot::Ready(bytes);
+                    self.out[0] = OutSlot::Ready(response.to_frame());
                 }
             }
         }
@@ -686,10 +677,7 @@ fn stats_of(shared: &Shared) -> StoreStats {
         live_records: store.live_records() as u64,
         live_bytes: store.live_bytes(),
         file_bytes: store.file_bytes(),
-        runs: store.namespace_records(NS_RUNS) as u64,
-        walks: store.namespace_records(NS_WALKS) as u64,
-        programs: store.namespace_records(NS_PROGRAMS) as u64,
-        traces: store.namespace_records(NS_TRACES) as u64,
+        namespaces: store.namespace_counts(),
         active_connections: c.active_connections.load(Ordering::Relaxed),
         pipeline_hwm: c.pipeline_hwm.load(Ordering::Relaxed),
         batched_keys: c.batched_keys.load(Ordering::Relaxed),
@@ -719,13 +707,7 @@ fn health_of(shared: &Shared) -> HealthReport {
 /// Serves one decoded request (`Shutdown` is intercepted by the caller,
 /// which owns teardown). Returns the reply slot to queue; the caller
 /// owns write-out.
-fn serve(
-    shared: &Shared,
-    wakers: &Wakers,
-    conn_owner: u64,
-    req: Request,
-    wire: WireFormat,
-) -> OutSlot {
+fn serve(shared: &Shared, wakers: &Wakers, conn_owner: u64, req: Request) -> OutSlot {
     let response = match req {
         Request::Get { ns, key } => match shared.store.load(&ns, &key) {
             Some(value) => Response::Hit { value },
@@ -787,26 +769,17 @@ fn serve(
                 WaitDisposition::Park(cell) => {
                     return OutSlot::Waiting {
                         cell,
-                        format: wire,
                         deadline: Instant::now() + timeout,
                     }
                 }
             }
         }
-        Request::Hello { version: _ } => Response::Hello {
-            version: PROTOCOL_VERSION,
-            features: vec![
-                FEATURE_BATCH.to_string(),
-                FEATURE_BINARY.to_string(),
-                FEATURE_CLAIM.to_string(),
-            ],
-        },
         Request::Stats => Response::Stats(stats_of(shared)),
         Request::Health => Response::Health(health_of(shared)),
         Request::Gc => Response::Gc(shared.store.gc_with(shared.config.gc_policy)),
         Request::Shutdown => Response::Done, // caller handles teardown
     };
-    OutSlot::Ready(response.to_frame(wire))
+    OutSlot::Ready(response.to_frame())
 }
 
 fn worker_loop(
@@ -889,11 +862,11 @@ fn worker_loop(
                 // instead of hanging until the client-side timeout,
                 // and the connection closes once its queue flushes.
                 for slot in &mut conn.out {
-                    if let OutSlot::Waiting { format, .. } = slot {
+                    if let OutSlot::Waiting { .. } = slot {
                         let reply = Response::Error {
                             message: "daemon draining".to_string(),
                         };
-                        *slot = OutSlot::Ready(reply.to_frame(*format));
+                        *slot = OutSlot::Ready(reply.to_frame());
                     }
                 }
                 conn.close_after_flush = true;
@@ -981,44 +954,40 @@ fn pump_reads(
         // Serve every complete frame already buffered before reading
         // more: pipelined requests drain without waiting for the socket.
         loop {
-            match super::frame::decode_wire_frame(&conn.rbuf) {
-                WireDecode::Incomplete => break,
-                WireDecode::Invalid => {
-                    // Bytes that can never become a frame (garbage or an
-                    // oversized length header): error-reply — the peer
-                    // may not even speak the protocol, so text — then
-                    // disconnect after flushing.
+            let (request, consumed) = match decode_frame(&conn.rbuf) {
+                FrameDecode::Incomplete => break,
+                FrameDecode::Invalid => {
+                    // Bytes that can never become a frame (garbage, a
+                    // foreign protocol, or an oversized length header):
+                    // error-reply, then disconnect after flushing.
                     let reply = Response::Error {
                         message: "malformed frame".to_string(),
                     };
-                    conn.out
-                        .push_back(OutSlot::Ready(reply.to_frame(WireFormat::Text)));
+                    conn.out.push_back(OutSlot::Ready(reply.to_frame()));
                     conn.rbuf.clear();
                     conn.close_after_flush = true;
                     return false;
                 }
-                WireDecode::Frame { payload, consumed } => {
-                    conn.rbuf.drain(..consumed);
-                    let wire = payload.format();
-                    let slot = match Request::from_payload(&payload) {
-                        // A well-framed but malformed request gets a
-                        // clean error reply; the connection survives.
-                        Err(message) => OutSlot::Ready(Response::Error { message }.to_frame(wire)),
-                        Ok(Request::Shutdown) => {
-                            *drain_requested = true;
-                            conn.close_after_flush = true;
-                            OutSlot::Ready(Response::Done.to_frame(wire))
-                        }
-                        Ok(req) => serve(shared, wakers, conn.owner, req, wire),
-                    };
-                    conn.out.push_back(slot);
-                    ServerCounters::raise(&shared.counters.pipeline_hwm, conn.out.len() as u64);
-                    if conn.close_after_flush {
-                        // Nothing after a shutdown ack is served.
-                        conn.rbuf.clear();
-                        return false;
-                    }
+                FrameDecode::Frame { payload, consumed } => (Request::decode(payload), consumed),
+            };
+            conn.rbuf.drain(..consumed);
+            let slot = match request {
+                // A well-framed but malformed request gets a clean error
+                // reply; the connection survives.
+                Err(message) => OutSlot::Ready(Response::Error { message }.to_frame()),
+                Ok(Request::Shutdown) => {
+                    *drain_requested = true;
+                    conn.close_after_flush = true;
+                    OutSlot::Ready(Response::Done.to_frame())
                 }
+                Ok(req) => serve(shared, wakers, conn.owner, req),
+            };
+            conn.out.push_back(slot);
+            ServerCounters::raise(&shared.counters.pipeline_hwm, conn.out.len() as u64);
+            if conn.close_after_flush {
+                // Nothing after a shutdown ack is served.
+                conn.rbuf.clear();
+                return false;
             }
         }
     }
@@ -1054,11 +1023,17 @@ fn pump_writes(conn: &mut ConnState) -> bool {
 #[cfg(test)]
 mod tests {
     use super::super::client::{LayeredStore, RemoteStore};
-    use super::super::frame::{encode_frame, FrameReader, WirePayload};
+    use super::super::frame::{encode_frame, FrameReader};
     use super::*;
-    use crate::store::StoreBackend;
+    use crate::store::{StoreBackend, NS_RUNS};
     use std::fs;
     use std::path::PathBuf;
+
+    /// Reads and decodes one reply frame from a hand-rolled connection.
+    fn read_reply(reader: &mut FrameReader, stream: &mut TcpStream) -> Result<Response, String> {
+        let payload = reader.read_frame(stream).unwrap().expect("a reply frame");
+        Response::decode(&payload)
+    }
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("cfr-net-unit-{tag}-{}", std::process::id()));
@@ -1090,7 +1065,7 @@ mod tests {
         // survives byte-for-byte.
         client.save("runs", "k", "value 4 5 6");
         let stats = client.stats().unwrap();
-        assert_eq!(stats.runs, 1);
+        assert_eq!(stats.namespaces.get(NS_RUNS), 1);
         assert!(stats.file_bytes > stats.live_bytes);
         assert!(stats.active_connections >= 1);
         let report = client.gc().unwrap();
@@ -1127,6 +1102,15 @@ mod tests {
         let stats = client.stats().unwrap();
         assert_eq!(stats.batched_keys, 45, "20 MPUT keys + 25 MGET keys");
         assert_eq!(stats.max_batch, 25);
+        // A 300-key probe from a fresh client is three MGET frames
+        // (128/127/45 keys) pipelined into a single round trip.
+        let fresh = RemoteStore::new(server.addr().to_string());
+        let probes: Vec<(String, String)> = (0..300)
+            .map(|i| ("runs".to_string(), format!("key {i}")))
+            .collect();
+        assert_eq!(fresh.load_many(&probes).len(), 300);
+        assert_eq!(fresh.round_trips(), 1);
+        assert_eq!(fresh.requests_sent(), 3);
         server.shutdown();
         let _ = fs::remove_dir_all(&dir);
     }
@@ -1156,19 +1140,11 @@ mod tests {
         stream.write_all(&blob).unwrap();
         let mut reader = FrameReader::new();
         for _ in 0..50 {
-            let reply = reader.read_frame(&mut stream).unwrap().unwrap();
-            let WirePayload::Text(text) = reply else {
-                panic!("text request must draw a text reply")
-            };
-            assert_eq!(Response::decode(&text), Ok(Response::Done));
+            assert_eq!(read_reply(&mut reader, &mut stream), Ok(Response::Done));
         }
         for i in 0..50 {
-            let reply = reader.read_frame(&mut stream).unwrap().unwrap();
-            let WirePayload::Text(text) = reply else {
-                panic!("text request must draw a text reply")
-            };
             assert_eq!(
-                Response::decode(&text),
+                read_reply(&mut reader, &mut stream),
                 Ok(Response::Hit {
                     value: format!("v{i}")
                 }),
@@ -1285,32 +1261,6 @@ mod tests {
     }
 
     #[test]
-    fn hello_negotiates_binary_and_binary_frames_serve() {
-        let dir = temp_dir("hello");
-        let server = serve_dir(&dir, no_gc());
-        let client = RemoteStore::new(server.addr().to_string());
-        client.save("runs", "k", "v over the negotiated wire");
-        assert_eq!(
-            client.load("runs", "k").as_deref(),
-            Some("v over the negotiated wire")
-        );
-        assert_eq!(
-            client.wire_format(),
-            Some(WireFormat::Binary),
-            "a v2 server must negotiate the binary framing"
-        );
-        // A text-only client against the same daemon sees the same data.
-        let text_client = RemoteStore::new_text_only(server.addr().to_string());
-        assert_eq!(
-            text_client.load("runs", "k").as_deref(),
-            Some("v over the negotiated wire")
-        );
-        assert_eq!(text_client.wire_format(), Some(WireFormat::Text));
-        server.shutdown();
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn stalled_mid_frame_connection_is_closed_but_idle_survives() {
         let dir = temp_dir("stall");
         let server = serve_dir(
@@ -1325,7 +1275,9 @@ mod tests {
         let mut idle = TcpStream::connect(server.addr()).unwrap();
         // Stalled mid-frame: closed once the progress timeout passes.
         let mut stalled = TcpStream::connect(server.addr()).unwrap();
-        stalled.write_all(b"cfr1 10\npart").unwrap(); // incomplete frame
+        let mut partial = Request::Stats.to_frame();
+        partial.pop(); // incomplete frame
+        stalled.write_all(&partial).unwrap();
         thread::sleep(Duration::from_millis(600));
         let mut probe = [0u8; 8];
         stalled
@@ -1335,15 +1287,10 @@ mod tests {
             matches!(stalled.read(&mut probe), Ok(0) | Err(_)),
             "stalled connection must be dropped by the daemon"
         );
-        idle.write_all(&encode_frame(&Request::Stats.encode()))
-            .unwrap();
+        idle.write_all(&Request::Stats.to_frame()).unwrap();
         let mut reader = FrameReader::new();
-        let reply = reader.read_frame(&mut idle).unwrap().unwrap();
-        let WirePayload::Text(text) = reply else {
-            panic!("text request must draw a text reply")
-        };
         assert!(
-            matches!(Response::decode(&text), Ok(Response::Stats(_))),
+            matches!(read_reply(&mut reader, &mut idle), Ok(Response::Stats(_))),
             "idle connection must survive the progress timeout"
         );
         server.shutdown();
@@ -1401,37 +1348,29 @@ mod tests {
         let mut raw = TcpStream::connect(server.addr()).unwrap();
         raw.write_all(b"GET / HTTP/1.1\r\n\r\n").unwrap();
         let mut reader = FrameReader::new();
-        let reply = reader.read_frame(&mut raw).unwrap().unwrap();
-        let WirePayload::Text(text) = reply else {
-            panic!("garbage draws a text error frame")
-        };
         assert!(matches!(
-            Response::decode(&text),
+            read_reply(&mut reader, &mut raw),
             Ok(Response::Error { .. })
         ));
-        drop(raw);
+        assert!(
+            matches!(reader.read_frame(&mut raw), Ok(None) | Err(_)),
+            "the daemon disconnects after the error reply"
+        );
         // A malformed-but-framed request keeps the connection alive.
         let mut framed = TcpStream::connect(server.addr()).unwrap();
         framed
-            .write_all(&encode_frame("frobnicate the store"))
+            .write_all(&encode_frame(b"frobnicate the store"))
             .unwrap();
         let mut reader = FrameReader::new();
-        let reply = reader.read_frame(&mut framed).unwrap().unwrap();
-        let WirePayload::Text(text) = reply else {
-            panic!("text framing draws a text reply")
-        };
         assert!(matches!(
-            Response::decode(&text),
+            read_reply(&mut reader, &mut framed),
             Ok(Response::Error { .. })
         ));
-        framed
-            .write_all(&encode_frame(&Request::Stats.encode()))
-            .unwrap();
-        let reply = reader.read_frame(&mut framed).unwrap().unwrap();
-        let WirePayload::Text(text) = reply else {
-            panic!("text framing draws a text reply")
-        };
-        assert!(matches!(Response::decode(&text), Ok(Response::Stats(_))));
+        framed.write_all(&Request::Stats.to_frame()).unwrap();
+        assert!(matches!(
+            read_reply(&mut reader, &mut framed),
+            Ok(Response::Stats(_))
+        ));
         // And the daemon still serves fresh connections.
         let client = RemoteStore::new(server.addr().to_string());
         client.save("runs", "k", "v");
@@ -1560,22 +1499,19 @@ mod tests {
                                                    // In-flight work: a pipelined PUT + GET written right before the
                                                    // drain begins must still be answered.
         let mut stream = TcpStream::connect(server.addr()).unwrap();
-        let mut blob = Vec::new();
-        blob.extend_from_slice(&encode_frame(
-            &Request::Put {
-                ns: "runs".into(),
-                key: "inflight".into(),
-                value: "survives the drain".into(),
-            }
-            .encode(),
-        ));
-        blob.extend_from_slice(&encode_frame(
+        let mut blob = Request::Put {
+            ns: "runs".into(),
+            key: "inflight".into(),
+            value: "survives the drain".into(),
+        }
+        .to_frame();
+        blob.extend_from_slice(
             &Request::Get {
                 ns: "runs".into(),
                 key: "inflight".into(),
             }
-            .encode(),
-        ));
+            .to_frame(),
+        );
         stream.write_all(&blob).unwrap();
         thread::sleep(Duration::from_millis(100)); // conn adopted, frames queued
         server.drain();
@@ -1585,17 +1521,9 @@ mod tests {
             .set_read_timeout(Some(Duration::from_secs(5)))
             .unwrap();
         let mut reader = FrameReader::new();
-        let reply = reader.read_frame(&mut stream).unwrap().unwrap();
-        let WirePayload::Text(text) = reply else {
-            panic!("text request must draw a text reply")
-        };
-        assert_eq!(Response::decode(&text), Ok(Response::Done));
-        let reply = reader.read_frame(&mut stream).unwrap().unwrap();
-        let WirePayload::Text(text) = reply else {
-            panic!("text request must draw a text reply")
-        };
+        assert_eq!(read_reply(&mut reader, &mut stream), Ok(Response::Done));
         assert_eq!(
-            Response::decode(&text),
+            read_reply(&mut reader, &mut stream),
             Ok(Response::Hit {
                 value: "survives the drain".into()
             })

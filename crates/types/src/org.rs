@@ -5,8 +5,6 @@
 //! shapes — per-access energy and hit/miss behaviour must always describe
 //! the *same* structure.
 
-use serde::{Deserialize, Serialize};
-
 /// Shape of a TLB: entry count and associativity.
 ///
 /// `associativity == entries` means fully associative (a CAM);
@@ -14,7 +12,7 @@ use serde::{Deserialize, Serialize};
 /// paper's 1-entry configuration is built (its §4.3.2 notes that even a
 /// 1-entry level-1 TLB "needs a comparison to check whether the translation
 /// exists").
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct TlbOrganization {
     /// Total number of entries.
     pub entries: u32,
@@ -71,7 +69,7 @@ impl TlbOrganization {
 }
 
 /// Shape of a cache.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct CacheOrganization {
     /// Total capacity in bytes.
     pub size_bytes: u64,
@@ -107,7 +105,7 @@ impl CacheOrganization {
 ///
 /// The paper's three viable combinations; PI-VT is "not really in much use"
 /// and excluded, exactly as in the paper. L2 is always PI-PT.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum AddressingMode {
     /// Physically indexed, physically tagged: the iTLB sits *before* the
     /// iL1 index on the critical path; translation is needed on every fetch.

@@ -2,8 +2,6 @@
 
 use core::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::{Pfn, PhysAddr, VirtAddr, Vpn};
 
 /// Describes a power-of-two page size and performs every VPN/offset
@@ -23,7 +21,7 @@ use crate::{Pfn, PhysAddr, VirtAddr, Vpn};
 /// assert!(geom.same_page(a, b));
 /// # Ok::<(), cfr_types::PageGeometryError>(())
 /// ```
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct PageGeometry {
     page_bytes: u64,
     offset_bits: u32,

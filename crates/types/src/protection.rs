@@ -2,14 +2,12 @@
 
 use core::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Page protection bits.
 ///
 /// The paper's CFR format is `<VPN, PFN, Protection/Other bits>`; the OS owns
 /// these bits (the application can never write the CFR), so a program cannot
 /// change page permissions without a supervisor-mode round trip (§3.2).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct Protection {
     bits: u8,
 }

@@ -1,9 +1,9 @@
 //! A stable, hand-rolled text codec for persisted records.
 //!
-//! The vendored `serde` is a no-op facade (vendor/README.md), so anything
-//! that must survive a process boundary — the persistent run store — is
-//! serialized through these explicit `to_record` / `from_record` codecs
-//! instead. The format is deliberately primitive and therefore stable:
+//! Anything that must survive a process boundary — the persistent
+//! artifact store, the store daemon's wire — is serialized through these
+//! explicit `to_record` / `from_record` codecs. The format is
+//! deliberately primitive and therefore stable:
 //!
 //! - a record is a flat sequence of whitespace-separated tokens,
 //! - every struct writes a leading *tag* token naming its type, so a

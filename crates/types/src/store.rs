@@ -57,14 +57,6 @@
 //! window the store daemon (`cfr_types::net`) closes entirely by being
 //! the directory's sole writer.
 //!
-//! # Migration
-//!
-//! A v1 store directory (one `<hash>.run` file per key) is detected at
-//! open and migrated transparently: parseable v1 records are re-appended
-//! into the `runs` namespace (keeping their file mtime as the stamp) and
-//! the old files are removed. Anything unparseable is simply dropped — a
-//! cold start, never a crash.
-//!
 //! # Robustness rules
 //!
 //! Inherited from PR 2 and still load-bearing:
@@ -80,6 +72,7 @@
 //!   framing changes.
 
 use std::collections::HashMap;
+use std::fmt;
 use std::fs::{self, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -128,6 +121,38 @@ pub const NS_TRACES: &str = "traces";
 /// Namespace holding multiprogrammed scenario reports
 /// (`ScenarioConfig → ScenarioReport`).
 pub const NS_SCENARIOS: &str = "scenarios";
+
+/// Every namespace the stack persists into, in the order maintenance
+/// output lists them.
+pub const NAMESPACES: [&str; 5] = [NS_RUNS, NS_WALKS, NS_PROGRAMS, NS_TRACES, NS_SCENARIOS];
+
+/// Live-record counts per namespace, indexed like [`NAMESPACES`].
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct NamespaceCounts(pub [u64; NAMESPACES.len()]);
+
+impl NamespaceCounts {
+    /// The count for `ns`; 0 for a namespace outside [`NAMESPACES`].
+    #[must_use]
+    pub fn get(&self, ns: &str) -> u64 {
+        NAMESPACES
+            .iter()
+            .position(|n| *n == ns)
+            .map_or(0, |i| self.0[i])
+    }
+}
+
+/// `N runs / N walks / N programs / N traces / N scenarios`.
+impl fmt::Display for NamespaceCounts {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        for (i, (ns, count)) in NAMESPACES.iter().zip(self.0).enumerate() {
+            if i > 0 {
+                f.write_str(" / ")?;
+            }
+            write!(f, "{count} {ns}")?;
+        }
+        Ok(())
+    }
+}
 
 fn now_secs() -> u64 {
     SystemTime::now()
@@ -212,8 +237,8 @@ pub enum ClaimOutcome {
     /// Another live client holds the claim: `wait_for` the value
     /// instead of duplicating the computation.
     Busy,
-    /// This backend has no claim coordination (local store, old daemon,
-    /// or unreachable daemon): compute locally.
+    /// This backend has no claim coordination (local store, or a daemon
+    /// that errored or is unreachable): compute locally.
     Unsupported,
 }
 
@@ -447,7 +472,6 @@ pub struct ArtifactStore {
     write_errors: AtomicU64,
     evicted: AtomicU64,
     tmp_counter: AtomicU64,
-    migrated: u64,
 }
 
 /// Name of the advisory lock file a serving daemon holds exclusively
@@ -486,9 +510,8 @@ fn open_lock_file(dir: &Path) -> io::Result<fs::File> {
 }
 
 impl ArtifactStore {
-    /// Opens (creating if needed) a store rooted at `dir`, migrating any
-    /// v1 one-file-per-key layout found there and applying `policy`'s
-    /// bounds once.
+    /// Opens (creating if needed) a store rooted at `dir`, applying
+    /// `policy`'s bounds once.
     ///
     /// # Errors
     ///
@@ -496,8 +519,8 @@ impl ArtifactStore {
     /// `cfr-store-serve` daemon holds the directory's exclusive lock —
     /// the daemon must be the sole shard owner for its compaction to be
     /// loss-free, so local opens are refused while it runs (clients go
-    /// through `$CFR_STORE_ADDR` instead). Unreadable shard files or v1
-    /// records are not errors — they read as empty/cold.
+    /// through `$CFR_STORE_ADDR` instead). Unreadable shard files are
+    /// not errors — they read as empty/cold.
     pub fn open(dir: impl Into<PathBuf>, policy: GcPolicy) -> io::Result<Self> {
         let dir = dir.into();
         fs::create_dir_all(&dir)?;
@@ -509,7 +532,7 @@ impl ArtifactStore {
             Err(fs::TryLockError::WouldBlock) => return Err(daemon_locked_error(&dir)),
             Err(fs::TryLockError::Error(e)) => return Err(e),
         }
-        Self::open_scanned(dir, policy)
+        Ok(Self::open_scanned(dir, policy))
     }
 
     /// Opens the store while taking the directory's **exclusive advisory
@@ -533,17 +556,16 @@ impl ArtifactStore {
             Err(fs::TryLockError::WouldBlock) => return Err(daemon_locked_error(&dir)),
             Err(fs::TryLockError::Error(e)) => return Err(e),
         }
-        let store = Self::open_scanned(dir, policy)?;
+        let store = Self::open_scanned(dir, policy);
         Ok((store, StoreLock { _file: file }))
     }
 
-    fn open_scanned(dir: PathBuf, policy: GcPolicy) -> io::Result<Self> {
-        let v1 = collect_v1_records(&dir);
+    fn open_scanned(dir: PathBuf, policy: GcPolicy) -> Self {
         let mut index = Index::new();
         for shard in 0..SHARD_COUNT {
             scan_shard(&dir, shard, &mut index);
         }
-        let mut store = Self {
+        let store = Self {
             dir,
             policy,
             fsync: FsyncPolicy::from_env(),
@@ -551,35 +573,11 @@ impl ArtifactStore {
             write_errors: AtomicU64::new(0),
             evicted: AtomicU64::new(0),
             tmp_counter: AtomicU64::new(0),
-            migrated: 0,
         };
-        for (path, key, value, stamp) in v1 {
-            // A record already in the shards is newer than any straggler
-            // v1 file (migration appends, and appends win) — skip it.
-            let present = store
-                .index
-                .lock()
-                .expect("store index poisoned")
-                .map
-                .contains_key(&(NS_RUNS.to_string(), key.clone()));
-            if present {
-                let _ = fs::remove_file(&path);
-                continue;
-            }
-            // The old file is removed only once the replacement append
-            // actually landed — a failed write must not lose a record
-            // that was intact on disk.
-            if store.try_save(NS_RUNS, &key, &value, stamp).is_ok() {
-                store.migrated += 1;
-                let _ = fs::remove_file(&path);
-            } else {
-                store.write_errors.fetch_add(1, Ordering::Relaxed);
-            }
-        }
         if store.policy.bounded() {
             let _ = store.gc();
         }
-        Ok(store)
+        store
     }
 
     /// Opens the machine-shared default store: `$CFR_STORE_DIR` if set,
@@ -632,12 +630,6 @@ impl ArtifactStore {
     #[must_use]
     pub fn evicted_records(&self) -> u64 {
         self.evicted.load(Ordering::Relaxed)
-    }
-
-    /// v1 records migrated into the sharded layout at open.
-    #[must_use]
-    pub fn migrated_records(&self) -> u64 {
-        self.migrated
     }
 
     fn shard_of(&self, ns: &str, key: &str) -> u32 {
@@ -695,8 +687,8 @@ impl ArtifactStore {
         self.save_stamped(ns, key, value, now_secs());
     }
 
-    /// [`ArtifactStore::save`] with an explicit stamp — used by migration
-    /// (to keep a record's original age) and by GC tests/tooling.
+    /// [`ArtifactStore::save`] with an explicit stamp — used by GC
+    /// tests/tooling.
     ///
     /// # Panics
     ///
@@ -952,6 +944,18 @@ impl ArtifactStore {
             .count()
     }
 
+    /// Live records in every namespace of [`NAMESPACES`], in one pass.
+    #[must_use]
+    pub fn namespace_counts(&self) -> NamespaceCounts {
+        let mut counts = NamespaceCounts::default();
+        for (ns, _) in self.index.lock().expect("store index poisoned").map.keys() {
+            if let Some(i) = NAMESPACES.iter().position(|n| n == ns) {
+                counts.0[i] += 1;
+            }
+        }
+        counts
+    }
+
     /// Bytes the live records occupy.
     #[must_use]
     pub fn live_bytes(&self) -> u64 {
@@ -1072,59 +1076,6 @@ fn scan_shard(dir: &Path, shard: u32, index: &mut Index) {
     }
 }
 
-/// Reads every v1 (`<hash>.run`) record file in `dir`, returning the
-/// parseable ones as `(path, key, value, stamp)`. The
-/// parseable files are left in place — the caller removes each only
-/// after its replacement append has landed in a shard. Unparseable
-/// `.run` files hold nothing recoverable and are consumed here (a cold
-/// start for that key, never a crash).
-fn collect_v1_records(dir: &Path) -> Vec<(PathBuf, String, String, u64)> {
-    let mut out = Vec::new();
-    let Ok(entries) = fs::read_dir(dir) else {
-        return out;
-    };
-    for entry in entries.filter_map(Result::ok) {
-        let path = entry.path();
-        if path.extension().is_none_or(|ext| ext != "run") {
-            continue;
-        }
-        let parsed = fs::read_to_string(&path)
-            .ok()
-            .and_then(|text| parse_v1_record(&text));
-        match parsed {
-            Some((key, value)) => {
-                let stamp = fs::metadata(&path)
-                    .ok()
-                    .and_then(|m| m.modified().ok())
-                    .and_then(|t| t.duration_since(UNIX_EPOCH).ok())
-                    .map_or_else(now_secs, |d| d.as_secs());
-                out.push((path, key, value, stamp));
-            }
-            None => {
-                let _ = fs::remove_file(&path);
-            }
-        }
-    }
-    out
-}
-
-/// Parses a v1 record file (`cfr-store 1\nkey <key record>\nreport
-/// <report record>`) into its key and value record strings. The report
-/// record's own leading `report` tag is part of the value.
-fn parse_v1_record(text: &str) -> Option<(String, String)> {
-    let tokens: Vec<&str> = text.split_ascii_whitespace().collect();
-    if tokens.len() < 5 || tokens[0] != "cfr-store" || tokens[1] != "1" || tokens[2] != "key" {
-        return None;
-    }
-    let section = tokens.iter().skip(3).position(|t| *t == "report")? + 3;
-    (section + 1 < tokens.len()).then(|| {
-        (
-            tokens[3..section].join(" "),
-            tokens[section + 1..].join(" "),
-        )
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1203,6 +1154,16 @@ mod tests {
         assert_eq!(store.namespace_records("runs"), 1);
         assert_eq!(store.namespace_records("walks"), 1);
         assert_eq!(store.namespace_records("programs"), 0);
+        store.save(NS_SCENARIOS, "k", "a scenario");
+        store.save("elsewhere", "k", "outside NAMESPACES");
+        let counts = store.namespace_counts();
+        assert_eq!(counts, NamespaceCounts([1, 1, 0, 0, 1]));
+        assert_eq!(counts.get(NS_SCENARIOS), 1);
+        assert_eq!(counts.get("elsewhere"), 0);
+        assert_eq!(
+            counts.to_string(),
+            "1 runs / 1 walks / 0 programs / 0 traces / 1 scenarios"
+        );
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -1483,46 +1444,6 @@ mod tests {
         .unwrap();
         assert_eq!(reopened.load("runs", "fresh").as_deref(), Some("v"));
         assert_eq!(reopened.live_records(), 1);
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn migrates_v1_layout() {
-        let dir = temp_dir("migrate");
-        fs::create_dir_all(&dir).unwrap();
-        // Two v1 record files (content shape from PR 2's one-file-per-key
-        // store) plus one corrupt straggler.
-        fs::write(
-            dir.join("00aa.run"),
-            "cfr-store 1\nkey runkey 177.mesa scale 1000 7\nreport report base vipt 1 2\n",
-        )
-        .unwrap();
-        fs::write(
-            dir.join("00bb.run"),
-            "cfr-store 1\nkey runkey 254.gap scale 1000 7\nreport report ia vipt 3 4\n",
-        )
-        .unwrap();
-        fs::write(dir.join("00cc.run"), "not a v1 record").unwrap();
-        let store = open(&dir);
-        assert_eq!(store.migrated_records(), 2);
-        assert_eq!(
-            store
-                .load("runs", "runkey 177.mesa scale 1000 7")
-                .as_deref(),
-            Some("report base vipt 1 2"),
-        );
-        assert_eq!(
-            store.load("runs", "runkey 254.gap scale 1000 7").as_deref(),
-            Some("report ia vipt 3 4"),
-        );
-        // The old files are gone; only shard files remain.
-        let leftovers: Vec<String> = fs::read_dir(&dir)
-            .unwrap()
-            .filter_map(Result::ok)
-            .map(|e| e.file_name().to_string_lossy().into_owned())
-            .filter(|n| !n.starts_with("shard-") && n != LOCK_FILE_NAME)
-            .collect();
-        assert!(leftovers.is_empty(), "v1 files consumed: {leftovers:?}");
         let _ = fs::remove_dir_all(&dir);
     }
 

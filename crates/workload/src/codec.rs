@@ -347,7 +347,7 @@ impl Instruction {
 impl Program {
     /// Serializes the whole program — data-footprint scalars, the
     /// function table, then every block's instructions (persistent
-    /// artifact store codec; the vendored `serde` is a no-op).
+    /// artifact store codec).
     pub fn to_record(&self, w: &mut RecordWriter) {
         w.token("program");
         w.u64(u64::from(self.global_pages));

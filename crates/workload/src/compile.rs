@@ -30,7 +30,6 @@ use cfr_types::{
     PageGeometry, RecordError, RecordReader, RecordWriter, StoreBackend, VirtAddr,
     INSTRUCTION_BYTES, NS_TRACES,
 };
-use serde::{Deserialize, Serialize};
 
 use crate::codec::{opt_reg_from_record, opt_reg_to_record, record_bool, trace_store_key};
 use crate::isa::{BranchKind, BranchTarget, DataRegion, OpClass, RegId};
@@ -46,7 +45,7 @@ use crate::walk::{
 /// (`Vec`-carrying branch specs included).
 ///
 /// [`Instruction`]: crate::isa::Instruction
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct DecodedInstr {
     /// Functional class.
     pub class: OpClass,
@@ -68,7 +67,7 @@ pub struct DecodedInstr {
 
 /// The architectural semantics of one slot, with targets pre-resolved to
 /// slot indices and data regions pre-folded to their concrete page/array.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum TraceOp {
     /// Falls through to `slot + 1`; no RNG, no memory.
     Plain,
@@ -124,7 +123,7 @@ pub enum TraceOp {
 
 /// A [`LaidProgram`] compiled to flat pre-decoded arrays — the compiled
 /// execution backend's program representation.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct CompiledTrace {
     /// Page geometry used for layout.
     pub geom: PageGeometry,
@@ -394,9 +393,9 @@ impl CompiledTrace {
         Ok(())
     }
 
-    /// Serializes the trace (persistent artifact store codec; the
-    /// vendored `serde` is a no-op). Per-slot latency, page number, and
-    /// branch kind are derived on load rather than stored.
+    /// Serializes the trace (persistent artifact store codec). Per-slot
+    /// latency, page number, and branch kind are derived on load rather
+    /// than stored.
     pub fn to_record(&self, w: &mut RecordWriter) {
         w.token("trace");
         w.u64(self.geom.page_bytes());

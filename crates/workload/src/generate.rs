@@ -19,14 +19,12 @@
 //! calls and returns (no accidental near-infinite nests, which a naive
 //! random-back-edge CFG produces).
 
-use serde::{Deserialize, Serialize};
-
 use crate::isa::{BranchSpec, DataRegion, Instruction, OpClass, RegId};
 use crate::program::{Block, BlockId, Function, Program};
 use crate::rng::SplitMix64;
 
 /// All generator knobs. See module docs for the observable each drives.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct GeneratorParams {
     /// RNG seed for program *structure* (execution has its own seed).
     pub seed: u64,

@@ -8,12 +8,10 @@
 //! into branch instructions and the boundary branches SoCA/SoLA/IA insert
 //! at page ends.
 
-use serde::{Deserialize, Serialize};
-
 use crate::program::BlockId;
 
 /// An architectural register. 0–31 are integer, 32–63 floating point.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct RegId(pub u8);
 
 impl RegId {
@@ -29,7 +27,7 @@ impl RegId {
 
 /// Functional class of an instruction, mapping 1:1 onto the paper's
 /// functional-unit mix (Table 1).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum OpClass {
     /// Integer ALU op (1-cycle, 4 units).
     IntAlu,
@@ -48,7 +46,7 @@ pub enum OpClass {
 }
 
 /// What kind of control transfer a branch performs.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum BranchKind {
     /// Conditional, direct target; falls through when not taken.
     /// `taken_bias` is the per-site probability of being taken.
@@ -90,7 +88,7 @@ impl BranchKind {
 }
 
 /// Where a branch goes when taken.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum BranchTarget {
     /// A direct target: the first instruction of a block.
     Block(BlockId),
@@ -106,7 +104,7 @@ pub enum BranchTarget {
 }
 
 /// Branch metadata attached to [`OpClass::Branch`] instructions.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct BranchSpec {
     /// Control-transfer kind.
     pub kind: BranchKind,
@@ -211,7 +209,7 @@ impl BranchSpec {
 
 /// Data region a memory instruction touches (assigned at generation time;
 /// drives the synthetic data-address stream).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum DataRegion {
     /// Stack frame of the executing function.
     Stack,
@@ -222,7 +220,7 @@ pub enum DataRegion {
 }
 
 /// One instruction.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Instruction {
     /// Functional class.
     pub class: OpClass,

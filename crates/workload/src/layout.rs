@@ -9,13 +9,12 @@
 //! changes can only ever happen at branch targets.
 
 use cfr_types::{PageGeometry, VirtAddr, INSTRUCTION_BYTES};
-use serde::{Deserialize, Serialize};
 
 use crate::isa::{BranchSpec, BranchTarget, Instruction};
 use crate::program::{BlockId, Program};
 
 /// One laid-out instruction.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Slot {
     /// The instruction (a copy; compiler passes may rewrite its branch
     /// metadata, e.g. the SoLA in-page bit).
@@ -26,7 +25,7 @@ pub struct Slot {
 }
 
 /// A program placed in virtual memory.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct LaidProgram {
     /// Page geometry used for layout.
     pub geom: PageGeometry,

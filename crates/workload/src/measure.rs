@@ -7,14 +7,13 @@
 //! predictor. The cycle-level numbers come from `cfr-cpu`/`cfr-core`.
 
 use cfr_mem::{AccessKind, Cache, CacheConfig};
-use serde::{Deserialize, Serialize};
 
 use crate::isa::BranchKind;
 use crate::layout::LaidProgram;
 use crate::walk::Walker;
 
 /// Dynamic statistics from a functional walk.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct FunctionalStats {
     /// Instructions executed.
     pub committed: u64,
@@ -236,7 +235,7 @@ pub fn measure(prog: &LaidProgram, n: u64, seed: u64) -> FunctionalStats {
 /// Static branch statistics over a laid-out program (paper Table 4, left
 /// half). Boundary branches are excluded: the paper's static numbers come
 /// from the uninstrumented source.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StaticBranchStats {
     /// Static branch sites.
     pub total: u64,

@@ -9,8 +9,6 @@
 //! The paper picked these six because "they stress the iTLB more than the
 //! others due to the relatively worse instruction locality".
 
-use serde::{Deserialize, Serialize};
-
 use crate::generate::{generate, GeneratorParams};
 use crate::program::Program;
 
@@ -18,7 +16,7 @@ use crate::program::Program;
 ///
 /// Fractions are in `[0, 1]`; cycle counts in millions of cycles for 250 M
 /// committed instructions; energies in millijoules.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct PaperTargets {
     /// Dynamic branches / committed instructions (Table 2 col 7).
     pub branch_fraction: f64,
@@ -45,7 +43,7 @@ pub struct PaperTargets {
 }
 
 /// A named benchmark: generator parameters plus the paper's numbers.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct BenchmarkProfile {
     /// SPEC2000 name, e.g. `"177.mesa"`.
     pub name: &'static str,
@@ -424,7 +422,7 @@ mod tests {
 
     /// Calibration bands: measured statistics must land within a tolerance
     /// of the paper's targets. These are the substitution's load-bearing
-    /// guarantees (DESIGN.md §2).
+    /// guarantees (README, "Reproducing the paper").
     #[test]
     fn profiles_hit_calibration_bands() {
         for p in all() {
@@ -449,7 +447,8 @@ mod tests {
             );
             // In-page fraction is the loosest band: the synthetic CFG keeps
             // loop bodies more page-local than real SPEC code (see
-            // DESIGN.md §2); orderings are asserted separately below.
+            // README, "Reproducing the paper"); orderings are asserted
+            // separately below.
             let ip = s.in_page_fraction();
             assert!(
                 ip >= t.in_page_fraction - 0.05 && ip < 0.99,

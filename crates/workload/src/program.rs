@@ -1,21 +1,19 @@
 //! Program structure: functions made of basic blocks.
 
-use serde::{Deserialize, Serialize};
-
 use crate::isa::{BranchTarget, Instruction};
 
 /// Index of a basic block in [`Program::blocks`] (global across functions).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct BlockId(pub u32);
 
 /// Index of a function in [`Program::functions`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct FunctionId(pub u32);
 
 /// A basic block: straight-line instructions, the last of which may be a
 /// branch. Blocks without a terminating branch fall through to the next
 /// block in layout order.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Block {
     /// The instructions, in order.
     pub instrs: Vec<Instruction>,
@@ -30,7 +28,7 @@ impl Block {
 }
 
 /// A function: a contiguous run of blocks; the first is the entry.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Function {
     /// Global index of the first (entry) block.
     pub first_block: u32,
@@ -54,7 +52,7 @@ impl Function {
 
 /// A whole program: the static artifact that the generator produces, the
 /// layout engine places on pages, and the compiler passes rewrite.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Program {
     /// All blocks, grouped by function, in layout order.
     pub blocks: Vec<Block>,

@@ -36,7 +36,7 @@
 //! ```
 //!
 //! The per-table/per-figure reproduction binaries live in the `cfr-bench`
-//! crate; see `DESIGN.md` and `EXPERIMENTS.md` at the repository root.
+//! crate; see the README at the repository root.
 
 pub use cfr_core as core;
 pub use cfr_cpu as cpu;

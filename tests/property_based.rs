@@ -357,16 +357,17 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Store-daemon protocol properties: the decoder is total over arbitrary
-// bytes (never panics, never mis-frames), and every frame/request/response
-// codec round-trips. See `cfr_types::net` and `tests/store_daemon.rs`.
+// Store-daemon protocol properties: the frame decoder and the request and
+// response parsers are total over arbitrary bytes (never panic, never
+// mis-frame), and every frame/request/response round-trips. See
+// `cfr_types::net` and `tests/store_daemon.rs`.
 // ---------------------------------------------------------------------------
 
 use cfr_sim::types::net::{
-    decode_frame, decode_wire_frame, encode_frame, encode_frame_bin, FrameDecode, Request,
-    Response, StoreStats, WireDecode, WirePayload,
+    decode_frame, encode_frame, FrameDecode, HealthReport, Request, Response, StoreStats,
+    FRAME_MAGIC,
 };
-use cfr_sim::types::GcReport;
+use cfr_sim::types::{GcReport, NamespaceCounts};
 
 /// Builds a printable-ish string (spaces, punctuation, alphanumerics, an
 /// occasional multi-byte character) from generated code points.
@@ -392,50 +393,50 @@ fn record_line_from(codes: &[u64]) -> String {
     }
 }
 
+/// Generated byte values as bytes.
+fn bytes_from(values: &[u64]) -> Vec<u8> {
+    values.iter().map(|&b| u8::try_from(b).unwrap()).collect()
+}
+
 proptest! {
     /// Arbitrary byte soup never panics the frame decoder, at any
     /// offset, and whatever it classifies as a frame must re-encode to
-    /// the exact bytes it consumed (no mis-framing).
+    /// the exact bytes it consumed (no mis-framing). Some soups start
+    /// with the magic and a small length, so the length and payload
+    /// paths run, not just the magic check.
     #[test]
-    fn frame_decoder_is_total_over_garbage(bytes in proptest::collection::vec(0u64..256, 0..160)) {
-        let bytes: Vec<u8> = bytes.iter().map(|&b| u8::try_from(b).unwrap()).collect();
+    fn frame_decoder_is_total_over_garbage(
+        bytes in proptest::collection::vec(0u64..256, 0..160),
+        framed in proptest::bool::ANY,
+        len in 0u64..200,
+    ) {
+        let mut bytes = bytes_from(&bytes);
+        if framed {
+            let mut header = FRAME_MAGIC.to_vec();
+            header.extend_from_slice(&u32::try_from(len).unwrap().to_le_bytes());
+            bytes.splice(0..0, header);
+        }
         for start in 0..=bytes.len() {
-            match decode_frame(&bytes[start..]) {
-                FrameDecode::Frame { payload, consumed } => {
-                    let reencoded = encode_frame(&payload);
-                    prop_assert_eq!(reencoded.as_slice(), &bytes[start..start + consumed]);
-                }
-                FrameDecode::Incomplete | FrameDecode::Invalid => {}
+            if let FrameDecode::Frame { payload, consumed } = decode_frame(&bytes[start..]) {
+                let reencoded = encode_frame(payload);
+                prop_assert_eq!(reencoded.as_slice(), &bytes[start..start + consumed]);
             }
         }
     }
 
-    /// Every payload round-trips through the frame codec, and every
-    /// strict prefix of the encoding reads as `Incomplete` — a truncated
-    /// frame asks for more bytes, it never yields a wrong payload or an
-    /// error.
+    /// Frames round-trip byte payloads exactly, and every strict prefix
+    /// of a frame reads as `Incomplete` — a truncated frame asks for
+    /// more bytes, it never yields a wrong payload or an error.
     #[test]
-    fn frame_codec_round_trips_and_prefixes_are_incomplete(
-        codes in proptest::collection::vec(0u64..0x3000, 0..120),
-        newline_every in 1u64..8,
+    fn binary_frames_round_trip_and_prefixes_are_incomplete(
+        payload in proptest::collection::vec(0u64..256, 0..160),
     ) {
-        // Payloads may contain newlines (framing is length-prefixed).
-        let mut payload = text_from(&codes);
-        let step = usize::try_from(newline_every).unwrap();
-        let keep: String = payload
-            .chars()
-            .enumerate()
-            .map(|(i, c)| if i % (step + 1) == step { '\n' } else { c })
-            .collect();
-        payload = keep;
+        let payload = bytes_from(&payload);
         let bytes = encode_frame(&payload);
-        match decode_frame(&bytes) {
-            FrameDecode::Frame { payload: got, consumed } => {
-                prop_assert_eq!(&got, &payload);
-                prop_assert_eq!(consumed, bytes.len());
-            }
-            other => prop_assert!(false, "round trip decoded to {other:?}"),
-        }
+        prop_assert_eq!(
+            decode_frame(&bytes),
+            FrameDecode::Frame { payload: &payload, consumed: bytes.len() }
+        );
         for cut in 0..bytes.len() {
             prop_assert_eq!(decode_frame(&bytes[..cut]), FrameDecode::Incomplete, "cut {cut}");
         }
@@ -443,19 +444,20 @@ proptest! {
 
     /// Request and response codecs round-trip for generated namespaces,
     /// keys, values, batches, claims, and counter sets — every protocol
-    /// frame codec, in **both** wire formats, and the two formats decode
-    /// to the same structure (text↔binary equivalence).
+    /// message.
     #[test]
     fn request_and_response_codecs_round_trip(
         which in 0u64..10,
         key_codes in proptest::collection::vec(0u64..0x500, 1..40),
         value_codes in proptest::collection::vec(0u64..0x500, 0..60),
-        ns_pick in 0u64..4,
+        ns_pick in 0u64..5,
         batch in 0usize..5,
         millis in 0u64..1_000_000,
-        counters in proptest::collection::vec(0u64..1_000_000, 13..14),
+        counters in proptest::collection::vec(0u64..1_000_000, 14..15),
     ) {
-        let ns = ["runs", "walks", "programs", "traces"][usize::try_from(ns_pick).unwrap()].to_string();
+        let ns = ["runs", "walks", "programs", "traces", "scenarios"]
+            [usize::try_from(ns_pick).unwrap()]
+            .to_string();
         let key = record_line_from(&key_codes);
         let value = record_line_from(&value_codes);
         let items: Vec<(String, String)> = (0..batch)
@@ -478,13 +480,9 @@ proptest! {
             6 => Request::MPut { items: put_items },
             7 => Request::Claim { ns: ns.clone(), key: key.clone(), lease_ms: millis },
             8 => Request::Wait { ns: ns.clone(), key: key.clone(), timeout_ms: millis },
-            _ => Request::Shutdown,
+            _ => Request::Health,
         };
-        let decoded = Request::decode(&request.encode());
-        prop_assert_eq!(decoded.as_ref(), Ok(&request));
-        // The binary codec round-trips too, and agrees with text.
-        let bin = Request::decode_bin(&request.encode_bin());
-        prop_assert_eq!(bin, decoded);
+        prop_assert_eq!(Request::decode(&request.encode()), Ok(request));
 
         let mgot: Vec<Option<String>> = (0..batch)
             .map(|i| (i % 2 == 0).then(|| format!("{value} {i}")))
@@ -497,16 +495,13 @@ proptest! {
                 live_records: counters[0],
                 live_bytes: counters[1],
                 file_bytes: counters[2],
-                runs: counters[3],
-                walks: counters[4],
-                programs: counters[5],
-                traces: counters[6],
-                active_connections: counters[7],
-                pipeline_hwm: counters[8],
-                batched_keys: counters[9],
-                max_batch: counters[10],
-                claims_granted: counters[11],
-                claims_expired: counters[12],
+                namespaces: NamespaceCounts(counters[3..8].try_into().unwrap()),
+                active_connections: counters[8],
+                pipeline_hwm: counters[9],
+                batched_keys: counters[10],
+                max_batch: counters[11],
+                claims_granted: counters[12],
+                claims_expired: counters[13],
             }),
             4 => Response::Gc(GcReport {
                 live_records: counters[0],
@@ -519,92 +514,57 @@ proptest! {
             5 => Response::MGot { values: mgot },
             6 => Response::Granted,
             7 => Response::Busy,
-            8 => Response::Hello {
-                version: u32::try_from(millis % 100).unwrap(),
-                features: vec!["batch".into(), "binary".into(), "claim".into()],
-            },
+            8 => Response::Health(HealthReport {
+                uptime_secs: millis,
+                draining: millis % 2 == 0,
+                shards_occupied: u32::try_from(counters[0] % 17).unwrap(),
+                shard_count: 16,
+                live_records: counters[1],
+                file_bytes: counters[2],
+            }),
             _ => Response::Error {
                 message: record_line_from(&value_codes),
             },
         };
-        let decoded = Response::decode(&response.encode());
-        prop_assert_eq!(decoded.as_ref(), Ok(&response));
-        let bin = Response::decode_bin(&response.encode_bin());
-        prop_assert_eq!(bin, decoded);
+        prop_assert_eq!(Response::decode(&response.encode()), Ok(response));
     }
 
-    /// Binary frames round-trip byte payloads exactly, every strict
-    /// prefix of a binary frame reads as `Incomplete`, and the dual
-    /// decoder never mis-frames garbage: whatever it classifies as a
-    /// frame re-encodes to the exact bytes it consumed.
-    #[test]
-    fn binary_frames_round_trip_and_prefixes_are_incomplete(
-        payload in proptest::collection::vec(0u64..256, 0..160),
-    ) {
-        let payload: Vec<u8> = payload.iter().map(|&b| u8::try_from(b).unwrap()).collect();
-        let bytes = encode_frame_bin(&payload);
-        match decode_wire_frame(&bytes) {
-            WireDecode::Frame { payload: WirePayload::Binary(got), consumed } => {
-                prop_assert_eq!(&got, &payload);
-                prop_assert_eq!(consumed, bytes.len());
-            }
-            other => prop_assert!(false, "round trip decoded to {other:?}"),
-        }
-        for cut in 0..bytes.len() {
-            prop_assert_eq!(
-                decode_wire_frame(&bytes[..cut]),
-                WireDecode::Incomplete,
-                "cut {cut}"
-            );
-        }
-        // The dual decoder is total over the same garbage soup, and
-        // anything it frames re-encodes to the consumed bytes.
-        for start in 0..=payload.len() {
-            match decode_wire_frame(&payload[start..]) {
-                WireDecode::Frame { payload: got, consumed } => {
-                    let reencoded = match &got {
-                        WirePayload::Text(text) => encode_frame(text),
-                        WirePayload::Binary(bytes) => encode_frame_bin(bytes),
-                    };
-                    prop_assert_eq!(reencoded.as_slice(), &payload[start..start + consumed]);
-                }
-                WireDecode::Incomplete | WireDecode::Invalid => {}
-            }
-        }
-    }
-
-    /// Arbitrary byte soup never panics the binary request/response
-    /// parsers — they decode or error cleanly, and a decodable payload
-    /// re-encodes canonically (same canonical-form guarantee as text).
+    /// Arbitrary byte soup never panics the request/response parsers —
+    /// they decode or error cleanly (the server's "clean error reply"
+    /// path), and a decodable payload re-encodes canonically.
     #[test]
     fn binary_codecs_are_total_over_garbage(bytes in proptest::collection::vec(0u64..256, 0..120)) {
-        let bytes: Vec<u8> = bytes.iter().map(|&b| u8::try_from(b).unwrap()).collect();
-        if let Ok(request) = Request::decode_bin(&bytes) {
-            prop_assert_eq!(Request::decode_bin(&request.encode_bin()), Ok(request));
+        let bytes = bytes_from(&bytes);
+        if let Ok(request) = Request::decode(&bytes) {
+            prop_assert_eq!(Request::decode(&request.encode()), Ok(request));
         }
-        if let Ok(response) = Response::decode_bin(&bytes) {
-            prop_assert_eq!(Response::decode_bin(&response.encode_bin()), Ok(response));
+        if let Ok(response) = Response::decode(&bytes) {
+            prop_assert_eq!(Response::decode(&response.encode()), Ok(response));
         }
     }
 
-    /// Arbitrary text fed to the request/response parsers never panics —
-    /// it decodes or errors cleanly (the server's "clean error reply"
-    /// path), and a decodable request re-encodes canonically.
+    /// Structured garbage — a tag byte, then a random mix of plausible
+    /// length prefixes, field bytes, and raw bytes — reaches every field
+    /// decoder (not just the tag dispatch) without a panic, and whatever
+    /// decodes re-encodes canonically.
     #[test]
-    fn request_parser_is_total_over_garbage(codes in proptest::collection::vec(0u64..0x3000, 0..80)) {
-        let mut payload = text_from(&codes);
-        // Reintroduce structure sometimes so the parser's deeper
-        // branches get exercised, not just the verb dispatch.
-        if payload.len() > 6 {
-            payload = format!("get {payload}");
+    fn request_parser_is_total_over_garbage(
+        tag in 0u64..13,
+        fields in proptest::collection::vec((0u64..3, 0u64..6), 0..10),
+    ) {
+        let mut payload = vec![u8::try_from(tag).unwrap()];
+        for (kind, n) in fields {
+            match kind {
+                0 => payload.extend_from_slice(&u32::try_from(n).unwrap().to_le_bytes()),
+                1 => payload.extend(vec![b'k'; usize::try_from(n).unwrap()]),
+                _ => payload.push(u8::try_from(n).unwrap()),
+            }
         }
         if let Ok(request) = Request::decode(&payload) {
-            let again = Request::decode(&request.encode());
-            prop_assert_eq!(again, Ok(request));
+            prop_assert_eq!(Request::decode(&request.encode()), Ok(request));
         }
         if let Ok(response) = Response::decode(&payload) {
-            let again = Response::decode(&response.encode());
-            prop_assert_eq!(again, Ok(response));
+            prop_assert_eq!(Response::decode(&response.encode()), Ok(response));
         }
     }
 }

@@ -15,9 +15,10 @@ use std::thread;
 use std::time::Duration;
 
 use cfr_sim::core::{Engine, ExperimentScale, RunKey, Store, StrategyKind};
+use cfr_sim::types::net::FRAME_MAGIC;
 use cfr_sim::types::{
     AddressingMode, ArtifactStore, ClaimOutcome, GcPolicy, LayeredStore, RemoteStore, ServerConfig,
-    StoreBackend, StoreServer, NS_RUNS,
+    StoreBackend, StoreServer, NAMESPACES, NS_RUNS, NS_SCENARIOS,
 };
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -344,12 +345,23 @@ fn garbage_speaking_clients_cannot_hurt_the_daemon() {
     let client = RemoteStore::new(addr.clone());
     client.save(NS_RUNS, "kept", "value that must survive vandals");
 
+    // Garbage that gets past the magic: a length no frame may have, a
+    // payload cut short by EOF, and a well-framed unknown tag.
+    let framed = |len: u32, payload: &[u8]| {
+        let mut frame = FRAME_MAGIC.to_vec();
+        frame.extend_from_slice(&len.to_le_bytes());
+        frame.extend_from_slice(payload);
+        frame
+    };
     for garbage in [
         b"GET / HTTP/1.1\r\nHost: x\r\n\r\n".to_vec(),
         b"cfr1 99999999999999999999\n".to_vec(),
         b"cfr1 12\ntoo short".to_vec(),
         vec![0u8; 64],
         vec![0xff; 512],
+        framed(u32::MAX, b""),
+        framed(64, b"too short"),
+        framed(3, &[0xee, 1, 2]),
     ] {
         let mut raw = std::net::TcpStream::connect(server.addr()).unwrap();
         raw.write_all(&garbage).unwrap();
@@ -496,7 +508,7 @@ fn stats_and_gc_commands_work_against_live_traffic() {
     client.save(NS_RUNS, "k", "version 1");
     client.save(NS_RUNS, "k", "version 2");
     let stats = client.stats().expect("daemon reachable");
-    assert_eq!(stats.runs, 1);
+    assert_eq!(stats.namespaces.get(NS_RUNS), 1);
     assert!(
         stats.file_bytes > stats.live_bytes,
         "the superseded record is dead bytes"
@@ -519,6 +531,27 @@ fn stats_and_gc_commands_work_against_live_traffic() {
     let summary = warm_engine.store_summary();
     assert_eq!((summary.runs.warm, summary.runs.cold), (1, 0));
 
+    server.shutdown();
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// Every namespace is visible to store maintenance over the wire —
+/// `scenarios` included, which the daemon's statistics once dropped.
+#[test]
+fn scenario_records_are_visible_to_store_maintenance() {
+    let dir = temp_dir("scenario-stats");
+    let server = serve(&dir, quiet_config());
+    let client = RemoteStore::new(server.addr().to_string());
+    client.save(NS_SCENARIOS, "scenario key", "scenario report");
+    assert_eq!(client.namespace_records(NS_SCENARIOS), 1);
+    for ns in NAMESPACES {
+        client.save(ns, "another key", "value");
+    }
+    let stats = client.stats().expect("daemon reachable");
+    assert_eq!(
+        stats.namespaces.to_string(),
+        "1 runs / 1 walks / 1 programs / 1 traces / 2 scenarios"
+    );
     server.shutdown();
     let _ = fs::remove_dir_all(&dir);
 }

@@ -2,8 +2,7 @@
 //! second engine over the same directory (standing in for a second
 //! process) computes nothing — in *any* namespace — and reproduces
 //! bit-identical results; corruption, torn writes, format bumps, and
-//! stale codecs degrade to recomputation, never a crash; and a v1
-//! (one-file-per-key) store directory migrates transparently.
+//! stale codecs degrade to recomputation, never a crash.
 
 use std::fs;
 use std::path::PathBuf;
@@ -226,53 +225,6 @@ fn format_bump_forces_full_resimulation() {
     let warm = Engine::new().with_store(Store::open(&dir).unwrap());
     let _ = warm.run_many(&keys);
     assert_eq!(warm.simulated_runs(), 0);
-    let _ = fs::remove_dir_all(&dir);
-}
-
-/// A PR 2-era store directory (one `<hash>.run` file per key) migrates
-/// at open: parseable records keep serving warm — bit-identically — and
-/// the old files are consumed.
-#[test]
-fn v1_store_layout_migrates_transparently() {
-    let dir = temp_store("v1");
-    let scale = tiny();
-    let keys = sample_keys(&scale);
-
-    // Simulate once to learn the ground-truth reports, then write them
-    // out in the exact v1 layout into a fresh directory.
-    let oracle = Engine::new();
-    let reports = oracle.run_many(&keys);
-    fs::create_dir_all(&dir).unwrap();
-    for (i, (key, report)) in keys.iter().zip(&reports).enumerate() {
-        let mut w = cfr_sim::types::RecordWriter::new();
-        report.to_record(&mut w);
-        let text = format!(
-            "cfr-store 1\nkey {}\nreport {}\n",
-            Store::key_record(key),
-            w.finish()
-        );
-        fs::write(dir.join(format!("{i:016x}.run")), text).unwrap();
-    }
-
-    let migrated = Engine::new().with_store(Store::open(&dir).unwrap());
-    let served = migrated.run_many(&keys);
-    assert_eq!(
-        migrated.simulated_runs(),
-        0,
-        "migrated v1 records serve warm"
-    );
-    for (a, b) in reports.iter().zip(&served) {
-        assert_eq!(**a, **b, "migration preserves bits");
-    }
-    let leftovers: Vec<_> = fs::read_dir(&dir)
-        .unwrap()
-        .map(|e| e.unwrap().file_name().into_string().unwrap())
-        .filter(|n| !n.starts_with("shard-") && n != cfr_sim::types::LOCK_FILE_NAME)
-        .collect();
-    assert!(
-        leftovers.is_empty(),
-        "only shard files (and the lock probe) remain after migration: {leftovers:?}"
-    );
     let _ = fs::remove_dir_all(&dir);
 }
 
