@@ -224,7 +224,7 @@ fn main() {
         "engine: {} unique runs simulated across all tables/figures, \
          {} programs generated",
         engine.simulated_runs(),
-        engine.program_cache().generated()
+        engine.store_summary().programs.cold
     );
     print_store_summary(&engine);
 }

@@ -7,38 +7,49 @@
 //! benchmark, for example). Run serially and independently, the full
 //! evaluation pays for the same simulations many times over.
 //!
-//! The [`Engine`] replaces that with a declarative plan:
+//! The [`Engine`] replaces that with keyed jobs. There are three kinds —
+//! pipeline runs ([`RunKey`] → [`RunReport`]), multiprogrammed scenarios
+//! ([`ScenarioConfig`] → [`ScenarioReport`]) and Table 4's functional
+//! walks (→ [`WalkMeasurement`]) — and every kind goes through the same
+//! pipeline, `Engine::resolve`:
 //!
-//! 1. experiments describe the runs they need as [`RunKey`]s,
-//! 2. the engine **deduplicates** keys against its result cache, so every
-//!    unique key is simulated exactly once per engine — across calls and
-//!    across experiments,
-//! 3. keys still missing are looked up in the optional **persistent
-//!    [`Store`]** ([`Engine::with_store`]), which extends the dedup
-//!    guarantee across *processes*: a key any binary on this machine has
-//!    already simulated is read back from disk,
-//! 4. the remaining cold runs execute **in parallel** (rayon), each
-//!    borrowing its benchmark's program from a shared, memoized
-//!    [`ProgramCache`], and are written back to the store, and
-//! 5. results come back as cheap [`Arc`] handles in request order.
+//! 1. **claim** the requested keys that are neither done nor being
+//!    computed by a concurrent batch, so each unique key is computed at
+//!    most once per engine — within a batch, across calls, across
+//!    experiments and across threads;
+//! 2. **probe** the optional persistent [`Store`] ([`Engine::with_store`])
+//!    for the claimed keys in one batched load, extending the dedup
+//!    across processes;
+//! 3. **prefetch**, in one more batched load, the program and trace
+//!    records the cold keys need that the engine does not hold yet;
+//! 4. **prepare** each cold key's compiled binaries serially, through
+//!    the memoized program, layout and trace caches;
+//! 5. **compute** the cold keys in parallel (rayon), each first claimed
+//!    in the store — against the store daemon, racing processes compute
+//!    every key once globally — and saved as soon as it is computed;
+//! 6. **publish** the values, returned as cheap [`Arc`] handles in
+//!    request order.
 //!
-//! Parallel execution is **deterministic**: a run's outcome depends only
+//! Parallel execution is **deterministic**: a job's outcome depends only
 //! on its key (the simulator is seeded, single-threaded per run, and
 //! shares nothing mutable), and the engine reassembles results in input
 //! order, so the reports are bit-identical to serial
 //! [`Simulator::run_program`] calls regardless of worker scheduling.
 
 use std::collections::{HashMap, HashSet};
+use std::fmt::Debug;
+use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
+use cfr_types::net::claim_lease;
 use cfr_types::{
-    AddressingMode, PageGeometry, RecordError, RecordReader, RecordWriter, NS_PROGRAMS,
-    NS_SCENARIOS, NS_TRACES, NS_WALKS,
+    AddressingMode, ClaimOutcome, PageGeometry, RecordError, RecordReader, RecordWriter,
+    StoreBackend, NS_PROGRAMS, NS_RUNS, NS_SCENARIOS, NS_TRACES, NS_WALKS,
 };
 use cfr_workload::{
-    measure_walk, program_store_key, trace_store_key, walk_store_key, BenchmarkProfile,
-    CompiledTrace, LaidProgram, Program, ProgramCache, TraceCache, WalkMeasurement,
+    measure_walk, walk_store_key, BenchmarkProfile, LaidProgram, Program, ProgramCache, TraceCache,
+    WalkMeasurement,
 };
 use rayon::prelude::*;
 
@@ -46,7 +57,7 @@ use crate::compiler;
 use crate::experiment::ExperimentScale;
 use crate::scenario::{self, ScenarioBinary, ScenarioConfig, ScenarioReport};
 use crate::simulator::{ExecBackend, ItlbChoice, RunReport, SimConfig, Simulator};
-use crate::store::{RunClaim, Store};
+use crate::store::Store;
 use crate::strategy::StrategyKind;
 
 /// Identity of one compiled (laid-out) binary: benchmark, page size, and
@@ -150,7 +161,7 @@ impl RunKey {
     /// Serializes every identity field (persistent run store codec). The
     /// record doubles as the store's content address: equal keys produce
     /// byte-equal records, and the store verifies a loaded record against
-    /// the requested key token-for-token, so a hash collision or stale
+    /// the requested key byte-for-byte, so a hash collision or stale
     /// file degrades to a miss.
     pub fn to_record(&self, w: &mut RecordWriter) {
         w.token("runkey");
@@ -205,9 +216,314 @@ impl RunKey {
             page_bytes: overrides[1],
         })
     }
+
+    /// The record string — the run's store key in the `runs` namespace
+    /// (see [`Self::to_record`]).
+    #[must_use]
+    pub fn store_key(&self) -> String {
+        let mut w = RecordWriter::new();
+        self.to_record(&mut w);
+        w.finish()
+    }
 }
 
-/// A deduplicating, memoizing, parallel executor of simulation runs.
+/// A multiprogrammed scenario, identified by its config record: as unique
+/// as the config (the record serializes every identity field) and several
+/// times cheaper to hash and clone in the memo tables.
+#[derive(Clone, Debug)]
+struct Scenario {
+    cfg: ScenarioConfig,
+    store_key: String,
+}
+
+impl PartialEq for Scenario {
+    fn eq(&self, other: &Self) -> bool {
+        self.store_key == other.store_key
+    }
+}
+
+impl Eq for Scenario {}
+
+impl Hash for Scenario {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.store_key.hash(state);
+    }
+}
+
+/// One functional walk of a profile's plain (uninstrumented) 4 KB layout
+/// at one scale: Table 4's input, persisted in the `walks` namespace.
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+struct Walk {
+    profile: &'static str,
+    scale: ExperimentScale,
+    /// The store key, which fingerprints the profile's generator
+    /// parameters.
+    store_key: String,
+}
+
+impl Walk {
+    fn new(profile: &BenchmarkProfile, scale: ExperimentScale) -> Self {
+        let geom = PageGeometry::default_4k();
+        Self {
+            profile: profile.name,
+            scale,
+            store_key: walk_store_key(profile, geom, false, scale.max_commits, scale.seed),
+        }
+    }
+}
+
+/// A compiled binary a job needs: `profile`'s program laid out at `geom`
+/// for `strategy`'s compilation class.
+#[derive(Clone, Copy)]
+struct Binary {
+    profile: &'static str,
+    geom: PageGeometry,
+    strategy: StrategyKind,
+}
+
+impl Binary {
+    fn instrumented(&self) -> bool {
+        compiler::wants_instrumented(self.strategy)
+    }
+
+    fn sola_marked(&self) -> bool {
+        self.strategy == StrategyKind::SoLA
+    }
+
+    fn class(&self) -> LaidKey {
+        let page = self.geom.page_bytes();
+        (self.profile, page, self.instrumented(), self.sola_marked())
+    }
+}
+
+/// One kind of keyed engine job. [`Engine::resolve`] drives every kind
+/// through the same pipeline; an implementation supplies only what
+/// differs per kind.
+trait Job: Clone + Eq + Hash + Debug + Send + Sync {
+    /// The computed result, memoized in [`Job::table`] and persisted in
+    /// [`Job::NS`].
+    type Value: Debug + Send + Sync;
+    /// The store namespace holding this kind's values.
+    const NS: &'static str;
+    /// Writes a value's record: the namespace's value codec.
+    const WRITE: fn(&Self::Value, &mut RecordWriter);
+    /// Parses a [`Job::WRITE`] record.
+    const READ: fn(&mut RecordReader<'_>) -> Result<Self::Value, RecordError>;
+    /// Whether a cold key executes its binaries — and so, under the
+    /// compiled backend, needs their pre-decoded traces — rather than
+    /// only walking their layout.
+    const EXECUTES: bool;
+
+    /// This kind's memo table on `engine`.
+    fn table(engine: &Engine) -> &JobTable<Self>;
+
+    /// The canonical store key: equal keys give byte-equal records, and
+    /// the store verifies a loaded record's key byte-for-byte.
+    fn key_record(&self) -> String;
+
+    /// The compiled binaries a cold key needs. The prepare step resolves
+    /// them in this order — memoized, so strategies sharing a
+    /// compilation class share one binary — and hands them to
+    /// [`Job::compute`].
+    fn binaries(&self) -> Vec<Binary>;
+
+    /// Computes the key's value from its prepared binaries.
+    fn compute(&self, bins: &[ScenarioBinary], backend: ExecBackend) -> Self::Value;
+
+    /// Parses a stored value. Anything but exactly one current-codec
+    /// record — torn, corrupt, written by another codec — is a miss.
+    fn decode(text: &str) -> Option<Self::Value> {
+        let mut r = RecordReader::new(text);
+        let value = Self::READ(&mut r).ok()?;
+        r.finish().ok()?;
+        Some(value)
+    }
+}
+
+impl Job for RunKey {
+    type Value = RunReport;
+    const NS: &'static str = NS_RUNS;
+    const WRITE: fn(&RunReport, &mut RecordWriter) = RunReport::to_record;
+    const READ: fn(&mut RecordReader<'_>) -> Result<RunReport, RecordError> =
+        RunReport::from_record;
+    const EXECUTES: bool = true;
+
+    fn table(engine: &Engine) -> &JobTable<Self> {
+        &engine.runs
+    }
+
+    fn key_record(&self) -> String {
+        self.store_key()
+    }
+
+    fn binaries(&self) -> Vec<Binary> {
+        vec![Binary {
+            profile: self.profile,
+            geom: self.config().cpu.geometry,
+            strategy: self.strategy,
+        }]
+    }
+
+    fn compute(&self, bins: &[ScenarioBinary], _: ExecBackend) -> RunReport {
+        let cfg = self.config();
+        match &bins[0].trace {
+            Some(trace) => Simulator::run_traced(trace, &cfg, self.strategy, self.mode),
+            None => Simulator::run_interp(&bins[0].laid, &cfg, self.strategy, self.mode),
+        }
+    }
+}
+
+impl Job for Scenario {
+    type Value = ScenarioReport;
+    const NS: &'static str = NS_SCENARIOS;
+    const WRITE: fn(&ScenarioReport, &mut RecordWriter) = ScenarioReport::to_record;
+    const READ: fn(&mut RecordReader<'_>) -> Result<ScenarioReport, RecordError> =
+        ScenarioReport::from_record;
+    const EXECUTES: bool = true;
+
+    fn table(engine: &Engine) -> &JobTable<Self> {
+        &engine.scenarios
+    }
+
+    fn key_record(&self) -> String {
+        self.store_key.clone()
+    }
+
+    fn binaries(&self) -> Vec<Binary> {
+        let cfg = &self.cfg;
+        (0..cfg.procs.len())
+            .map(|i| Binary {
+                profile: cfg.procs[i].profile,
+                geom: cfg.proc_config(i).cpu.geometry,
+                strategy: cfg.strategy,
+            })
+            .collect()
+    }
+
+    fn compute(&self, bins: &[ScenarioBinary], backend: ExecBackend) -> ScenarioReport {
+        scenario::simulate(&self.cfg, bins, backend)
+    }
+}
+
+impl Job for Walk {
+    type Value = WalkMeasurement;
+    const NS: &'static str = NS_WALKS;
+    const WRITE: fn(&WalkMeasurement, &mut RecordWriter) = WalkMeasurement::to_record;
+    const READ: fn(&mut RecordReader<'_>) -> Result<WalkMeasurement, RecordError> =
+        WalkMeasurement::from_record;
+    const EXECUTES: bool = false;
+
+    fn table(engine: &Engine) -> &JobTable<Self> {
+        &engine.walks
+    }
+
+    fn key_record(&self) -> String {
+        self.store_key.clone()
+    }
+
+    fn binaries(&self) -> Vec<Binary> {
+        vec![Binary {
+            profile: self.profile,
+            geom: PageGeometry::default_4k(),
+            strategy: StrategyKind::Base,
+        }]
+    }
+
+    fn compute(&self, bins: &[ScenarioBinary], _: ExecBackend) -> WalkMeasurement {
+        measure_walk(&bins[0].laid, self.scale.max_commits, self.scale.seed)
+    }
+}
+
+/// One job kind's memo: a slot per key some batch has claimed, and the
+/// kind's warm/cold counts.
+#[derive(Debug)]
+struct JobTable<J: Job> {
+    /// Claiming a key's slot under this lock is what makes concurrent
+    /// batches compute each key once.
+    slots: Mutex<HashMap<J, Slot<J::Value>>>,
+    /// Signalled whenever a batch publishes values or releases its
+    /// claims, so callers waiting on another batch's keys re-check.
+    resolved: Condvar,
+    /// Values served from the persistent store.
+    warm: AtomicU64,
+    /// Values computed in this process.
+    cold: AtomicU64,
+}
+
+/// A claimed key: still being computed by some batch, or done.
+#[derive(Debug)]
+enum Slot<V> {
+    InFlight,
+    Done(Arc<V>),
+}
+
+impl<J: Job> Default for JobTable<J> {
+    fn default() -> Self {
+        Self {
+            slots: Mutex::new(HashMap::new()),
+            resolved: Condvar::new(),
+            warm: AtomicU64::new(0),
+            cold: AtomicU64::new(0),
+        }
+    }
+}
+
+impl<J: Job> JobTable<J> {
+    fn lock(&self) -> MutexGuard<'_, HashMap<J, Slot<J::Value>>> {
+        self.slots.lock().expect("engine job table poisoned")
+    }
+
+    fn traffic(&self) -> NamespaceTraffic {
+        NamespaceTraffic {
+            warm: self.warm.load(Ordering::Relaxed),
+            cold: self.cold.load(Ordering::Relaxed),
+        }
+    }
+}
+
+/// Releases a batch's unpublished claims even if a computation panics,
+/// so concurrent callers waiting on those keys wake up and re-claim them
+/// instead of blocking forever.
+struct Release<'a, J: Job> {
+    table: &'a JobTable<J>,
+    keys: &'a [&'a J],
+}
+
+impl<J: Job> Drop for Release<'_, J> {
+    fn drop(&mut self) {
+        // A panic here, while a failed batch unwinds, would abort the
+        // process. Every update of the slot map is a single insert or
+        // remove, so a poisoned map is still consistent.
+        let mut slots = self
+            .table
+            .slots
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        for &key in self.keys {
+            if matches!(slots.get(key), Some(Slot::InFlight)) {
+                slots.remove(key);
+            }
+        }
+        drop(slots);
+        self.table.resolved.notify_all();
+    }
+}
+
+/// Gates a cold key on the store's claim coordinator. `Some` is the
+/// value another client published while we raced it; `None` means
+/// compute it here — claim granted, no coordinator (local stores), or
+/// any degraded outcome: a failure is always a miss, never a stall.
+fn published_elsewhere(store: &dyn StoreBackend, ns: &str, key: &str) -> Option<String> {
+    let lease = claim_lease();
+    match store.claim(ns, key, lease) {
+        ClaimOutcome::Hit(text) => Some(text),
+        ClaimOutcome::Granted | ClaimOutcome::Unsupported => None,
+        ClaimOutcome::Busy => store.wait_for(ns, key, lease),
+    }
+}
+
+/// A deduplicating, memoizing, parallel executor of simulation runs,
+/// multiprogrammed scenarios and functional walks.
 ///
 /// One engine should be shared across every experiment of a session (the
 /// `all_experiments` binary shares a single engine across all ten
@@ -217,31 +533,19 @@ impl RunKey {
 pub struct Engine {
     profiles: Vec<BenchmarkProfile>,
     programs: ProgramCache,
-    /// Memoized compiled binaries (layout + instrumentation + marking):
-    /// one compilation per [`LaidKey`] no matter how many (strategy,
-    /// mode, iTLB) runs execute it.
-    laid: Mutex<HashMap<LaidKey, Arc<LaidProgram>>>,
     /// Memoized pre-decoded traces for the compiled execution backend
     /// (`traces` store namespace; warm across processes like `programs`).
     traces: TraceCache,
-    state: Mutex<EngineState>,
-    /// Signalled whenever results land or in-flight claims are released,
-    /// so concurrent `run_many` callers waiting on another batch's keys
-    /// can re-check.
-    resolved: Condvar,
-    simulated: AtomicU64,
-    /// Walk measurements served from the persistent store.
-    walks_warm: AtomicU64,
-    /// Walk measurements actually computed (store miss, or no store).
-    walks_cold: AtomicU64,
-    /// Memoized scenario reports, keyed by the config record (the same
-    /// string that content-addresses the `scenarios` store namespace).
-    scenarios: Mutex<HashMap<String, Arc<ScenarioReport>>>,
-    /// Scenario reports served from the persistent store.
-    scenarios_warm: AtomicU64,
-    /// Scenario reports actually simulated (store miss, or no store).
-    scenarios_cold: AtomicU64,
-    /// Persistent cross-process result store, consulted before simulating
+    /// Memoized compiled binaries (layout + instrumentation + marking):
+    /// one compilation per [`LaidKey`] no matter how many jobs execute
+    /// it. A batch holds this lock across its prefetch and prepare
+    /// steps, so every artifact answer it primes is consumed by that
+    /// same batch.
+    laid: Mutex<HashMap<LaidKey, Arc<LaidProgram>>>,
+    runs: JobTable<RunKey>,
+    scenarios: JobTable<Scenario>,
+    walks: JobTable<Walk>,
+    /// Persistent cross-process result store, consulted before computing
     /// and written after (see [`Store`]). `None` = in-memory only.
     store: Option<Store>,
 }
@@ -274,35 +578,6 @@ pub struct StoreSummary {
     pub scenarios: NamespaceTraffic,
 }
 
-/// Result cache plus the set of keys some `run_many` call is currently
-/// simulating. Claiming a key into `in_flight` under the same lock that
-/// guards `results` is what makes concurrent batches simulate each
-/// unique key exactly once.
-#[derive(Debug, Default)]
-struct EngineState {
-    results: HashMap<RunKey, Arc<RunReport>>,
-    in_flight: HashSet<RunKey>,
-}
-
-/// Releases a batch's in-flight claims even if a simulation panics, so
-/// concurrent callers waiting on those keys wake up and re-claim them
-/// instead of blocking forever.
-struct ClaimGuard<'a> {
-    engine: &'a Engine,
-    keys: &'a [RunKey],
-}
-
-impl Drop for ClaimGuard<'_> {
-    fn drop(&mut self) {
-        let mut state = self.engine.state.lock().expect("engine state poisoned");
-        for key in self.keys {
-            state.in_flight.remove(key);
-        }
-        drop(state);
-        self.engine.resolved.notify_all();
-    }
-}
-
 impl Engine {
     /// An engine over the six canonical benchmark profiles.
     #[must_use]
@@ -324,27 +599,20 @@ impl Engine {
         Self {
             profiles,
             programs: ProgramCache::new(),
-            laid: Mutex::new(HashMap::new()),
             traces: TraceCache::new(),
-            state: Mutex::new(EngineState::default()),
-            resolved: Condvar::new(),
-            simulated: AtomicU64::new(0),
-            walks_warm: AtomicU64::new(0),
-            walks_cold: AtomicU64::new(0),
-            scenarios: Mutex::new(HashMap::new()),
-            scenarios_warm: AtomicU64::new(0),
-            scenarios_cold: AtomicU64::new(0),
+            laid: Mutex::new(HashMap::new()),
+            runs: JobTable::default(),
+            scenarios: JobTable::default(),
+            walks: JobTable::default(),
             store: None,
         }
     }
 
-    /// Attaches a persistent [`Store`]: every run key is looked up on
-    /// disk before simulating, and every fresh simulation is written
-    /// back, so a key simulates once *per machine* rather than once per
-    /// process. The same store backs the other persisted layers — the
-    /// program cache (`programs` namespace) and the functional walk path
-    /// (`walks`) — so a fully-warm invocation generates and walks
-    /// nothing either.
+    /// Attaches a persistent [`Store`]: every job key is looked up in it
+    /// before computing, and every fresh value is written back, so a key
+    /// computes once *per machine* rather than once per process. The
+    /// same store backs the program and trace caches, so a fully-warm
+    /// invocation generates, compiles and walks nothing either.
     #[must_use]
     pub fn with_store(mut self, store: Store) -> Self {
         self.programs.attach_store(store.backend());
@@ -377,43 +645,11 @@ impl Engine {
         self.store.as_ref()
     }
 
-    /// Runs served from the persistent store instead of being simulated
-    /// (0 without a store). Together with [`Engine::store_cold_runs`]
-    /// this accounts for every unique key this engine resolved.
-    #[must_use]
-    pub fn store_warm_runs(&self) -> u64 {
-        self.store.as_ref().map_or(0, Store::hits)
-    }
-
-    /// Runs that had to be simulated — store misses, or every unique key
-    /// when no store is attached. Always equals
-    /// [`Engine::simulated_runs`].
-    #[must_use]
-    pub fn store_cold_runs(&self) -> u64 {
-        self.simulated_runs()
-    }
-
-    /// The functional walk measurement of `profile`'s laid-out program:
-    /// the non-pipeline path behind Table 4 and the calibration tooling.
-    /// With a store attached the `walks` namespace is consulted first —
-    /// a warm read returns without touching the generator *or* the
-    /// walker — and a fresh measurement is written back.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `profile` is not registered.
-    #[must_use]
-    pub fn walk_measurement(&self, profile: &str, scale: &ExperimentScale) -> WalkMeasurement {
-        self.walk_measurements(&[profile], scale)
-            .pop()
-            .expect("one profile in, one measurement out")
-    }
-
-    /// [`Engine::walk_measurement`] for a whole profile set in **one**
-    /// store exchange each way: a single batched probe of the `walks`
-    /// namespace up front, a single batched write-back of whatever had
-    /// to be measured cold. Per-profile semantics and warm/cold
-    /// accounting are identical to calling the singular form in a loop.
+    /// The functional walk measurement of each profile's laid-out
+    /// program: the non-pipeline path behind Table 4 and the calibration
+    /// tooling. Walks are jobs like runs: memoized, probed in one batched
+    /// store exchange, and — when cold — measured on the engine's
+    /// memoized plain-class layout and written back.
     ///
     /// # Panics
     ///
@@ -424,87 +660,21 @@ impl Engine {
         profiles: &[&str],
         scale: &ExperimentScale,
     ) -> Vec<WalkMeasurement> {
-        let geom = PageGeometry::default_4k();
-        let resolved: Vec<&BenchmarkProfile> = profiles
+        let keys: Vec<Walk> = profiles
             .iter()
-            .map(|name| {
-                self.profiles
-                    .iter()
-                    .find(|p| p.name == *name)
-                    .unwrap_or_else(|| panic!("unknown benchmark profile {name:?}"))
-            })
+            .map(|name| Walk::new(self.profile(name), *scale))
             .collect();
-        let keys: Vec<String> = resolved
-            .iter()
-            .map(|p| walk_store_key(p, geom, false, scale.max_commits, scale.seed))
-            .collect();
-        let artifacts = self.store.as_ref().map(Store::backend);
-        let mut warm: Vec<Option<WalkMeasurement>> = match &artifacts {
-            Some(store) => {
-                let items: Vec<(String, String)> = keys
-                    .iter()
-                    .map(|key| (NS_WALKS.to_string(), key.clone()))
-                    .collect();
-                store
-                    .load_many(&items)
-                    .into_iter()
-                    .map(|value| {
-                        value.and_then(|text| {
-                            let mut r = RecordReader::new(&text);
-                            let m = WalkMeasurement::from_record(&mut r).ok()?;
-                            r.finish().ok()?;
-                            Some(m)
-                        })
-                    })
-                    .collect()
-            }
-            None => profiles.iter().map(|_| None).collect(),
-        };
-        // A backend must answer slot-for-slot; pad defensively so a
-        // short reply degrades to cold measurements, not lost outputs.
-        warm.resize_with(profiles.len(), || None);
-        let mut fresh: Vec<(String, String, String)> = Vec::new();
-        let out: Vec<WalkMeasurement> = resolved
-            .iter()
-            .zip(&keys)
-            .zip(warm)
-            .map(|((p, key), warm)| {
-                if let Some(m) = warm {
-                    self.walks_warm.fetch_add(1, Ordering::Relaxed);
-                    return m;
-                }
-                let program = self.programs.get(p);
-                let laid = LaidProgram::lay_out(&program, geom, false);
-                let m = measure_walk(&laid, scale.max_commits, scale.seed);
-                self.walks_cold.fetch_add(1, Ordering::Relaxed);
-                let mut w = RecordWriter::new();
-                m.to_record(&mut w);
-                fresh.push((NS_WALKS.to_string(), key.clone(), w.finish()));
-                m
-            })
-            .collect();
-        if let Some(store) = &artifacts {
-            if !fresh.is_empty() {
-                store.save_many(&fresh);
-            }
-        }
-        out
+        self.resolve(&keys).iter().map(|m| **m).collect()
     }
 
-    /// Warm/cold traffic per persisted namespace (runs, walks,
-    /// programs). "Warm" = served from the store; "cold" = computed this
-    /// process (every request, when no store is attached).
+    /// Warm/cold traffic per persisted namespace. "Warm" = served from
+    /// the store; "cold" = computed this process (every request, when no
+    /// store is attached).
     #[must_use]
     pub fn store_summary(&self) -> StoreSummary {
         StoreSummary {
-            runs: NamespaceTraffic {
-                warm: self.store_warm_runs(),
-                cold: self.store_cold_runs(),
-            },
-            walks: NamespaceTraffic {
-                warm: self.walks_warm.load(Ordering::Relaxed),
-                cold: self.walks_cold.load(Ordering::Relaxed),
-            },
+            runs: self.runs.traffic(),
+            walks: self.walks.traffic(),
             programs: NamespaceTraffic {
                 warm: self.programs.loaded(),
                 cold: self.programs.generated(),
@@ -513,10 +683,7 @@ impl Engine {
                 warm: self.traces.loaded(),
                 cold: self.traces.compiled(),
             },
-            scenarios: NamespaceTraffic {
-                warm: self.scenarios_warm.load(Ordering::Relaxed),
-                cold: self.scenarios_cold.load(Ordering::Relaxed),
-            },
+            scenarios: self.scenarios.traffic(),
         }
     }
 
@@ -574,99 +741,12 @@ impl Engine {
         &self.profiles
     }
 
-    /// The shared program memo, for callers that drive
-    /// [`Simulator::run_profile`] with configurations outside the
-    /// [`RunKey`] space (e.g. the iL1 and page-size sweep binaries).
-    #[must_use]
-    pub fn program_cache(&self) -> &ProgramCache {
-        &self.programs
-    }
-
-    /// The compiled binary a run key executes, memoized per
-    /// [`LaidKey`]: layout (and boundary instrumentation / SoLA marking)
-    /// runs once per compilation class, not once per run.
-    fn compiled(&self, key: &RunKey) -> Arc<LaidProgram> {
-        let geom = key.config().cpu.geometry;
-        let laid_key: LaidKey = (
-            key.profile,
-            geom.page_bytes(),
-            compiler::wants_instrumented(key.strategy),
-            key.strategy == StrategyKind::SoLA,
-        );
-        if let Some(hit) = self
-            .laid
-            .lock()
-            .expect("laid cache poisoned")
-            .get(&laid_key)
-        {
-            return Arc::clone(hit);
-        }
-        // Compile outside the lock (layout is the expensive part); a
-        // concurrent compilation of the same class produces an identical
-        // binary, so last-insert-wins is correct.
-        let program = self.program(key.profile);
-        let laid = Arc::new(compiler::compile_for(&program, geom, key.strategy));
-        let mut cache = self.laid.lock().expect("laid cache poisoned");
-        Arc::clone(cache.entry(laid_key).or_insert(laid))
-    }
-
-    /// One batched store probe covering every artifact the cold keys'
-    /// compilation classes will need — program records, and (under the
-    /// compiled backend) pre-decoded traces — with the answers primed
-    /// into the caches. The serial compile loop then resolves entirely
-    /// from primed answers: zero per-key store round trips, and nothing
-    /// at all is probed when the plan came back fully warm.
-    fn prefetch_artifacts(&self, cold: &[RunKey], backend: ExecBackend) {
-        let Some(store) = &self.store else { return };
-        if cold.is_empty() {
-            return;
-        }
-        let mut seen = HashSet::new();
-        let mut items: Vec<(String, String)> = Vec::new();
-        for key in cold {
-            let profile = self
-                .profiles
-                .iter()
-                .find(|p| p.name == key.profile)
-                .unwrap_or_else(|| panic!("unknown benchmark profile {:?}", key.profile));
-            let pkey = program_store_key(profile);
-            if seen.insert((NS_PROGRAMS, pkey.clone())) {
-                items.push((NS_PROGRAMS.to_string(), pkey));
-            }
-            if backend == ExecBackend::Compiled {
-                let tkey = trace_store_key(
-                    profile,
-                    key.config().cpu.geometry,
-                    compiler::wants_instrumented(key.strategy),
-                    key.strategy == StrategyKind::SoLA,
-                );
-                if seen.insert((NS_TRACES, tkey.clone())) {
-                    items.push((NS_TRACES.to_string(), tkey));
-                }
-            }
-        }
-        let mut values = store.backend().load_many(&items);
-        values.resize_with(items.len(), || None);
-        for ((ns, key), value) in items.into_iter().zip(values) {
-            if ns == NS_PROGRAMS {
-                self.programs.prime(key, value);
-            } else {
-                self.traces.prime(key, value);
-            }
-        }
-    }
-
-    /// The pre-decoded trace for a run key's compiled binary, memoized
-    /// per compilation class (and warm across processes through the
-    /// store's `traces` namespace).
-    fn trace_for(&self, key: &RunKey, laid: &LaidProgram) -> Arc<CompiledTrace> {
-        let profile = self
-            .profiles
+    /// The registered profile named `name`.
+    fn profile(&self, name: &str) -> &BenchmarkProfile {
+        self.profiles
             .iter()
-            .find(|p| p.name == key.profile)
-            .unwrap_or_else(|| panic!("unknown benchmark profile {:?}", key.profile));
-        self.traces
-            .get(profile, laid, key.strategy == StrategyKind::SoLA)
+            .find(|p| p.name == name)
+            .unwrap_or_else(|| panic!("unknown benchmark profile {name:?}"))
     }
 
     /// The generated program for a registered profile, memoized.
@@ -676,21 +756,16 @@ impl Engine {
     /// Panics if `name` is not a registered profile.
     #[must_use]
     pub fn program(&self, name: &str) -> Arc<Program> {
-        let profile = self
-            .profiles
-            .iter()
-            .find(|p| p.name == name)
-            .unwrap_or_else(|| panic!("unknown benchmark profile {name:?}"));
-        self.programs.get(profile)
+        self.programs.get(self.profile(name))
     }
 
     /// How many simulations have actually executed. Without a store,
     /// deduplication makes this equal to the number of *unique* keys ever
-    /// requested; with a store attached, warm keys are served from disk
-    /// and do not count here (see [`Engine::store_warm_runs`]).
+    /// requested; with a store attached, warm keys are served from it
+    /// and do not count here (see [`Engine::store_summary`]).
     #[must_use]
     pub fn simulated_runs(&self) -> u64 {
-        self.simulated.load(Ordering::Relaxed)
+        self.runs.cold.load(Ordering::Relaxed)
     }
 
     /// Executes one run (cached like any other).
@@ -723,120 +798,7 @@ impl Engine {
     /// batch panicked mid-update (poisoned cache).
     #[must_use]
     pub fn run_many(&self, keys: &[RunKey]) -> Vec<Arc<RunReport>> {
-        loop {
-            // Atomically claim every requested key that is neither done
-            // nor already being simulated by a concurrent batch.
-            let claimed: Vec<RunKey> = {
-                let mut state = self.state.lock().expect("engine state poisoned");
-                let mut claimed = Vec::new();
-                for key in keys {
-                    if !state.results.contains_key(key) && state.in_flight.insert(*key) {
-                        claimed.push(*key);
-                    }
-                }
-                claimed
-            };
-            if !claimed.is_empty() {
-                let guard = ClaimGuard {
-                    engine: self,
-                    keys: &claimed,
-                };
-                // Consult the persistent store first, in ONE batched
-                // probe for the whole claimed set (a networked backend
-                // collapses it into a single pipelined MGET exchange),
-                // so fully-warm batches touch neither the generator nor
-                // a worker pool — and pay one round trip, not one per
-                // key.
-                let warm: Vec<Option<RunReport>> = match &self.store {
-                    Some(store) => store.load_many(&claimed),
-                    None => claimed.iter().map(|_| None).collect(),
-                };
-                let mut resolved: Vec<(RunKey, Option<RunReport>)> =
-                    claimed.iter().copied().zip(warm).collect();
-                // Prefetch the artifacts the cold keys' compilation
-                // classes will need — program records and, under the
-                // compiled backend, pre-decoded traces — in one more
-                // batched probe, primed into the caches so the compile
-                // loop below issues no per-key store round trips.
-                let backend = ExecBackend::from_env();
-                let cold: Vec<RunKey> = resolved
-                    .iter()
-                    .filter(|(_, warm)| warm.is_none())
-                    .map(|(k, _)| *k)
-                    .collect();
-                self.prefetch_artifacts(&cold, backend);
-                // Resolve compiled binaries — and, under the compiled
-                // backend, their pre-decoded traces — for the cold keys
-                // up front (serially, memoized) so parallel workers share
-                // one immutable Arc per compilation class.
-                let jobs: Vec<(RunKey, Arc<LaidProgram>, Option<Arc<CompiledTrace>>)> = cold
-                    .iter()
-                    .map(|k| {
-                        let laid = self.compiled(k);
-                        let trace =
-                            (backend == ExecBackend::Compiled).then(|| self.trace_for(k, &laid));
-                        (*k, laid, trace)
-                    })
-                    .collect();
-                // Simulate the cold keys in parallel and write each result
-                // back (a single append per record; concurrent binaries
-                // sharing the store resync past any torn bytes and treat
-                // them as misses, never as torn reports). With a
-                // coordinating backend each key is first *claimed*, so N
-                // processes racing the same cold plan simulate each key
-                // once globally: losers of the race get the winner's
-                // published report back warm instead of re-simulating.
-                let fresh: Vec<RunReport> = jobs
-                    .par_iter()
-                    .map(|(key, laid, trace)| {
-                        if let Some(store) = &self.store {
-                            if let RunClaim::Warm(report) = store.claim_run(key) {
-                                return *report;
-                            }
-                        }
-                        let report = match trace {
-                            Some(trace) => {
-                                Simulator::run_traced(trace, &key.config(), key.strategy, key.mode)
-                            }
-                            None => {
-                                Simulator::run_interp(laid, &key.config(), key.strategy, key.mode)
-                            }
-                        };
-                        self.simulated.fetch_add(1, Ordering::Relaxed);
-                        if let Some(store) = &self.store {
-                            store.save(key, &report);
-                        }
-                        report
-                    })
-                    .collect();
-                let mut fresh = fresh.into_iter();
-                {
-                    let mut state = self.state.lock().expect("engine state poisoned");
-                    for (key, warm) in resolved.drain(..) {
-                        let report =
-                            warm.unwrap_or_else(|| fresh.next().expect("one report per cold key"));
-                        state.results.insert(key, Arc::new(report));
-                    }
-                }
-                drop(guard); // release claims and wake waiters
-            }
-            // Collect — waiting out keys a concurrent batch is still
-            // simulating. If one of those batches panicked, its claims
-            // were released without results; loop back and claim them.
-            let mut state = self.state.lock().expect("engine state poisoned");
-            loop {
-                if keys.iter().all(|k| state.results.contains_key(k)) {
-                    return keys.iter().map(|k| Arc::clone(&state.results[k])).collect();
-                }
-                let orphaned = keys
-                    .iter()
-                    .any(|k| !state.results.contains_key(k) && !state.in_flight.contains(k));
-                if orphaned {
-                    break; // re-claim in the outer loop
-                }
-                state = self.resolved.wait(state).expect("engine state poisoned");
-            }
-        }
+        self.resolve(keys)
     }
 
     /// Executes one multiprogrammed scenario (cached like any other).
@@ -854,14 +816,12 @@ impl Engine {
 
     /// Executes a batch of scenarios, returning reports in request order.
     ///
-    /// A scenario's identity is its full config record: equal configs
-    /// deduplicate in-process (within and across batches) and across
-    /// processes through the `scenarios` store namespace, exactly like
-    /// plain runs — one batched store probe up front, one batched
-    /// write-back of whatever had to be simulated cold, and warm replays
-    /// are byte-identical. Per-process binaries and pre-decoded traces
-    /// resolve through the same memoized compilation caches (and store
-    /// namespaces) the single-program path uses.
+    /// A scenario's identity is its full config: equal configs
+    /// deduplicate in-process (within and across batches and threads)
+    /// and across processes through the `scenarios` store namespace,
+    /// exactly like plain runs, and warm replays are byte-identical.
+    /// Per-process binaries and pre-decoded traces resolve through the
+    /// same memoized compilation caches (and store namespaces) runs use.
     ///
     /// # Panics
     ///
@@ -869,102 +829,240 @@ impl Engine {
     /// processes, or sets a zero quantum or ASID count.
     #[must_use]
     pub fn run_scenarios(&self, cfgs: &[ScenarioConfig]) -> Vec<Arc<ScenarioReport>> {
-        let keys: Vec<String> = cfgs.iter().map(ScenarioConfig::store_key).collect();
-        // Unique keys not already memoized (first requester wins; a
-        // concurrent batch racing the same key recomputes the identical
-        // report, so last-insert-wins stays correct).
-        let unique: Vec<usize> = {
-            let memo = self.scenarios.lock().expect("scenario memo poisoned");
-            let mut seen = HashSet::new();
-            keys.iter()
-                .enumerate()
-                .filter(|(_, k)| !memo.contains_key(*k) && seen.insert((*k).clone()))
-                .map(|(i, _)| i)
-                .collect()
-        };
-        if !unique.is_empty() {
-            let artifacts = self.store.as_ref().map(Store::backend);
-            let mut warm: Vec<Option<ScenarioReport>> = match &artifacts {
-                Some(store) => {
-                    let items: Vec<(String, String)> = unique
-                        .iter()
-                        .map(|&i| (NS_SCENARIOS.to_string(), keys[i].clone()))
-                        .collect();
-                    let mut values = store.load_many(&items);
-                    values.resize_with(items.len(), || None);
-                    values
-                        .into_iter()
-                        .map(|value| {
-                            value.and_then(|text| {
-                                let mut r = RecordReader::new(&text);
-                                let rep = ScenarioReport::from_record(&mut r).ok()?;
-                                r.finish().ok()?;
-                                Some(rep)
-                            })
-                        })
-                        .collect()
+        let keys: Vec<Scenario> = cfgs
+            .iter()
+            .map(|cfg| Scenario {
+                cfg: cfg.clone(),
+                store_key: cfg.store_key(),
+            })
+            .collect();
+        self.resolve(&keys)
+    }
+
+    /// The job pipeline (see the module docs): resolves `keys` to values
+    /// in request order, computing each unique cold key once. Safe to
+    /// call from several threads at once: overlapping keys are claimed
+    /// atomically, and later callers block until the claiming batch
+    /// publishes.
+    fn resolve<J: Job>(&self, keys: &[J]) -> Vec<Arc<J::Value>> {
+        let table = J::table(self);
+        loop {
+            // 1. Claim every requested key no batch has claimed yet.
+            let claimed: Vec<&J> = {
+                let mut slots = table.lock();
+                let mut claimed = Vec::new();
+                for key in keys {
+                    if !slots.contains_key(key) {
+                        slots.insert(key.clone(), Slot::InFlight);
+                        claimed.push(key);
+                    }
                 }
-                None => unique.iter().map(|_| None).collect(),
+                claimed
             };
-            let backend = ExecBackend::from_env();
-            let mut ready: Vec<(usize, ScenarioReport)> = Vec::new();
-            let mut cold: Vec<(usize, Vec<ScenarioBinary>)> = Vec::new();
-            for (&i, warm) in unique.iter().zip(warm.drain(..)) {
-                if let Some(rep) = warm {
-                    self.scenarios_warm.fetch_add(1, Ordering::Relaxed);
-                    ready.push((i, rep));
-                    continue;
+            if !claimed.is_empty() {
+                let release = Release {
+                    table,
+                    keys: &claimed,
+                };
+                let values = self.compute_claimed(&claimed);
+                // 6. Publish, then wake waiters.
+                let mut slots = table.lock();
+                for (&key, value) in claimed.iter().zip(values) {
+                    *slots.get_mut(key).expect("a claimed key keeps its slot") = Slot::Done(value);
                 }
-                // Resolve this scenario's binaries serially (memoized per
-                // compilation class) so parallel workers share one
-                // immutable Arc per binary, exactly as `run_many` does.
-                let bins: Vec<ScenarioBinary> = cfgs[i]
-                    .procs
-                    .iter()
-                    .map(|p| {
-                        let mut key =
-                            RunKey::new(p.profile, &cfgs[i].scale, cfgs[i].strategy, cfgs[i].mode);
-                        if let Some(bytes) = p.page_bytes {
-                            key = key.with_page_bytes(bytes);
-                        }
-                        let laid = self.compiled(&key);
-                        let trace =
-                            (backend == ExecBackend::Compiled).then(|| self.trace_for(&key, &laid));
-                        ScenarioBinary { laid, trace }
-                    })
-                    .collect();
-                cold.push((i, bins));
+                drop(slots);
+                drop(release);
             }
-            let fresh: Vec<(usize, ScenarioReport)> = cold
-                .par_iter()
-                .map(|(i, bins)| {
-                    let rep = scenario::simulate(&cfgs[*i], bins, backend);
-                    self.scenarios_cold.fetch_add(1, Ordering::Relaxed);
-                    (*i, rep)
-                })
-                .collect();
-            if let Some(store) = &artifacts {
-                let writes: Vec<(String, String, String)> = fresh
-                    .iter()
-                    .map(|(i, rep)| {
-                        let mut w = RecordWriter::new();
-                        rep.to_record(&mut w);
-                        (NS_SCENARIOS.to_string(), keys[*i].clone(), w.finish())
-                    })
-                    .collect();
-                if !writes.is_empty() {
-                    store.save_many(&writes);
+            // Collect — waiting out keys a concurrent batch is still
+            // computing. A key without a slot was released by a batch
+            // that panicked: loop back and claim it.
+            let mut slots = table.lock();
+            loop {
+                let mut values = Vec::with_capacity(keys.len());
+                let mut orphaned = false;
+                for key in keys {
+                    match slots.get(key) {
+                        Some(Slot::Done(value)) => values.push(Arc::clone(value)),
+                        Some(Slot::InFlight) => {}
+                        None => orphaned = true,
+                    }
                 }
-            }
-            let mut memo = self.scenarios.lock().expect("scenario memo poisoned");
-            for (i, rep) in ready.into_iter().chain(fresh) {
-                memo.insert(keys[i].clone(), Arc::new(rep));
+                if values.len() == keys.len() {
+                    return values;
+                }
+                if orphaned {
+                    break; // re-claim in the outer loop
+                }
+                slots = table
+                    .resolved
+                    .wait(slots)
+                    .expect("engine job table poisoned");
             }
         }
-        let memo = self.scenarios.lock().expect("scenario memo poisoned");
-        keys.iter()
-            .map(|k| Arc::clone(memo.get(k).expect("every requested scenario resolved")))
+    }
+
+    /// Steps 2–5 of [`Engine::resolve`] for a batch of claimed keys,
+    /// returning their values in order.
+    fn compute_claimed<J: Job>(&self, claimed: &[&J]) -> Vec<Arc<J::Value>> {
+        let table = J::table(self);
+        let store = self.store.as_ref().map(Store::backend);
+        let items: Vec<(String, String)> = claimed
+            .iter()
+            .map(|key| (J::NS.to_string(), key.key_record()))
+            .collect();
+        // 2. Probe the store for the whole claimed set in ONE batched
+        // load (a networked backend answers it in one round trip), so a
+        // fully-warm batch touches neither the caches nor a worker pool.
+        let mut values: Vec<Option<J::Value>> = match &store {
+            Some(store) => store
+                .load_many(&items)
+                .into_iter()
+                .map(|value| value.and_then(|text| J::decode(&text)))
+                .collect(),
+            None => Vec::new(),
+        };
+        // A backend must answer slot-for-slot; pad defensively so a short
+        // reply degrades to cold keys, not lost values.
+        values.resize_with(claimed.len(), || None);
+        let cold: Vec<usize> = (0..claimed.len())
+            .filter(|&i| values[i].is_none())
+            .collect();
+        table
+            .warm
+            .fetch_add((claimed.len() - cold.len()) as u64, Ordering::Relaxed);
+        if cold.is_empty() {
+            return values.into_iter().flatten().map(Arc::new).collect();
+        }
+
+        // 3–4. Prefetch and prepare the cold keys' binaries.
+        let backend = ExecBackend::from_env();
+        let cold_keys: Vec<&J> = cold.iter().map(|&i| claimed[i]).collect();
+        let jobs: Vec<(usize, Vec<ScenarioBinary>)> = cold
+            .iter()
+            .copied()
+            .zip(self.prepare(&cold_keys, backend))
+            .collect();
+
+        // 5. Compute the cold keys in parallel. With a coordinating
+        // backend each key is first claimed, so N processes racing the
+        // same cold plan compute each key once globally: losers get the
+        // winner's published value back warm. Each value is saved as
+        // soon as it exists (one append per record; concurrent binaries
+        // sharing the store resync past torn bytes and read them as
+        // misses), which also wakes the daemon's waiters on that key.
+        let fresh: Vec<(usize, J::Value)> = jobs
+            .par_iter()
+            .map(|(i, bins)| {
+                let record = &items[*i].1;
+                if let Some(store) = &store {
+                    let elsewhere = published_elsewhere(store.as_ref(), J::NS, record);
+                    if let Some(value) = elsewhere.and_then(|text| J::decode(&text)) {
+                        table.warm.fetch_add(1, Ordering::Relaxed);
+                        return (*i, value);
+                    }
+                }
+                let value = claimed[*i].compute(bins, backend);
+                table.cold.fetch_add(1, Ordering::Relaxed);
+                if let Some(store) = &store {
+                    let mut w = RecordWriter::new();
+                    J::WRITE(&value, &mut w);
+                    store.save(J::NS, record, &w.finish());
+                }
+                (*i, value)
+            })
+            .collect();
+        for (i, value) in fresh {
+            values[i] = Some(value);
+        }
+        values
+            .into_iter()
+            .map(|value| Arc::new(value.expect("every claimed key resolved")))
             .collect()
+    }
+
+    /// Steps 3–4 of [`Engine::resolve`]: one batched store probe for the
+    /// program and trace records the cold keys need that the caches do
+    /// not hold yet, primed into the caches; then each key's binaries,
+    /// resolved serially through the memoized caches — which consume
+    /// every primed answer — so parallel workers share one immutable
+    /// `Arc` per compilation class.
+    fn prepare<J: Job>(&self, cold: &[&J], backend: ExecBackend) -> Vec<Vec<ScenarioBinary>> {
+        let traced = J::EXECUTES && backend == ExecBackend::Compiled;
+        // Resolve profiles before taking the layout lock, so an unknown
+        // name panics without poisoning it for every later batch.
+        let wanted: Vec<Vec<(Binary, &BenchmarkProfile)>> = cold
+            .iter()
+            .map(|key| {
+                let bins = key.binaries().into_iter();
+                bins.map(|bin| (bin, self.profile(bin.profile))).collect()
+            })
+            .collect();
+        let mut laid = self.laid.lock().expect("layout cache poisoned");
+        if let Some(store) = &self.store {
+            let mut items: Vec<(String, String)> = Vec::new();
+            for &(bin, profile) in wanted.iter().flatten() {
+                let trace = traced
+                    .then(|| {
+                        let (instrumented, marked) = (bin.instrumented(), bin.sola_marked());
+                        self.traces
+                            .prefetch_key(profile, bin.geom, instrumented, marked)
+                    })
+                    .flatten();
+                let probes = [
+                    (NS_PROGRAMS, self.programs.prefetch_key(profile)),
+                    (NS_TRACES, trace),
+                ];
+                for (ns, key) in probes {
+                    let Some(key) = key else { continue };
+                    let item = (ns.to_string(), key);
+                    if !items.contains(&item) {
+                        items.push(item);
+                    }
+                }
+            }
+            if !items.is_empty() {
+                let mut values = store.backend().load_many(&items);
+                values.resize_with(items.len(), || None);
+                for ((ns, key), value) in items.into_iter().zip(values) {
+                    if ns == NS_PROGRAMS {
+                        self.programs.prime(key, value);
+                    } else {
+                        self.traces.prime(key, value);
+                    }
+                }
+            }
+        }
+        wanted
+            .into_iter()
+            .map(|bins| {
+                bins.into_iter()
+                    .map(|(bin, profile)| self.binary(&mut laid, bin, profile, traced))
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// One binary a job needs: its layout, memoized per [`LaidKey`] in
+    /// `laid`, plus — when `traced` — its pre-decoded trace, memoized
+    /// per compilation class and warm across processes through the
+    /// store's `traces` namespace.
+    fn binary(
+        &self,
+        laid: &mut HashMap<LaidKey, Arc<LaidProgram>>,
+        bin: Binary,
+        profile: &BenchmarkProfile,
+        traced: bool,
+    ) -> ScenarioBinary {
+        let layout = laid.entry(bin.class()).or_insert_with(|| {
+            let program = self.programs.get(profile);
+            Arc::new(compiler::compile_for(&program, bin.geom, bin.strategy))
+        });
+        let layout = Arc::clone(layout);
+        let trace = traced.then(|| self.traces.get(profile, &layout, bin.sola_marked()));
+        ScenarioBinary {
+            laid: layout,
+            trace,
+        }
     }
 }
 
@@ -1000,7 +1098,7 @@ mod tests {
         assert_eq!(engine.simulated_runs(), 2);
         assert!(Arc::ptr_eq(&again, &reports[0]));
         // Each benchmark's program was generated once.
-        assert_eq!(engine.program_cache().generated(), 1);
+        assert_eq!(engine.store_summary().programs.cold, 1);
     }
 
     #[test]
@@ -1048,15 +1146,15 @@ mod tests {
         let cold = Engine::new().with_store(Store::open(&dir).unwrap());
         let cold_reports = cold.run_many(&keys);
         assert_eq!(cold.simulated_runs(), 2);
-        assert_eq!(cold.store_warm_runs(), 0);
-        assert_eq!(cold.store_cold_runs(), 2);
+        let runs = cold.store_summary().runs;
+        assert_eq!((runs.warm, runs.cold), (0, 2));
 
         // A fresh engine (= a fresh process, as far as caching goes) over
         // the same directory serves everything from disk, bit-identically.
         let warm = Engine::new().with_store(Store::open(&dir).unwrap());
         let warm_reports = warm.run_many(&keys);
         assert_eq!(warm.simulated_runs(), 0, "all served from the store");
-        assert_eq!(warm.store_warm_runs(), 2);
+        assert_eq!(warm.store_summary().runs.warm, 2);
         for (a, b) in cold_reports.iter().zip(&warm_reports) {
             assert_eq!(**a, **b);
         }
@@ -1076,6 +1174,42 @@ mod tests {
         // Default-valued overrides canonicalize to the plain key, so a
         // sweep's default column deduplicates against non-sweep runs.
         assert_eq!(base.with_il1_bytes(8 * 1024).with_page_bytes(4096), base);
+    }
+
+    #[test]
+    fn run_key_record_round_trips() {
+        let resolve = |name: &str| {
+            cfr_workload::profiles::all()
+                .into_iter()
+                .map(|p| p.name)
+                .find(|n| *n == name)
+        };
+        let scale = ExperimentScale {
+            max_commits: 123,
+            seed: 99,
+        };
+        let keys = [
+            RunKey::new("177.mesa", &scale, StrategyKind::Base, AddressingMode::PiPt),
+            RunKey::new("254.gap", &scale, StrategyKind::SoLA, AddressingMode::ViVt).with_itlb(
+                ItlbChoice::TwoLevel(
+                    cfr_types::TlbOrganization::fully_associative(1),
+                    cfr_types::TlbOrganization::fully_associative(32),
+                    1,
+                ),
+            ),
+            RunKey::new("252.eon", &scale, StrategyKind::Opt, AddressingMode::ViPt)
+                .with_il1_bytes(2048)
+                .with_page_bytes(65536),
+        ];
+        for key in keys {
+            let record = key.store_key();
+            let mut r = RecordReader::new(&record);
+            assert_eq!(RunKey::from_record(&mut r, resolve).unwrap(), key);
+            r.finish().unwrap();
+        }
+        // Unknown profile names fail rather than fabricate a key.
+        let record = keys[0].store_key().replacen("177.mesa", "000.nope", 1);
+        assert!(RunKey::from_record(&mut RecordReader::new(&record), resolve).is_err());
     }
 
     #[test]
@@ -1143,5 +1277,22 @@ mod tests {
             StrategyKind::Base,
             AddressingMode::ViPt,
         ));
+    }
+
+    #[test]
+    fn a_panicking_batch_releases_its_claims() {
+        use std::panic::AssertUnwindSafe;
+        let engine = Engine::new();
+        let scale = tiny();
+        let good = RunKey::new("177.mesa", &scale, StrategyKind::Base, AddressingMode::ViPt);
+        let bad = RunKey::new("000.nope", &scale, StrategyKind::Base, AddressingMode::ViPt);
+        let batch = std::panic::catch_unwind(AssertUnwindSafe(|| engine.run_many(&[good, bad])));
+        assert!(batch.is_err(), "an unknown profile panics the batch");
+        // The batch claimed `good` before panicking. Its claim is gone, so
+        // the next caller re-claims and computes it instead of waiting on
+        // it forever.
+        assert!(engine.runs.lock().is_empty(), "no slot outlives the batch");
+        let _ = engine.run(good);
+        assert_eq!(engine.simulated_runs(), 1);
     }
 }

@@ -24,19 +24,25 @@
 //!
 //! # The experiment engine
 //!
-//! Experiments do not call the simulator directly: they describe the runs
-//! they need as [`RunKey`]s — *(benchmark, scale, strategy, mode, iTLB)* —
-//! and hand them to an [`Engine`], which
+//! Experiments do not call the simulator directly: they describe the jobs
+//! they need as keys — [`RunKey`]s *(benchmark, scale, strategy, mode,
+//! iTLB)*, [`ScenarioConfig`]s, or Table 4's walks — and hand them to an
+//! [`Engine`]. Every job kind goes through the engine's one pipeline:
 //!
-//! - **memoizes program generation**: each benchmark's synthetic program is
-//!   generated once per engine and shared via `Arc`
-//!   (`cfr_workload::ProgramCache`),
-//! - **deduplicates runs**: identical keys — within a batch, across
-//!   batches, and across experiments sharing the engine — simulate exactly
-//!   once, and
-//! - **parallelizes**: missing runs execute on all cores via rayon, with
-//!   results reassembled in request order so parallel output is
-//!   bit-identical to serial execution.
+//! - **claim**: identical keys — within a batch, across batches and
+//!   threads, and across experiments sharing the engine — are computed
+//!   exactly once;
+//! - **probe**: with a persistent [`Store`] attached, keys any process
+//!   already computed are read back in one batched exchange;
+//! - **prefetch and prepare**: the program and trace records the cold
+//!   keys need are fetched in one more batch, then each benchmark's
+//!   program is generated, laid out and pre-decoded once per engine and
+//!   shared via `Arc`;
+//! - **compute**: cold keys execute on all cores via rayon — claimed in
+//!   the store first, so processes racing one store daemon compute each
+//!   key once globally — and are saved as they finish;
+//! - **publish**: results come back in request order, so parallel output
+//!   is bit-identical to serial execution.
 //!
 //! Every `table*`/`fig*` function in this crate is a thin plan over the
 //! engine; `cfr-bench`'s `all_experiments` shares one engine across all
@@ -88,5 +94,5 @@ pub use scenario::{
     ScenarioBinary, ScenarioConfig, ScenarioProc, ScenarioReport, TlbMode, QUANTUM_INFINITE,
 };
 pub use simulator::{ExecBackend, ItlbChoice, RunReport, SimConfig, Simulator, BACKEND_ENV};
-pub use store::{RunClaim, Store};
+pub use store::Store;
 pub use strategy::{ItlbModel, LookupBreakdown, Strategy, StrategyKind};

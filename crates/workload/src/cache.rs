@@ -68,8 +68,21 @@ impl ProgramCache {
         *self.store.lock().expect("program cache poisoned") = Some(store);
     }
 
+    /// The store key a batched prefetch should probe for `profile` (see
+    /// [`Self::prime`]), or `None` when the program is already memoized
+    /// and a primed answer would never be consumed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the cache mutex is poisoned.
+    #[must_use]
+    pub fn prefetch_key(&self, profile: &BenchmarkProfile) -> Option<String> {
+        let programs = self.programs.lock().expect("program cache poisoned");
+        (!programs.contains_key(profile.name)).then(|| program_store_key(profile))
+    }
+
     /// Hands the cache the result of a batched store probe for
-    /// `store_key` (see [`program_store_key`]): `Some(text)` is the
+    /// `store_key` (see [`Self::prefetch_key`]): `Some(text)` is the
     /// stored record, `None` a definite miss. The next [`Self::get`]
     /// whose profile maps to that key consumes the answer instead of
     /// issuing its own store round trip; a corrupt primed record
@@ -233,10 +246,19 @@ mod tests {
         // A primed hit serves warm with no store attached at all — proof
         // the cache consumed the prefetched answer, not a store probe.
         let cache = ProgramCache::new();
+        assert_eq!(
+            cache.prefetch_key(&profile),
+            Some(program_store_key(&profile))
+        );
         cache.prime(program_store_key(&profile), Some(record));
         let program = cache.get(&profile);
         assert_eq!((cache.generated(), cache.loaded()), (0, 1));
         assert_eq!(*program, profile.generate());
+        assert_eq!(
+            cache.prefetch_key(&profile),
+            None,
+            "memoized programs are not probed"
+        );
 
         // A primed definite miss generates without consulting the store.
         let cold = ProgramCache::new();

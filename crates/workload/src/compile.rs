@@ -841,9 +841,31 @@ impl TraceCache {
         trace
     }
 
+    /// The store key a batched prefetch should probe for the trace of
+    /// `profile` laid out at `geom` (see [`trace_store_key`]), or `None`
+    /// when that trace is already memoized and a primed answer would
+    /// never be consumed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the cache mutex is poisoned.
+    #[must_use]
+    pub fn prefetch_key(
+        &self,
+        profile: &BenchmarkProfile,
+        geom: PageGeometry,
+        instrumented: bool,
+        sola_marked: bool,
+    ) -> Option<String> {
+        let key: TraceKey = (profile.name, geom.page_bytes(), instrumented, sola_marked);
+        let traces = self.traces.lock().expect("trace cache poisoned");
+        (!traces.contains_key(&key))
+            .then(|| trace_store_key(profile, geom, instrumented, sola_marked))
+    }
+
     /// Hands the cache the result of a batched store probe for
-    /// `store_key` (see [`trace_store_key`]): `Some(text)` is the stored
-    /// record, `None` a definite miss. The next [`Self::get`] whose
+    /// `store_key` (see [`Self::prefetch_key`]): `Some(text)` is the
+    /// stored record, `None` a definite miss. The next [`Self::get`] whose
     /// layout maps to that key consumes the answer instead of issuing
     /// its own store round trip; the primed record passes the exact same
     /// validation a loaded one would, so corruption still degrades to a
@@ -1084,10 +1106,13 @@ mod tests {
         // A primed hit serves warm with no store attached at all — proof
         // the cache consumed the prefetched answer, not a store probe.
         let cache = TraceCache::new();
+        let prefetch = |cache: &TraceCache| cache.prefetch_key(&profile, laid.geom, false, false);
+        assert_eq!(prefetch(&cache).as_ref(), Some(&key));
         cache.prime(key.clone(), Some(record));
         let trace = cache.get(&profile, &laid, false);
         assert_eq!((cache.compiled(), cache.loaded()), (0, 1));
         assert_eq!(*trace, compile_trace(&laid));
+        assert_eq!(prefetch(&cache), None, "memoized traces are not probed");
 
         // A primed definite miss compiles without consulting the store.
         let cold = TraceCache::new();

@@ -11,8 +11,11 @@
 //! setting — an atomic, not environment mutation) so the cross-thread
 //! path is exercised even on single-core CI hosts.
 
+use std::sync::{Arc, Barrier};
+
 use cfr_sim::core::{
-    table2, table5, Engine, ExperimentScale, ItlbChoice, RunKey, Simulator, StrategyKind,
+    table2, table5, Engine, ExperimentScale, ItlbChoice, RunKey, ScenarioConfig, ScenarioProc,
+    Simulator, StrategyKind, TlbMode,
 };
 use cfr_sim::types::{AddressingMode, TlbOrganization};
 
@@ -93,16 +96,16 @@ fn duplicate_keys_simulate_once() {
     let second = engine.run_many(&reversed);
     assert_eq!(engine.simulated_runs(), unique);
     for (a, b) in first.iter().zip(second.iter().rev()) {
-        assert!(std::sync::Arc::ptr_eq(a, b));
+        assert!(Arc::ptr_eq(a, b));
     }
     // Each profile's program was generated exactly once, however many
     // runs shared it.
-    assert_eq!(engine.program_cache().generated(), 3);
+    assert_eq!(engine.store_summary().programs.cold, 3);
 }
 
-/// Concurrent `run_many` callers with overlapping batches must still
-/// simulate each unique key exactly once (in-flight claims, not just a
-/// result cache) and all observe identical reports.
+/// Concurrent `run_many` and `run_scenarios` callers with overlapping
+/// batches must still simulate each unique key exactly once (in-flight
+/// claims, not just a result cache) and all observe identical reports.
 #[test]
 fn concurrent_batches_simulate_each_key_once() {
     four_workers();
@@ -122,7 +125,38 @@ fn concurrent_batches_simulate_each_key_once() {
     assert_eq!(engine.simulated_runs(), unique);
     for batch in &batches[1..] {
         for (a, b) in batches[0].iter().zip(batch) {
-            assert!(std::sync::Arc::ptr_eq(a, b), "all callers share one report");
+            assert!(Arc::ptr_eq(a, b), "all callers share one report");
+        }
+    }
+
+    // Four scenario callers released together over two unique configs
+    // (each requested twice per batch).
+    let cfgs: Vec<ScenarioConfig> = [TlbMode::Asid, TlbMode::Flush, TlbMode::Asid, TlbMode::Flush]
+        .into_iter()
+        .map(|tlb_mode| {
+            let procs = vec![ScenarioProc::new("177.mesa"), ScenarioProc::new("254.gap")];
+            let mut cfg = ScenarioConfig::new(procs, scale, StrategyKind::Ia, AddressingMode::ViPt);
+            cfg.quantum = 4_000;
+            cfg.tlb_mode = tlb_mode;
+            cfg
+        })
+        .collect();
+    let start = Barrier::new(4);
+    let batches: Vec<_> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..4)
+            .map(|_| {
+                s.spawn(|| {
+                    start.wait();
+                    engine.run_scenarios(&cfgs)
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    assert_eq!(engine.store_summary().scenarios.cold, 2);
+    for batch in &batches {
+        for (a, b) in batches[0].iter().zip(batch) {
+            assert!(Arc::ptr_eq(a, b), "all callers share one scenario report");
         }
     }
 }

@@ -127,7 +127,7 @@ fn optimized_simulator_reproduces_recorded_seed_reports() {
     // No store: the goldens must be *simulated*, never read warm.
     let engine = Engine::new();
     let first = engine.run_many(&keys);
-    assert_eq!(engine.store_warm_runs(), 0, "plan ran cold");
+    assert_eq!(engine.store_summary().runs.warm, 0, "plan ran cold");
     for ((record, key), got) in cases.iter().zip(&first) {
         let want = parse(record);
         assert_report_fields(&format!("{key:?}"), got, &want);

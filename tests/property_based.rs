@@ -11,7 +11,7 @@
 
 use proptest::prelude::*;
 
-use cfr_sim::core::{Cfr, ExperimentScale, ItlbChoice, RunKey, Store, StrategyKind};
+use cfr_sim::core::{Cfr, ExperimentScale, ItlbChoice, RunKey, StrategyKind};
 use cfr_sim::energy::{EnergyMeter, EnergyModel};
 use cfr_sim::mem::{
     AccessKind, Cache, CacheConfig, CacheStats, PageTable, Tlb, TlbConfig, TlbStats, TwoLevelTlb,
@@ -346,13 +346,13 @@ proptest! {
             key = key.with_page_bytes(16384);
         }
 
-        let record = Store::key_record(&key);
+        let record = key.store_key();
         let resolve = |name: &str| names.iter().copied().find(|n| *n == name);
         let mut r = RecordReader::new(&record);
         let back = RunKey::from_record(&mut r, resolve).unwrap();
         prop_assert!(r.finish().is_ok());
         prop_assert_eq!(back, key);
-        prop_assert_eq!(Store::key_record(&back), record);
+        prop_assert_eq!(back.store_key(), record);
     }
 }
 

@@ -14,7 +14,9 @@ use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
-use cfr_sim::core::{Engine, ExperimentScale, RunKey, Store, StrategyKind};
+use cfr_sim::core::{
+    Engine, ExperimentScale, RunKey, ScenarioConfig, ScenarioProc, Store, StrategyKind, TlbMode,
+};
 use cfr_sim::types::net::FRAME_MAGIC;
 use cfr_sim::types::{
     AddressingMode, ArtifactStore, ClaimOutcome, GcPolicy, LayeredStore, RemoteStore, ServerConfig,
@@ -84,8 +86,8 @@ fn daemon_serves_runs_warm_across_engines_bit_identically() {
     // over the wire into the daemon's shards.
     let cold = remote_engine(&addr);
     let cold_reports = cold.run_many(&ks);
-    assert_eq!(cold.store_cold_runs(), ks.len() as u64);
-    assert_eq!(cold.store_warm_runs(), 0);
+    let runs = cold.store_summary().runs;
+    assert_eq!((runs.warm, runs.cold), (0, ks.len() as u64));
     for (a, b) in expected.iter().zip(&cold_reports) {
         assert_eq!(**a, **b, "daemon-backed cold run matches local run");
     }
@@ -100,7 +102,7 @@ fn daemon_serves_runs_warm_across_engines_bit_identically() {
     let warm = remote_engine(&addr);
     let warm_reports = warm.run_many(&ks);
     assert_eq!(warm.simulated_runs(), 0, "second pass is 0 cold");
-    assert_eq!(warm.store_warm_runs(), ks.len() as u64);
+    assert_eq!(warm.store_summary().runs.warm, ks.len() as u64);
     for (a, b) in expected.iter().zip(&warm_reports) {
         assert_eq!(**a, **b, "warm-over-the-wire reports are bit-identical");
     }
@@ -148,13 +150,30 @@ fn concurrent_engines_share_one_daemon() {
     let _ = fs::remove_dir_all(&dir);
 }
 
-/// Four engines race the same fully-cold plan through one daemon. The
-/// protocol-level claim/wait cycle must make each unique key simulate
-/// **exactly once globally** — the daemon's own counters are the proof:
-/// one claim granted per key, none expired, and the sum of the racers'
-/// simulation counts equals the unique-key count. Every racer still
-/// comes back with reference-identical reports (losers read the
-/// winner's published record).
+/// Two multiprogrammed scenarios over the same pair of programs: one
+/// per TLB mode.
+fn scenarios(scale: &ExperimentScale) -> Vec<ScenarioConfig> {
+    [TlbMode::Asid, TlbMode::Flush]
+        .into_iter()
+        .map(|tlb_mode| {
+            let procs = vec![ScenarioProc::new("177.mesa"), ScenarioProc::new("254.gap")];
+            let mut cfg =
+                ScenarioConfig::new(procs, *scale, StrategyKind::Ia, AddressingMode::ViPt);
+            cfg.quantum = 4_000;
+            cfg.tlb_mode = tlb_mode;
+            cfg
+        })
+        .collect()
+}
+
+/// Four engines race the same fully-cold plan — runs, then scenarios —
+/// through one daemon. The protocol-level claim/wait cycle must make
+/// each unique key compute **exactly once globally** in both job
+/// namespaces — the daemon's own counters are the proof: one claim
+/// granted per key, none expired, and the sum of the racers' cold counts
+/// equals the unique-key count. Every racer still comes back with
+/// reference-identical reports (losers read the winner's published
+/// record).
 #[test]
 fn racing_engines_simulate_each_cold_key_exactly_once_globally() {
     let dir = temp_dir("racing");
@@ -162,29 +181,36 @@ fn racing_engines_simulate_each_cold_key_exactly_once_globally() {
     let addr = server.addr().to_string();
     let scale = tiny();
     let ks = keys(&scale);
+    let scens = scenarios(&scale);
 
     let reference = Engine::new();
     let expected = reference.run_many(&ks);
+    let expected_scens = reference.run_scenarios(&scens);
 
     let engines: Vec<Arc<Engine>> = (0..4).map(|_| Arc::new(remote_engine(&addr))).collect();
     let workers: Vec<_> = engines
         .iter()
         .map(|engine| {
             let engine = Arc::clone(engine);
-            let ks = ks.clone();
+            let (ks, scens) = (ks.clone(), scens.clone());
             thread::spawn(move || {
-                engine
-                    .run_many(&ks)
+                let runs: Vec<_> = engine.run_many(&ks).iter().map(|r| (**r).clone()).collect();
+                let scens: Vec<_> = engine
+                    .run_scenarios(&scens)
                     .iter()
                     .map(|r| (**r).clone())
-                    .collect::<Vec<_>>()
+                    .collect();
+                (runs, scens)
             })
         })
         .collect();
     for worker in workers {
-        let reports = worker.join().expect("racing engine must not panic");
+        let (reports, scen_reports) = worker.join().expect("racing engine must not panic");
         for (a, b) in expected.iter().zip(&reports) {
             assert_eq!(**a, *b, "every racer sees reference-identical reports");
+        }
+        for (a, b) in expected_scens.iter().zip(&scen_reports) {
+            assert_eq!(**a, *b, "every racer sees reference-identical scenarios");
         }
     }
 
@@ -194,18 +220,26 @@ fn racing_engines_simulate_each_cold_key_exactly_once_globally() {
         ks.len() as u64,
         "cold simulations across all racers == unique keys (global dedup)"
     );
-    // Every racer resolved every key: what it did not simulate, it read
+    let scenarios_cold: u64 = engines
+        .iter()
+        .map(|e| e.store_summary().scenarios.cold)
+        .sum();
+    assert_eq!(
+        scenarios_cold,
+        scens.len() as u64,
+        "cold scenarios across all racers == unique configs (global dedup)"
+    );
+    // Every racer resolved every key: what it did not compute, it read
     // warm (probe hit, claim hit, or wait-published hit).
     for engine in &engines {
-        assert_eq!(
-            engine.store_warm_runs() + engine.simulated_runs(),
-            ks.len() as u64
-        );
+        let s = engine.store_summary();
+        assert_eq!(s.runs.warm + s.runs.cold, ks.len() as u64);
+        assert_eq!(s.scenarios.warm + s.scenarios.cold, scens.len() as u64);
     }
     let stats = RemoteStore::new(addr).stats().expect("daemon reachable");
     assert_eq!(
         stats.claims_granted,
-        ks.len() as u64,
+        (ks.len() + scens.len()) as u64,
         "exactly one claim granted per unique key"
     );
     assert_eq!(stats.claims_expired, 0, "no claim lapsed during the race");
@@ -214,6 +248,7 @@ fn racing_engines_simulate_each_cold_key_exactly_once_globally() {
         "every racer probed its plan through batched MGETs"
     );
     assert_eq!(server.store().namespace_records(NS_RUNS), ks.len());
+    assert_eq!(server.store().namespace_records(NS_SCENARIOS), scens.len());
     server.shutdown();
     let _ = fs::remove_dir_all(&dir);
 }
@@ -229,7 +264,7 @@ fn dead_claim_holder_never_wedges_a_racing_engine() {
     let addr = server.addr().to_string();
     let scale = tiny();
     let key = RunKey::new("177.mesa", &scale, StrategyKind::Base, AddressingMode::ViPt);
-    let record = Store::key_record(&key);
+    let record = key.store_key();
 
     // The doomed claimant takes a long lease… then its process dies
     // (the dropped client closes the connection without publishing).

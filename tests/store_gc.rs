@@ -165,6 +165,7 @@ fn capped_engine_store_is_correct_just_colder() {
     for (a, b) in expected.iter().zip(&again) {
         assert_eq!(**a, **b);
     }
-    assert!(second.store_warm_runs() + second.store_cold_runs() == keys.len() as u64);
+    let runs = second.store_summary().runs;
+    assert!(runs.warm + runs.cold == keys.len() as u64);
     let _ = fs::remove_dir_all(&dir);
 }

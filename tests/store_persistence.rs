@@ -6,11 +6,13 @@
 
 use std::fs;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use cfr_sim::core::{
-    table2, table4, Engine, ExperimentScale, RunKey, RunReport, Store, StrategyKind,
-    STORE_FORMAT_VERSION,
+    fig4, fig6, table2, table3, table4, table5, table6, table7, table8, ArtifactStore, Engine,
+    ExperimentScale, GcPolicy, RunKey, RunReport, Store, StoreBackend, StrategyKind, NS_PROGRAMS,
+    NS_TRACES, STORE_FORMAT_VERSION,
 };
 use cfr_sim::types::AddressingMode;
 
@@ -59,8 +61,8 @@ fn second_engine_simulates_nothing() {
     let cold = Engine::new().with_store(Store::open(&dir).unwrap());
     let cold_reports = cold.run_many(&keys);
     assert_eq!(cold.simulated_runs(), keys.len() as u64);
-    assert_eq!(cold.store_warm_runs(), 0);
-    assert_eq!(cold.store_cold_runs(), keys.len() as u64);
+    let runs = cold.store_summary().runs;
+    assert_eq!((runs.warm, runs.cold), (0, keys.len() as u64));
     assert_eq!(
         cold.store().unwrap().record_count(),
         keys.len(),
@@ -74,10 +76,11 @@ fn second_engine_simulates_nothing() {
     let warm = Engine::new().with_store(Store::open(&dir).unwrap());
     let warm_reports = warm.run_many(&keys);
     assert_eq!(warm.simulated_runs(), 0, "everything came from disk");
-    assert_eq!(warm.store_warm_runs(), keys.len() as u64);
-    assert_eq!(warm.store_cold_runs(), 0);
     let summary = warm.store_summary();
-    assert_eq!(summary.runs.cold, 0);
+    assert_eq!(
+        (summary.runs.warm, summary.runs.cold),
+        (keys.len() as u64, 0)
+    );
     assert_eq!(summary.programs.cold, 0, "warm runs need no programs");
     for (a, b) in cold_reports.iter().zip(&warm_reports) {
         assert_eq!(**a, **b, "warm reports are bit-identical");
@@ -114,7 +117,8 @@ fn table2_is_warm_on_second_run() {
 }
 
 /// Table 4 exercises the two non-pipeline namespaces: a cold run
-/// persists programs and walk measurements; a warm run reads the walks
+/// persists programs and walk measurements — measured once per engine,
+/// however often the table is asked for; a warm run reads the walks
 /// back — 0 cold in *every* namespace, without touching the generator.
 #[test]
 fn table4_walks_are_warm_on_second_run() {
@@ -123,6 +127,8 @@ fn table4_walks_are_warm_on_second_run() {
 
     let cold = Engine::new().with_store(Store::open(&dir).unwrap());
     let cold_rows = table4(&cold, &scale);
+    let again = table4(&cold, &scale);
+    assert_eq!(format!("{cold_rows:?}"), format!("{again:?}"));
     let s = cold.store_summary();
     assert_eq!(s.runs.cold, 0, "table4 needs no pipeline runs");
     assert_eq!(
@@ -152,6 +158,92 @@ fn table4_walks_are_warm_on_second_run() {
         assert_eq!(a.static_total, b.static_total);
         assert_eq!(a.dyn_total, b.dyn_total);
         assert_eq!(a.dyn_in_page, b.dyn_in_page);
+    }
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// A store backend that counts the `programs` and `traces` values its
+/// batched loads return.
+#[derive(Debug)]
+struct ArtifactCounter {
+    inner: Arc<ArtifactStore>,
+    found: AtomicU64,
+}
+
+impl StoreBackend for ArtifactCounter {
+    fn load(&self, ns: &str, key: &str) -> Option<String> {
+        self.inner.load(ns, key)
+    }
+
+    fn save(&self, ns: &str, key: &str, value: &str) {
+        self.inner.save(ns, key, value);
+    }
+
+    fn load_many(&self, items: &[(String, String)]) -> Vec<Option<String>> {
+        let values = StoreBackend::load_many(self.inner.as_ref(), items);
+        let found = items
+            .iter()
+            .zip(&values)
+            .filter(|((ns, _), value)| value.is_some() && (ns == NS_PROGRAMS || ns == NS_TRACES))
+            .count();
+        self.found.fetch_add(found as u64, Ordering::Relaxed);
+        values
+    }
+
+    fn write_errors(&self) -> u64 {
+        self.inner.write_errors()
+    }
+
+    fn namespace_records(&self, ns: &str) -> usize {
+        self.inner.namespace_records(ns)
+    }
+
+    fn describe(&self) -> String {
+        self.inner.describe()
+    }
+}
+
+/// The artifact prefetch probes only programs and traces the engine
+/// does not already hold, so every program or trace record a batched
+/// load returns is one the engine then uses warm. Checked on a cold
+/// nine-experiment pass over an empty store (nothing to find, nothing
+/// used) and on a pass with a new seed over the filled store (new runs,
+/// reused artifacts).
+#[test]
+fn prefetch_reads_only_artifacts_the_engine_uses() {
+    let dir = temp_store("prefetch");
+    let store = Arc::new(ArtifactStore::open(&dir, GcPolicy::unbounded()).unwrap());
+    for (seed, filled) in [(0x5EED, false), (0xBEEF, true)] {
+        let scale = ExperimentScale {
+            max_commits: 5_000,
+            seed,
+        };
+        let counter = Arc::new(ArtifactCounter {
+            inner: Arc::clone(&store),
+            found: AtomicU64::new(0),
+        });
+        let engine = Engine::new().with_store(Store::over(counter.clone()));
+        let _ = table2(&engine, &scale);
+        let _ = fig4(&engine, &scale);
+        let _ = table3(&engine, &scale);
+        let _ = table4(&engine, &scale);
+        let _ = table5(&engine, &scale);
+        let _ = table6(&engine, &scale);
+        let _ = table7(&engine, &scale);
+        let _ = fig6(&engine, &scale);
+        let _ = table8(&engine, &scale);
+        let s = engine.store_summary();
+        assert!(s.runs.cold > 0, "seed {seed:#x}: the runs are new");
+        assert_eq!(
+            s.programs.warm > 0,
+            filled,
+            "seed {seed:#x}: programs reused"
+        );
+        assert_eq!(
+            counter.found.load(Ordering::Relaxed),
+            s.programs.warm + s.traces.warm,
+            "seed {seed:#x}: every artifact record read is used"
+        );
     }
     let _ = fs::remove_dir_all(&dir);
 }
@@ -238,10 +330,11 @@ fn storeless_engine_unchanged() {
     assert!(engine.store().is_none());
     let _ = engine.run_many(&keys);
     assert_eq!(engine.simulated_runs(), keys.len() as u64);
-    assert_eq!(engine.store_warm_runs(), 0);
-    assert_eq!(engine.store_cold_runs(), keys.len() as u64);
     let summary = engine.store_summary();
-    assert_eq!(summary.runs.warm, 0);
+    assert_eq!(
+        (summary.runs.warm, summary.runs.cold),
+        (0, keys.len() as u64)
+    );
     assert_eq!(summary.walks.warm, 0);
     assert_eq!(summary.programs.warm, 0);
     assert!(engine.summary_line().starts_with("store: disabled"));
