@@ -723,11 +723,9 @@ fn serve(shared: &Shared, wakers: &Wakers, conn_owner: u64, req: Request) -> Out
         }
         Request::MGet { items } => {
             shared.counters.note_batch(items.len());
-            let values = items
-                .iter()
-                .map(|(ns, key)| shared.store.load(ns, key))
-                .collect();
-            Response::MGot { values }
+            Response::MGot {
+                values: shared.store.load_many(&items),
+            }
         }
         Request::MPut { items } => {
             shared.counters.note_batch(items.len());

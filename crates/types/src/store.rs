@@ -28,9 +28,21 @@
 //! in a shard wins; earlier ones are dead bytes until compaction.
 //!
 //! An in-memory index (`(namespace, key) → shard/offset/length`) is built
-//! by scanning every shard once at open; loads seek straight to the
-//! record and verify the stored namespace and key byte-for-byte before
-//! returning the value, so a stale index entry, hash collision, or
+//! by scanning every shard once at open. Next to it the store holds one
+//! open handle per shard, so a load is one positioned read of the record
+//! and a save is one append through the same handle; a shard is opened by
+//! path only to acquire that handle or to re-acquire it once the held
+//! file is no longer the shard. That happens in two ways: this process's
+//! GC renamed a compacted file over the shard (the handle is dropped
+//! right there), or another process did, which leaves the held file with
+//! no name (link count 0). The second is checked once per shard touched
+//! by each `load`, `load_many` or `save` call, before the shard is read
+//! or appended to, so a save never lands in an unlinked file.
+//! [`ArtifactStore::load_many`] serves a whole batch under one
+//! acquisition of the index lock.
+//!
+//! Loads verify the stored namespace, key and length byte-for-byte
+//! before returning the value, so a stale index entry, hash collision, or
 //! mid-compaction racing reader degrades to a **miss**, never a wrong
 //! answer.
 //!
@@ -74,7 +86,8 @@
 use std::collections::HashMap;
 use std::fmt;
 use std::fs::{self, OpenOptions};
-use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::io::{self, Seek, Write};
+use std::os::unix::fs::{FileExt, MetadataExt};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -182,8 +195,9 @@ pub trait StoreBackend: Send + Sync + std::fmt::Debug {
 
     /// Looks a whole batch of `(ns, key)` pairs up; one `Option` per
     /// pair, in order. Networked backends serve the whole batch in one
-    /// round trip (`MGET`); the default delegates to [`Self::load`]
-    /// one by one, so every backend supports the batched surface.
+    /// round trip (`MGET`), the on-disk store under one index lock; the
+    /// default delegates to [`Self::load`] one by one, so every backend
+    /// supports the batched surface.
     fn load_many(&self, items: &[(String, String)]) -> Vec<Option<String>> {
         items.iter().map(|(ns, key)| self.load(ns, key)).collect()
     }
@@ -249,6 +263,10 @@ impl StoreBackend for ArtifactStore {
 
     fn save(&self, ns: &str, key: &str, value: &str) {
         ArtifactStore::save(self, ns, key, value);
+    }
+
+    fn load_many(&self, items: &[(String, String)]) -> Vec<Option<String>> {
+        ArtifactStore::load_many(self, items)
     }
 
     fn write_errors(&self) -> u64 {
@@ -323,6 +341,9 @@ struct Index {
     /// no `\nrec ` boundary to resync to), so the next append to a dirty
     /// shard is prefixed with a newline guard.
     dirty_tail: Vec<bool>,
+    /// This process's read + append handle on each shard file; `None`
+    /// until first use and after this process's GC replaced the file.
+    handles: Vec<Option<fs::File>>,
 }
 
 impl Index {
@@ -331,6 +352,7 @@ impl Index {
             map: HashMap::new(),
             file_bytes: vec![0; SHARD_COUNT as usize],
             dirty_tail: vec![false; SHARD_COUNT as usize],
+            handles: (0..SHARD_COUNT).map(|_| None).collect(),
         }
     }
 
@@ -342,6 +364,12 @@ impl Index {
         self.file_bytes.iter().sum()
     }
 }
+
+/// The shards whose held handle one `load`, `load_many`, `save` or
+/// `verify_records` call has already validated: each shard's file is
+/// checked for replacement once per call, not once per record.
+#[derive(Default)]
+struct ShardsChecked([bool; SHARD_COUNT as usize]);
 
 /// One record parsed out of a shard byte buffer.
 struct ParsedRecord<'a> {
@@ -390,6 +418,17 @@ fn parse_record_at(data: &[u8], pos: usize) -> Option<ParsedRecord<'_>> {
         value: core::str::from_utf8(&rest[val_start..val_end]).ok()?,
         bytes: total as u64,
     })
+}
+
+/// Reads the record `slot` points at with one positioned read, verifying
+/// the stored namespace, key and length byte-for-byte against the
+/// request, so stale offsets and collisions degrade to misses instead of
+/// serving a wrong value.
+fn read_slot(file: &fs::File, ns: &str, key: &str, slot: Slot) -> Option<String> {
+    let mut buf = vec![0u8; usize::try_from(slot.bytes).ok()?];
+    file.read_exact_at(&mut buf, slot.offset).ok()?;
+    let rec = parse_record_at(&buf, 0)?;
+    (rec.bytes == slot.bytes && rec.ns == ns && rec.key == key).then(|| rec.value.to_string())
 }
 
 fn find_subsequence(haystack: &[u8], needle: &[u8]) -> Option<usize> {
@@ -655,10 +694,35 @@ impl ArtifactStore {
     /// produce the stale-read miss the verification below degrades.
     #[must_use]
     pub fn load(&self, ns: &str, key: &str) -> Option<String> {
-        let map_key = (ns.to_string(), key.to_string());
         let mut index = self.index.lock().expect("store index poisoned");
+        self.load_locked(&mut index, &mut ShardsChecked::default(), ns, key)
+    }
+
+    /// [`ArtifactStore::load`] for a whole batch of `(ns, key)` pairs:
+    /// one `Option` per pair, in order, under one acquisition of the
+    /// index lock, checking each touched shard's handle once.
+    #[must_use]
+    pub fn load_many(&self, items: &[(String, String)]) -> Vec<Option<String>> {
+        let mut index = self.index.lock().expect("store index poisoned");
+        let mut checked = ShardsChecked::default();
+        items
+            .iter()
+            .map(|(ns, key)| self.load_locked(&mut index, &mut checked, ns, key))
+            .collect()
+    }
+
+    fn load_locked(
+        &self,
+        index: &mut Index,
+        checked: &mut ShardsChecked,
+        ns: &str,
+        key: &str,
+    ) -> Option<String> {
+        let map_key = (ns.to_string(), key.to_string());
         let slot = index.map.get(&map_key).copied()?;
-        let value = self.read_slot(ns, key, slot);
+        let value = self
+            .checked_handle(&mut index.handles, checked, slot.shard)
+            .and_then(|file| read_slot(file, ns, key, slot));
         if value.is_none() {
             // The shard changed underneath the index (another process
             // compacted it). Drop the stale entry so a later save can
@@ -668,16 +732,51 @@ impl ArtifactStore {
         value
     }
 
-    fn read_slot(&self, ns: &str, key: &str, slot: Slot) -> Option<String> {
-        let mut f = fs::File::open(self.shard_path(slot.shard)).ok()?;
-        f.seek(SeekFrom::Start(slot.offset)).ok()?;
-        let mut buf = vec![0u8; usize::try_from(slot.bytes).ok()?];
-        f.read_exact(&mut buf).ok()?;
-        let rec = parse_record_at(&buf, 0)?;
-        // Verify the stored namespace and key byte-for-byte against the
-        // request, so stale offsets and collisions degrade to misses
-        // instead of serving a wrong value.
-        (rec.bytes == slot.bytes && rec.ns == ns && rec.key == key).then(|| rec.value.to_string())
+    /// The held handle a read of `shard` goes through, validated at most
+    /// once per call (see [`ShardsChecked`]); `None` if the shard file
+    /// cannot be opened, which includes not existing.
+    fn checked_handle<'a>(
+        &self,
+        handles: &'a mut [Option<fs::File>],
+        checked: &mut ShardsChecked,
+        shard: u32,
+    ) -> Option<&'a fs::File> {
+        let held = &mut handles[shard as usize];
+        if std::mem::replace(&mut checked.0[shard as usize], true) {
+            held.as_ref()
+        } else {
+            self.shard_handle(held, shard, false).ok()
+        }
+    }
+
+    /// `held` if it still names `shard`'s file, else a handle opened by
+    /// path in its place. Another process's compaction renames a new file
+    /// over the shard, leaving the held one with no name (link count 0):
+    /// reading it would serve superseded bytes, appending to it would
+    /// lose the record. Only a save (`create`) makes a missing shard file.
+    fn shard_handle<'a>(
+        &self,
+        held: &'a mut Option<fs::File>,
+        shard: u32,
+        create: bool,
+    ) -> io::Result<&'a fs::File> {
+        if held
+            .as_ref()
+            .is_some_and(|f| !f.metadata().is_ok_and(|m| m.nlink() > 0))
+        {
+            *held = None;
+        }
+        match held {
+            Some(file) => Ok(file),
+            None => {
+                let file = OpenOptions::new()
+                    .read(true)
+                    .append(true)
+                    .create(create)
+                    .open(self.shard_path(shard))?;
+                Ok(held.insert(file))
+            }
+        }
     }
 
     /// Persists `(ns, key) → value`, stamped with the current time.
@@ -709,25 +808,25 @@ impl ArtifactStore {
     }
 
     fn try_save(&self, ns: &str, key: &str, value: &str, stamp: u64) -> io::Result<()> {
-        let record = format!(
-            "rec {STORE_FORMAT_VERSION} {ns} {stamp} {} {}\n{key}\n{value}\n",
+        // The record is framed behind one spare newline: a shard whose
+        // scanned tail was torn gets it as a guard in front of the
+        // record, restoring the `\nrec ` boundary scanners resync to (the
+        // guard byte is dead and compacts away later); any other shard
+        // gets the record alone.
+        let framed = format!(
+            "\nrec {STORE_FORMAT_VERSION} {ns} {stamp} {} {}\n{key}\n{value}\n",
             key.len(),
             value.len(),
         );
+        let record_bytes = framed.len() as u64 - 1;
         let shard = self.shard_of(ns, key);
         let mut index = self.index.lock().expect("store index poisoned");
-        let mut f = OpenOptions::new()
-            .append(true)
-            .create(true)
-            .open(self.shard_path(shard))?;
-        // A shard whose scanned tail was torn gets one newline guard in
-        // front of the record, restoring the `\nrec ` boundary scanners
-        // resync to. The guard byte is dead and compacts away later.
         let buf = if index.dirty_tail[shard as usize] {
-            format!("\n{record}")
+            &framed[..]
         } else {
-            record.clone()
+            &framed[1..]
         };
+        let mut f = self.shard_handle(&mut index.handles[shard as usize], shard, true)?;
         // One write call: concurrent appenders from other processes can
         // only interleave whole records (and a torn tail is resynced past
         // by the scanner).
@@ -742,8 +841,8 @@ impl ArtifactStore {
             (ns.to_string(), key.to_string()),
             Slot {
                 shard,
-                offset: end - record.len() as u64,
-                bytes: record.len() as u64,
+                offset: end - record_bytes,
+                bytes: record_bytes,
                 stamp,
             },
         );
@@ -911,6 +1010,8 @@ impl ArtifactStore {
                 self.write_errors.fetch_add(1, Ordering::Relaxed);
                 continue; // old shard file intact; index offsets still valid
             }
+            // The held handle names the file the rename just unlinked.
+            index.handles[shard as usize] = None;
             for (k, s) in moved {
                 index.map.insert(k, s);
             }
@@ -989,9 +1090,9 @@ impl ArtifactStore {
     /// Best-effort: a shard that cannot be opened or synced is skipped
     /// (its tail recovers as a miss, like any torn write).
     pub fn sync_shards(&self) {
-        let _index = self.index.lock().expect("store index poisoned");
-        for shard in 0..SHARD_COUNT {
-            if let Ok(f) = fs::File::open(self.shard_path(shard)) {
+        let mut index = self.index.lock().expect("store index poisoned");
+        for (shard, held) in (0..SHARD_COUNT).zip(&mut index.handles) {
+            if let Ok(f) = self.shard_handle(held, shard, false) {
                 let _ = f.sync_all();
             }
         }
@@ -1005,11 +1106,14 @@ impl ArtifactStore {
     /// *survived* is exactly what was written.
     #[must_use]
     pub fn verify_records(&self) -> (u64, u64) {
-        let index = self.index.lock().expect("store index poisoned");
+        let mut guard = self.index.lock().expect("store index poisoned");
+        let index = &mut *guard;
+        let mut checked = ShardsChecked::default();
         let mut readable = 0;
         let mut corrupt = 0;
         for ((ns, key), slot) in &index.map {
-            if self.read_slot(ns, key, *slot).is_some() {
+            let file = self.checked_handle(&mut index.handles, &mut checked, slot.shard);
+            if file.and_then(|f| read_slot(f, ns, key, *slot)).is_some() {
                 readable += 1;
             } else {
                 corrupt += 1;
@@ -1295,20 +1399,28 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
-    #[test]
-    fn stale_index_offset_degrades_to_a_miss() {
-        let dir = temp_dir("stale");
+    /// `a` indexes two records; a second handle then supersedes one and
+    /// compacts the store underneath `a`, shifting the other's offset.
+    /// `a`'s index predates both the new record and the compaction, so
+    /// its loads must miss, never return garbage or superseded bytes.
+    /// With `reader_loaded_first`, `a` has already read both records
+    /// through the shard handles it holds on the pre-compaction files.
+    fn stale_reader_case(tag: &str, reader_loaded_first: bool) {
+        let dir = temp_dir(tag);
         let a = open(&dir);
         a.save("runs", "k1", "value one with some length");
         a.save("runs", "k2", "value two");
-        // A second handle compacts the store underneath `a` after `k1`
-        // gains a superseding record (shifting k2's offset).
+        if reader_loaded_first {
+            assert_eq!(
+                a.load("runs", "k1").as_deref(),
+                Some("value one with some length")
+            );
+            assert_eq!(a.load("runs", "k2").as_deref(), Some("value two"));
+        }
         let b = open(&dir);
         b.save("runs", "k1", "replacement");
         let report = b.gc();
         assert!(report.dead_bytes_dropped > 0);
-        // `a`'s index predates both the new record and the compaction:
-        // its offsets are stale. Loads must miss, never return garbage.
         for key in ["k1", "k2"] {
             let got = a.load("runs", key);
             assert!(
@@ -1316,6 +1428,48 @@ mod tests {
                 "stale read must be a miss or the true record: {got:?}"
             );
         }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn stale_index_offset_degrades_to_a_miss() {
+        stale_reader_case("stale", false);
+    }
+
+    #[test]
+    fn held_handle_on_a_compacted_shard_degrades_to_a_miss() {
+        stale_reader_case("stale-held", true);
+    }
+
+    #[test]
+    fn save_after_another_instances_compaction_reaches_the_live_file() {
+        // `a` holds its handle on the shard; `b` then compacts that shard,
+        // renaming a new file over it. `a`'s next save must land in the
+        // new file, not in the unlinked one it still holds.
+        let dir = temp_dir("save-after-gc");
+        let a = open(&dir);
+        a.save("runs", "k", "v1");
+        let b = open(&dir);
+        b.save("runs", "k", "v2");
+        assert!(b.gc().shards_rewritten > 0);
+        a.save("runs", "k", "v3");
+        assert_eq!(a.load("runs", "k").as_deref(), Some("v3"));
+        assert_eq!(open(&dir).load("runs", "k").as_deref(), Some("v3"));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_deleted_shard_reads_as_a_miss_and_a_read_does_not_recreate_it() {
+        let dir = temp_dir("deleted");
+        let store = open(&dir);
+        store.save("runs", "k", "v1");
+        assert_eq!(store.load("runs", "k").as_deref(), Some("v1"));
+        let shard = store.shard_path(store.shard_of("runs", "k"));
+        fs::remove_file(&shard).unwrap();
+        assert_eq!(store.load("runs", "k"), None, "the held file is gone");
+        assert!(!shard.exists(), "a read never creates a shard file");
+        store.save("runs", "k", "v2");
+        assert_eq!(open(&dir).load("runs", "k").as_deref(), Some("v2"));
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -1506,6 +1660,11 @@ mod tests {
         assert_eq!(backend.load("runs", "k"), None);
         backend.save("runs", "k", "v");
         assert_eq!(backend.load("runs", "k").as_deref(), Some("v"));
+        let probes = [
+            ("runs".into(), "k".into()),
+            ("runs".into(), "absent".into()),
+        ];
+        assert_eq!(backend.load_many(&probes), vec![Some("v".into()), None]);
         assert_eq!(backend.namespace_records("runs"), 1);
         assert_eq!(backend.write_errors(), 0);
         assert_eq!(backend.describe(), dir.display().to_string());
