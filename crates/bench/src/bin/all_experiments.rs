@@ -221,9 +221,11 @@ fn main() {
     // Engine accounting goes to stderr so stdout stays a byte-stable
     // Markdown document.
     eprintln!(
-        "engine: {} unique runs simulated across all tables/figures, \
-         {} programs generated",
+        "engine: {} unique runs computed across all tables/figures \
+         ({} pipelines simulated, {} runs replayed), {} programs generated",
         engine.simulated_runs(),
+        engine.simulated_runs() - engine.replayed_runs(),
+        engine.replayed_runs(),
         engine.store_summary().programs.cold
     );
     print_store_summary(&engine);

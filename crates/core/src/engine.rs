@@ -26,7 +26,10 @@
 //!    the memoized program, layout and trace caches;
 //! 5. **compute** the cold keys in parallel (rayon), each first claimed
 //!    in the store — against the store daemon, racing processes compute
-//!    every key once globally — and saved as soon as it is computed;
+//!    every key once globally — and saved as soon as it is computed.
+//!    Cold runs that drive the same pipeline share one worker, which
+//!    simulates one of them and replays the others' translators against
+//!    it, verified call by call (`cfr_cpu::TranslationLog`);
 //! 6. **publish** the values, returned as cheap [`Arc`] handles in
 //!    request order.
 //!
@@ -56,7 +59,7 @@ use rayon::prelude::*;
 use crate::compiler;
 use crate::experiment::ExperimentScale;
 use crate::scenario::{self, ScenarioBinary, ScenarioConfig, ScenarioReport};
-use crate::simulator::{ExecBackend, ItlbChoice, RunReport, SimConfig, Simulator};
+use crate::simulator::{ExecBackend, ItlbChoice, Recorded, RunReport, SimConfig, Simulator};
 use crate::store::Store;
 use crate::strategy::StrategyKind;
 
@@ -65,6 +68,14 @@ use crate::strategy::StrategyKind;
 /// whether the SoLA in-page marking pass ran. Strategies within a class
 /// execute the *same* binary, so the engine compiles it once.
 type LaidKey = (&'static str, u64, bool, bool);
+
+/// What a run's pipeline depends on besides its translator: the binary
+/// and the key with its translator — strategy and iTLB — erased, which
+/// leaves the addressing mode and the configuration without its iTLB.
+/// Cold runs with equal identities in one batch form a partition, and
+/// one worker simulates one of them and replays the others against it
+/// (see [`Simulator::replay`]).
+type PipelineId = (LaidKey, RunKey);
 
 /// The identity of one simulation run. Two runs with equal keys produce
 /// bit-identical [`RunReport`]s, which is what makes engine-level
@@ -327,8 +338,29 @@ trait Job: Clone + Eq + Hash + Debug + Send + Sync {
     /// [`Job::compute`].
     fn binaries(&self) -> Vec<Binary>;
 
-    /// Computes the key's value from its prepared binaries.
-    fn compute(&self, bins: &[ScenarioBinary], backend: ExecBackend) -> Self::Value;
+    /// Computes the key's value from its prepared binaries. When
+    /// `record`, a kind that shares pipelines also returns the run for the
+    /// rest of its partition to [`Job::follow`].
+    fn compute(
+        &self,
+        bins: &[ScenarioBinary],
+        backend: ExecBackend,
+        record: bool,
+    ) -> (Self::Value, Option<Recorded>);
+
+    /// The pipeline a cold key drives, for a kind whose keys can replay a
+    /// sibling's recorded run; `None` — every kind but runs — computes
+    /// the key on its own.
+    fn pipeline(&self) -> Option<PipelineId> {
+        None
+    }
+
+    /// The key's value replayed against a partition sibling's recorded
+    /// run, or `None` when the replay is rejected.
+    fn follow(&self, recorded: &Recorded) -> Option<Self::Value> {
+        let _ = recorded;
+        None
+    }
 
     /// Parses a stored value. Anything but exactly one current-codec
     /// record — torn, corrupt, written by another codec — is a miss.
@@ -364,12 +396,26 @@ impl Job for RunKey {
         }]
     }
 
-    fn compute(&self, bins: &[ScenarioBinary], _: ExecBackend) -> RunReport {
-        let cfg = self.config();
-        match &bins[0].trace {
-            Some(trace) => Simulator::run_traced(trace, &cfg, self.strategy, self.mode),
-            None => Simulator::run_interp(&bins[0].laid, &cfg, self.strategy, self.mode),
-        }
+    fn compute(
+        &self,
+        bins: &[ScenarioBinary],
+        _: ExecBackend,
+        record: bool,
+    ) -> (RunReport, Option<Recorded>) {
+        Simulator::run_binary(&bins[0], &self.config(), self.strategy, self.mode, record)
+    }
+
+    fn pipeline(&self) -> Option<PipelineId> {
+        let erased = RunKey {
+            strategy: StrategyKind::Base,
+            itlb: ItlbChoice::default_mono(),
+            ..*self
+        };
+        Some((self.binaries()[0].class(), erased))
+    }
+
+    fn follow(&self, recorded: &Recorded) -> Option<RunReport> {
+        Simulator::replay(recorded, &self.config(), self.strategy, self.mode).ok()
     }
 }
 
@@ -400,8 +446,13 @@ impl Job for Scenario {
             .collect()
     }
 
-    fn compute(&self, bins: &[ScenarioBinary], backend: ExecBackend) -> ScenarioReport {
-        scenario::simulate(&self.cfg, bins, backend)
+    fn compute(
+        &self,
+        bins: &[ScenarioBinary],
+        backend: ExecBackend,
+        _: bool,
+    ) -> (ScenarioReport, Option<Recorded>) {
+        (scenario::simulate(&self.cfg, bins, backend), None)
     }
 }
 
@@ -429,8 +480,14 @@ impl Job for Walk {
         }]
     }
 
-    fn compute(&self, bins: &[ScenarioBinary], _: ExecBackend) -> WalkMeasurement {
-        measure_walk(&bins[0].laid, self.scale.max_commits, self.scale.seed)
+    fn compute(
+        &self,
+        bins: &[ScenarioBinary],
+        _: ExecBackend,
+        _: bool,
+    ) -> (WalkMeasurement, Option<Recorded>) {
+        let walk = measure_walk(&bins[0].laid, self.scale.max_commits, self.scale.seed);
+        (walk, None)
     }
 }
 
@@ -448,6 +505,9 @@ struct JobTable<J: Job> {
     warm: AtomicU64,
     /// Values computed in this process.
     cold: AtomicU64,
+    /// The cold values computed by replaying a partition sibling's
+    /// recorded run instead of simulating.
+    replayed: AtomicU64,
 }
 
 /// A claimed key: still being computed by some batch, or done.
@@ -464,6 +524,7 @@ impl<J: Job> Default for JobTable<J> {
             resolved: Condvar::new(),
             warm: AtomicU64::new(0),
             cold: AtomicU64::new(0),
+            replayed: AtomicU64::new(0),
         }
     }
 }
@@ -768,6 +829,14 @@ impl Engine {
         self.runs.cold.load(Ordering::Relaxed)
     }
 
+    /// How many of the [`Engine::simulated_runs`] were computed by
+    /// replaying their translator against another run of the same
+    /// pipeline instead of simulating it (see [`Engine::run_many`]).
+    #[must_use]
+    pub fn replayed_runs(&self) -> u64 {
+        self.runs.replayed.load(Ordering::Relaxed)
+    }
+
     /// Executes one run (cached like any other).
     ///
     /// # Panics
@@ -783,9 +852,14 @@ impl Engine {
     /// Executes a batch of runs, returning reports in request order.
     ///
     /// Keys already simulated (by any earlier call) are served from the
-    /// result cache; the remaining *unique* keys run in parallel. Results
-    /// are bit-identical to serial [`Simulator::run_program`] calls with
-    /// the same key, in any batch composition or order.
+    /// result cache; the remaining *unique* keys run in parallel. Keys
+    /// that drive the same pipeline — the same binary, addressing mode
+    /// and configuration, differing only in strategy or iTLB — go to one
+    /// worker, which simulates one and replays the others' translators
+    /// against it; a replay that would drive a different pipeline is
+    /// rejected, and that key is simulated. Results are bit-identical to
+    /// serial [`Simulator::run_program`] calls with the same key, in any
+    /// batch composition or order.
     ///
     /// Safe to call from several threads at once: overlapping keys are
     /// claimed atomically, so each unique key still simulates exactly
@@ -943,41 +1017,112 @@ impl Engine {
             .zip(self.prepare(&cold_keys, backend))
             .collect();
 
-        // 5. Compute the cold keys in parallel. With a coordinating
-        // backend each key is first claimed, so N processes racing the
-        // same cold plan compute each key once globally: losers get the
-        // winner's published value back warm. Each value is saved as
-        // soon as it exists (one append per record; concurrent binaries
-        // sharing the store resync past torn bytes and read them as
-        // misses), which also wakes the daemon's waiters on that key.
-        let fresh: Vec<(usize, J::Value)> = jobs
+        // 5. Compute the cold keys in parallel, one partition per worker:
+        // the cold keys that drive one pipeline ([`Job::pipeline`]), in
+        // batch order; every other key is a partition of its own.
+        let mut partitions: Vec<Vec<&(usize, Vec<ScenarioBinary>)>> = Vec::new();
+        let mut of_pipeline: HashMap<PipelineId, usize> = HashMap::new();
+        for job in &jobs {
+            let shared = claimed[job.0].pipeline().map(|id| {
+                *of_pipeline.entry(id).or_insert_with(|| {
+                    partitions.push(Vec::new());
+                    partitions.len() - 1
+                })
+            });
+            match shared {
+                Some(p) => partitions[p].push(job),
+                None => partitions.push(vec![job]),
+            }
+        }
+        let fresh: Vec<Vec<(usize, J::Value)>> = partitions
             .par_iter()
-            .map(|(i, bins)| {
-                let record = &items[*i].1;
-                if let Some(store) = &store {
-                    let elsewhere = published_elsewhere(store.as_ref(), J::NS, record);
-                    if let Some(value) = elsewhere.and_then(|text| J::decode(&text)) {
-                        table.warm.fetch_add(1, Ordering::Relaxed);
-                        return (*i, value);
-                    }
-                }
-                let value = claimed[*i].compute(bins, backend);
-                table.cold.fetch_add(1, Ordering::Relaxed);
-                if let Some(store) = &store {
-                    let mut w = RecordWriter::new();
-                    J::WRITE(&value, &mut w);
-                    store.save(J::NS, record, &w.finish());
-                }
-                (*i, value)
-            })
+            .map(|part| self.compute_partition(part, claimed, &items, backend))
             .collect();
-        for (i, value) in fresh {
+        for (i, value) in fresh.into_iter().flatten() {
             values[i] = Some(value);
         }
         values
             .into_iter()
             .map(|value| Arc::new(value.expect("every claimed key resolved")))
             .collect()
+    }
+
+    /// Step 5 of [`Engine::resolve`] for one partition of cold keys,
+    /// `(index into claimed, binaries)` in batch order. The first key is
+    /// simulated — recorded, when keys follow it — and each later key is
+    /// replayed against that recording ([`Job::follow`]); the keys whose
+    /// replay is rejected form the next round, led by the first of them.
+    /// A partition of one is simulated exactly as a lone key.
+    ///
+    /// Each key is settled on its own: claimed in the store before it is
+    /// simulated or once its replay is accepted, and saved as soon as it
+    /// exists.
+    fn compute_partition<J: Job>(
+        &self,
+        part: &[&(usize, Vec<ScenarioBinary>)],
+        claimed: &[&J],
+        items: &[(String, String)],
+        backend: ExecBackend,
+    ) -> Vec<(usize, J::Value)> {
+        let table = J::table(self);
+        let mut done = Vec::with_capacity(part.len());
+        let mut round = part.to_vec();
+        while !round.is_empty() {
+            let mut leader: Option<Recorded> = None;
+            let mut rejected = Vec::new();
+            for (n, &job) in round.iter().enumerate() {
+                let (i, bins) = (job.0, &job.1);
+                let (key, record) = (claimed[i], &items[i].1);
+                let value = if let Some(recorded) = &leader {
+                    let Some(value) = key.follow(recorded) else {
+                        rejected.push(job);
+                        continue;
+                    };
+                    self.settle::<J>(record, || {
+                        table.replayed.fetch_add(1, Ordering::Relaxed);
+                        value
+                    })
+                } else {
+                    let followed = n + 1 < round.len();
+                    self.settle::<J>(record, || {
+                        let (value, recorded) = key.compute(bins, backend, followed);
+                        leader = recorded;
+                        value
+                    })
+                };
+                done.push((i, value));
+            }
+            round = rejected;
+        }
+        done
+    }
+
+    /// Settles one cold key, whose store key is `record`. With a
+    /// coordinating backend the key is first claimed, so N processes
+    /// racing the same cold plan compute each key once globally: losers
+    /// get the winner's published value back warm. Otherwise `compute`
+    /// makes the value, which is saved as soon as it exists (one append
+    /// per record; concurrent binaries sharing the store resync past torn
+    /// bytes and read them as misses) — which also wakes the daemon's
+    /// waiters on that key.
+    fn settle<J: Job>(&self, record: &str, compute: impl FnOnce() -> J::Value) -> J::Value {
+        let table = J::table(self);
+        let store = self.store.as_ref().map(Store::backend);
+        if let Some(store) = &store {
+            let elsewhere = published_elsewhere(store.as_ref(), J::NS, record);
+            if let Some(value) = elsewhere.and_then(|text| J::decode(&text)) {
+                table.warm.fetch_add(1, Ordering::Relaxed);
+                return value;
+            }
+        }
+        let value = compute();
+        table.cold.fetch_add(1, Ordering::Relaxed);
+        if let Some(store) = &store {
+            let mut w = RecordWriter::new();
+            J::WRITE(&value, &mut w);
+            store.save(J::NS, record, &w.finish());
+        }
+        value
     }
 
     /// Steps 3–4 of [`Engine::resolve`]: one batched store probe for the
@@ -1158,6 +1303,38 @@ mod tests {
         for (a, b) in cold_reports.iter().zip(&warm_reports) {
             assert_eq!(**a, **b);
         }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_sibling_run_replays_against_its_partition_leader_and_is_saved() {
+        let dir =
+            std::env::temp_dir().join(format!("cfr-store-replay-test-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let scale = tiny();
+        let one = ItlbChoice::Mono(cfr_types::TlbOrganization::fully_associative(1));
+        let run = |kind| RunKey::new("177.mesa", &scale, kind, AddressingMode::ViPt).with_itlb(one);
+        // Base and OPT share a binary and, with a 1-entry iTLB, walk and
+        // stall at the same fetches; IA runs another binary.
+        let keys = [
+            run(StrategyKind::Base),
+            run(StrategyKind::Opt),
+            run(StrategyKind::Ia),
+        ];
+        let engine = Engine::new().with_store(Store::open(&dir).unwrap());
+        let reports = engine.run_many(&keys);
+        assert_eq!(engine.simulated_runs(), 3);
+        assert_eq!(engine.replayed_runs(), 1, "OPT replayed against Base");
+        for (key, report) in keys.iter().zip(&reports) {
+            let program = engine.program(key.profile);
+            let solo = Simulator::run_program(&program, &key.config(), key.strategy, key.mode);
+            assert_eq!(**report, solo, "{key:?}");
+        }
+        // The replayed run was saved like any other.
+        let warm = Engine::new().with_store(Store::open(&dir).unwrap());
+        let _ = warm.run_many(&keys);
+        assert_eq!(warm.store_summary().runs.warm, 3);
+        assert_eq!((warm.simulated_runs(), warm.replayed_runs()), (0, 0));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -40,7 +40,9 @@
 //!   shared via `Arc`;
 //! - **compute**: cold keys execute on all cores via rayon — claimed in
 //!   the store first, so processes racing one store daemon compute each
-//!   key once globally — and are saved as they finish;
+//!   key once globally — and are saved as they finish; cold runs that
+//!   drive the same pipeline share a worker, which simulates one and
+//!   replays the others' translators against it;
 //! - **publish**: results come back in request order, so parallel output
 //!   is bit-identical to serial execution.
 //!

@@ -1,12 +1,16 @@
 //! End-to-end simulation: program → compiler → pipeline → report.
 
-use cfr_cpu::{CpuConfig, CpuStats, ExecutionBackend, Pipeline};
+use cfr_cpu::{
+    CpuConfig, CpuStats, ExecutionBackend, FetchTranslator as _, Mismatch, Pipeline, Recorder,
+    TranslationLog,
+};
 use cfr_energy::{EnergyMeter, EnergyModel};
-use cfr_mem::{TlbConfig, TlbStats, TwoLevelTlb};
+use cfr_mem::{PageTable, TlbConfig, TlbStats, TwoLevelTlb};
 use cfr_types::{AddressingMode, RecordError, RecordReader, RecordWriter, TlbOrganization};
 use cfr_workload::{compile_trace, BenchmarkProfile, CompiledTrace, Program, ProgramCache};
 
 use crate::compiler;
+use crate::scenario::ScenarioBinary;
 use crate::strategy::{ItlbModel, LookupBreakdown, Strategy, StrategyKind};
 
 /// Environment variable selecting the execution backend (`compiled`,
@@ -235,6 +239,25 @@ impl RunReport {
     }
 }
 
+/// A run kept for the runs that drive the same pipeline — the same
+/// binary, addressing mode and configuration up to the iTLB — to replay
+/// their translators against (see [`Simulator::replay`]).
+#[derive(Debug)]
+pub(crate) struct Recorded {
+    /// The pipeline's statistics.
+    cpu: CpuStats,
+    /// Every translator call, with the outputs the pipeline consumed.
+    log: TranslationLog,
+    /// The page table as the run left it.
+    page_table: PageTable,
+}
+
+/// Room a recorded run's log starts with, in translator calls per two
+/// committed instructions: right- and wrong-path fetches, iL1 misses and
+/// predicted branches come to 1.19–1.35 calls per commit on the paper's
+/// profiles at 60k commits.
+const CALLS_PER_TWO_COMMITS: u64 = 3;
+
 /// The top-level runner.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Simulator;
@@ -287,7 +310,14 @@ impl Simulator {
         kind: StrategyKind,
         mode: AddressingMode,
     ) -> RunReport {
-        Self::run_pipeline(Pipeline::new(laid, cfg.cpu, cfg.seed), cfg, kind, mode)
+        Self::run_pipeline(
+            Pipeline::new(laid, cfg.cpu, cfg.seed),
+            cfg,
+            kind,
+            mode,
+            false,
+        )
+        .0
     }
 
     /// Runs a pre-decoded trace on the compiled-trace backend, regardless
@@ -305,7 +335,91 @@ impl Simulator {
             cfg,
             kind,
             mode,
+            false,
         )
+        .0
+    }
+
+    /// Runs a prepared binary — on its pre-decoded trace when it has one,
+    /// else on the reference interpreter — exactly as
+    /// [`Simulator::run_traced`] or [`Simulator::run_interp`] would. When
+    /// `record`, the run is also kept for [`Simulator::replay`].
+    pub(crate) fn run_binary(
+        bin: &ScenarioBinary,
+        cfg: &SimConfig,
+        kind: StrategyKind,
+        mode: AddressingMode,
+        record: bool,
+    ) -> (RunReport, Option<Recorded>) {
+        match &bin.trace {
+            Some(trace) => Self::run_pipeline(
+                Pipeline::compiled(trace, cfg.cpu, cfg.seed),
+                cfg,
+                kind,
+                mode,
+                record,
+            ),
+            None => Self::run_pipeline(
+                Pipeline::new(&bin.laid, cfg.cpu, cfg.seed),
+                cfg,
+                kind,
+                mode,
+                record,
+            ),
+        }
+    }
+
+    /// The report of the run (`cfg`, `kind`, `mode`) over the recorded
+    /// run's binary, obtained by replaying only its translator against
+    /// the recording ([`TranslationLog::replay`]): the recorded pipeline
+    /// statistics plus this translator's iTLB counters, energy and lookup
+    /// causes. Bit-identical to simulating it, which is what the replay
+    /// checks call by call. `cfg` must equal the recorded run's
+    /// configuration up to its iTLB, and the recorded run must be a plain
+    /// run of the same binary and addressing mode.
+    ///
+    /// # Errors
+    ///
+    /// The first call at which this translator would have driven a
+    /// different pipeline; the run must then be simulated.
+    pub(crate) fn replay(
+        recorded: &Recorded,
+        cfg: &SimConfig,
+        kind: StrategyKind,
+        mode: AddressingMode,
+    ) -> Result<RunReport, Mismatch> {
+        let mut strategy = Self::strategy(cfg, kind, mode);
+        let mut page_table = recorded.page_table.clone();
+        recorded.log.replay(&mut strategy, &mut page_table)?;
+        Ok(Self::report(&strategy, recorded.cpu, kind, mode))
+    }
+
+    fn strategy(cfg: &SimConfig, kind: StrategyKind, mode: AddressingMode) -> Strategy {
+        Strategy::with_itlb(
+            kind,
+            mode,
+            cfg.cpu.geometry,
+            cfg.itlb.build(cfg.itlb_miss_penalty),
+            EnergyModel::default(),
+        )
+    }
+
+    fn report(
+        strategy: &Strategy,
+        cpu: CpuStats,
+        kind: StrategyKind,
+        mode: AddressingMode,
+    ) -> RunReport {
+        RunReport {
+            strategy: kind,
+            mode,
+            committed: cpu.committed,
+            cycles: cpu.cycles,
+            itlb: strategy.itlb_stats(),
+            energy: strategy.meter().clone(),
+            breakdown: strategy.breakdown(),
+            cpu,
+        }
     }
 
     fn run_pipeline<B: ExecutionBackend>(
@@ -313,32 +427,25 @@ impl Simulator {
         cfg: &SimConfig,
         kind: StrategyKind,
         mode: AddressingMode,
-    ) -> RunReport {
-        let mut strategy = Strategy::with_itlb(
-            kind,
-            mode,
-            cfg.cpu.geometry,
-            cfg.itlb.build(cfg.itlb_miss_penalty),
-            EnergyModel::default(),
-        );
-        pipe.run(&mut strategy, cfg.max_commits);
-        let stats = *pipe.stats();
-        RunReport {
-            strategy: kind,
-            mode,
-            committed: stats.committed,
-            cycles: stats.cycles,
-            itlb: {
-                use cfr_cpu::FetchTranslator as _;
-                strategy.itlb_stats()
-            },
-            energy: {
-                use cfr_cpu::FetchTranslator as _;
-                strategy.meter().clone()
-            },
-            breakdown: strategy.breakdown(),
-            cpu: stats,
-        }
+        record: bool,
+    ) -> (RunReport, Option<Recorded>) {
+        let mut strategy = Self::strategy(cfg, kind, mode);
+        let log = if record {
+            let calls = cfg.max_commits.saturating_mul(CALLS_PER_TWO_COMMITS) / 2;
+            let mut recorder = Recorder::new(&mut strategy, usize::try_from(calls).unwrap_or(0));
+            pipe.run(&mut recorder, cfg.max_commits);
+            Some(recorder.finish())
+        } else {
+            pipe.run(&mut strategy, cfg.max_commits);
+            None
+        };
+        let cpu = *pipe.stats();
+        let recorded = log.map(|log| Recorded {
+            cpu,
+            log,
+            page_table: pipe.page_table().clone(),
+        });
+        (Self::report(&strategy, cpu, kind, mode), recorded)
     }
 
     /// Runs `profile`'s program, borrowing it from `programs` — the
@@ -511,6 +618,38 @@ mod tests {
             assert_eq!(ItlbChoice::from_record(&mut r).unwrap(), choice);
             r.finish().unwrap();
         }
+    }
+
+    #[test]
+    fn a_walk_the_stall_hides_rejects_the_replay_of_an_identical_pipeline() {
+        // With `itlb_miss_penalty: 0` a 1-entry iTLB misses far more often
+        // than the default 32-entry one, yet no stall or frame shows it:
+        // both runs drive the same pipeline. Only the walk check tells
+        // them apart, and it rejects the replay.
+        let gap = cfr_workload::profiles::all()
+            .into_iter()
+            .find(|p| p.name == "254.gap")
+            .expect("a canonical profile");
+        let mut cfg = quick_cfg();
+        cfg.itlb_miss_penalty = 0;
+        let laid = compiler::compile_for(&gap.generate(), cfg.cpu.geometry, StrategyKind::Base);
+        let bin = ScenarioBinary {
+            laid: std::sync::Arc::new(laid),
+            trace: None,
+        };
+        let (kind, mode) = (StrategyKind::Base, AddressingMode::ViPt);
+        let (big, recorded) = Simulator::run_binary(&bin, &cfg, kind, mode, true);
+        let recorded = recorded.expect("a recorded run");
+        let mut one_entry = cfg;
+        one_entry.itlb = ItlbChoice::Mono(TlbOrganization::fully_associative(1));
+        let (small, _) = Simulator::run_binary(&bin, &one_entry, kind, mode, false);
+        assert_eq!(small.cpu, big.cpu, "one pipeline");
+        assert!(small.itlb.misses > big.itlb.misses);
+        let mismatch = Simulator::replay(&recorded, &one_entry, kind, mode).unwrap_err();
+        assert_eq!(mismatch.output, cfr_cpu::Consumed::Walks);
+        // The recorded run's own translator replays to its own report.
+        let again = Simulator::replay(&recorded, &cfg, kind, mode);
+        assert_eq!(again, Ok(big));
     }
 
     #[test]

@@ -235,7 +235,9 @@ impl ExecutionBackend for CompiledBackend<'_> {
         self.trace.entry_slot()
     }
 
-    #[inline]
+    // Inlined into each copy of the fetch loop, one per translator type
+    // (see `Pipeline::run_slice`).
+    #[inline(always)]
     fn step(&mut self) -> StepInfo {
         self.walker.step()
     }

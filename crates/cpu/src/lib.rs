@@ -45,4 +45,7 @@ pub use bpred::{BranchPredictor, Btb, Prediction, PredictorConfig, ReturnAddress
 pub use config::CpuConfig;
 pub use pipeline::{Pipeline, SliceEnd};
 pub use stats::CpuStats;
-pub use translate::{FetchEvent, FetchKind, FetchTranslator, NullTranslator, TranslationOutcome};
+pub use translate::{
+    Consumed, FetchEvent, FetchKind, FetchTranslator, Mismatch, NullTranslator, Recorder,
+    TranslationLog, TranslationOutcome,
+};

@@ -345,6 +345,12 @@ impl<B: ExecutionBackend> Pipeline<B> {
         self.cycle
     }
 
+    /// The page table the fetch path and the dTLB walk.
+    #[must_use]
+    pub fn page_table(&self) -> &PageTable {
+        &self.page_table
+    }
+
     /// Runs until `max_commits` instructions have committed.
     ///
     /// Generic over the translator so every concrete strategy gets its own
@@ -388,6 +394,12 @@ impl<B: ExecutionBackend> Pipeline<B> {
             )
             .saturating_add(1_000_000);
         while self.stats.committed < max_commits && self.cycle < quantum_end {
+            // Every stage is inlined here, into each translator's copy of
+            // the loop. The stages that do not depend on the translator
+            // are `#[inline(always)]`: once a second translator type
+            // instantiates the loop (a recorded run's `Recorder`), the
+            // compiler would otherwise call them out of line, which made
+            // a scenario sweep about 7% slower.
             let did_commit = self.commit(max_commits);
             if self.stats.committed >= max_commits {
                 break;
@@ -477,6 +489,7 @@ impl<B: ExecutionBackend> Pipeline<B> {
     // ---- commit ------------------------------------------------------
 
     /// Returns whether anything committed this cycle.
+    #[inline(always)]
     fn commit(&mut self, max_commits: u64) -> bool {
         let before = self.stats.committed;
         for _ in 0..self.cfg.commit_width {
@@ -612,6 +625,7 @@ impl<B: ExecutionBackend> Pipeline<B> {
     // ---- issue -------------------------------------------------------
 
     /// Returns whether anything issued this cycle.
+    #[inline(always)]
     fn issue(&mut self) -> bool {
         // Event gate: a previous pass proved nothing can issue before
         // `next_issue_at` (see the field's invariant).
@@ -808,6 +822,7 @@ impl<B: ExecutionBackend> Pipeline<B> {
     // ---- decode ------------------------------------------------------
 
     /// Returns whether anything decoded this cycle.
+    #[inline(always)]
     fn decode(&mut self) -> bool {
         let mut decoded = false;
         for _ in 0..self.cfg.decode_width {

@@ -624,7 +624,9 @@ impl<'t> TraceWalker<'t> {
     }
 
     /// Executes the current instruction and advances.
-    #[inline]
+    // Inlined into each copy of the pipeline's fetch loop, one per
+    // translator type (see `cfr_cpu::Pipeline::run_slice`).
+    #[inline(always)]
     pub fn step(&mut self) -> StepInfo {
         let slot = self.cur;
         let t = self.trace;
