@@ -1,45 +1,6 @@
-//! Reproduces **Figure 4**: normalized iTLB energy of HoA/SoCA/SoLA/IA/OPT
-//! relative to base, for VI-PT (top panel) and VI-VT (bottom panel).
-
-use cfr_bench::{engine_with_store, pct, print_store_summary, scale_from_args};
-use cfr_core::{fig4, FIG4_SCHEMES};
-use cfr_types::AddressingMode;
+//! Reproduces **Figure 4**: normalized iTLB energy, VI-PT and VI-VT panels.
+//! Prints exactly its `all_experiments` section; see [`cfr_bench::render::fig4`].
 
 fn main() {
-    let scale = scale_from_args();
-    let engine = engine_with_store();
-    let rows = fig4(&engine, &scale);
-    for mode in [AddressingMode::ViPt, AddressingMode::ViVt] {
-        println!("\nFigure 4 ({mode}) — normalized iTLB energy (base = 100%)");
-        print!("{:<12}", "benchmark");
-        for k in FIG4_SCHEMES {
-            print!(" {:>9}", k.name());
-        }
-        println!();
-        let mut avg = [0.0f64; 5];
-        let mode_rows: Vec<_> = rows.iter().filter(|r| r.mode == mode).collect();
-        for r in &mode_rows {
-            print!("{:<12}", r.name);
-            for (i, e) in r.energy.iter().enumerate() {
-                avg[i] += e;
-                print!(" {:>9}", pct(*e));
-            }
-            println!();
-        }
-        print!("{:<12}", "AVERAGE");
-        for a in avg {
-            print!(" {:>9}", pct(a / mode_rows.len() as f64));
-        }
-        println!();
-        let paper = match mode {
-            AddressingMode::ViPt => [5.69, 12.24, 5.01, 3.82, 3.20],
-            _ => [15.23, 36.83, 16.39, 14.04, 12.74],
-        };
-        print!("{:<12}", "paper avg");
-        for p in paper {
-            print!(" {:>8.2}%", p);
-        }
-        println!();
-    }
-    print_store_summary(&engine);
+    cfr_bench::print_section(cfr_bench::render::fig4);
 }

@@ -1,33 +1,6 @@
 //! Reproduces **Figure 5**: normalized execution cycles for VI-VT.
-//! (Paper: IA saves 2–5% of cycles, 3.55% on average; VI-PT cycles are
-//! unchanged across schemes, which `fig4 --commits N` confirms.)
-
-use cfr_bench::{engine_with_store, pct, print_store_summary, scale_from_args};
-use cfr_core::{fig5, FIG4_SCHEMES};
+//! Prints exactly its `all_experiments` section; see [`cfr_bench::render::fig5`].
 
 fn main() {
-    let scale = scale_from_args();
-    let engine = engine_with_store();
-    println!("Figure 5 (VI-VT) — normalized execution cycles (base = 100%)\n");
-    print!("{:<12}", "benchmark");
-    for k in FIG4_SCHEMES {
-        print!(" {:>9}", k.name());
-    }
-    println!();
-    let rows = fig5(&engine, &scale);
-    let mut avg = [0.0f64; 5];
-    for r in &rows {
-        print!("{:<12}", r.name);
-        for (i, c) in r.cycles.iter().enumerate() {
-            avg[i] += c;
-            print!(" {:>9}", pct(*c));
-        }
-        println!();
-    }
-    print!("{:<12}", "AVERAGE");
-    for a in avg {
-        print!(" {:>9}", pct(a / rows.len() as f64));
-    }
-    println!("\npaper: IA averages 96.45% (3.55% cycle savings), range 95-98%");
-    print_store_summary(&engine);
+    cfr_bench::print_section(cfr_bench::render::fig5);
 }

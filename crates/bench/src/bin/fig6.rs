@@ -1,28 +1,6 @@
-//! Reproduces **Figure 6**: two-level iTLB configurations (base execution)
-//! against monolithic iTLBs running IA.
-
-use cfr_bench::{engine_with_store, pct, print_store_summary, scale_from_args};
-use cfr_core::fig6;
+//! Reproduces **Figure 6**: two-level iTLBs against monolithic + IA.
+//! Prints exactly its `all_experiments` section; see [`cfr_bench::render::fig6`].
 
 fn main() {
-    let scale = scale_from_args();
-    let engine = engine_with_store();
-    println!("Figure 6 — two-level iTLB (base) vs monolithic iTLB with IA (VI-PT)");
-    println!("values are two-level ÷ monolithic-IA; >100% means the CFR wins\n");
-    println!(
-        "{:<12} {:<8} {:>14} {:>14}",
-        "benchmark", "config", "energy ratio", "cycle ratio"
-    );
-    for r in fig6(&engine, &scale) {
-        println!(
-            "{:<12} {:<8} {:>14} {:>14}",
-            r.name,
-            r.config,
-            pct(r.energy_ratio),
-            pct(r.cycle_ratio)
-        );
-    }
-    println!("\npaper shape: (1+32) base consumes ~155% of mono-32+IA energy and runs");
-    println!("2-10% slower; (32+96) optimizes performance but deteriorates energy");
-    print_store_summary(&engine);
+    cfr_bench::print_section(cfr_bench::render::fig6);
 }

@@ -1,47 +1,6 @@
-//! Extension (paper §4.4): iL1-configuration sensitivity for VI-VT. "The
-//! benefits of IA are more significant at smaller or less associative iL1
-//! configurations, since these incur more misses."
-
-use cfr_bench::{engine_with_store, pct, print_store_summary, scale_from_args};
-use cfr_core::{RunKey, StrategyKind};
-use cfr_types::AddressingMode;
+//! Extension (paper §4.4): iL1-configuration sensitivity for VI-VT.
+//! See [`cfr_bench::render::fig_il1sweep`].
 
 fn main() {
-    let scale = scale_from_args();
-    let engine = engine_with_store();
-    println!("iL1 sweep — IA normalized cycles and energy (VI-VT, base = 100%)\n");
-    let sizes = [2048u64, 4096, 8192, 16384];
-    println!(
-        "{:<12} {:>24} {:>24} {:>24} {:>24}",
-        "benchmark", "2K cyc/E", "4K cyc/E", "8K cyc/E", "16K cyc/E"
-    );
-    // One (base, IA) pair per benchmark per iL1 capacity, planned as run
-    // keys so the engine deduplicates, parallelizes, and persists them.
-    let mut keys = Vec::new();
-    for p in engine.profiles() {
-        for bytes in sizes {
-            for kind in [StrategyKind::Base, StrategyKind::Ia] {
-                keys.push(
-                    RunKey::new(p.name, &scale, kind, AddressingMode::ViVt).with_il1_bytes(bytes),
-                );
-            }
-        }
-    }
-    let reports = engine.run_many(&keys);
-    let mut pairs = reports.chunks_exact(2);
-    for p in engine.profiles() {
-        print!("{:<12}", p.name);
-        for _ in sizes {
-            let pair = pairs.next().expect("one (base, IA) pair per size");
-            let (base, ia) = (&pair[0], &pair[1]);
-            print!(
-                " {:>11}/{:<12}",
-                pct(ia.cycles_vs(base)),
-                pct(ia.energy_vs(base))
-            );
-        }
-        println!();
-    }
-    println!("\npaper shape: the cycle savings (100% - value) grow as the iL1 shrinks");
-    print_store_summary(&engine);
+    cfr_bench::print_section(cfr_bench::render::fig_il1sweep);
 }

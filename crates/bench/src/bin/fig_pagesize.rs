@@ -1,46 +1,6 @@
-//! Extension (paper §4.4): page-size sensitivity. "A larger page size
-//! provides better coverage of the CFR, thus improving the iTLB energy
-//! savings." The detailed results lived in the authors' tech report [19];
-//! this bench regenerates the sweep.
-
-use cfr_bench::{engine_with_store, pct, print_store_summary, scale_from_args};
-use cfr_core::{RunKey, StrategyKind};
-use cfr_types::AddressingMode;
+//! Extension (paper §4.4): page-size sensitivity.
+//! See [`cfr_bench::render::fig_pagesize`].
 
 fn main() {
-    let scale = scale_from_args();
-    let engine = engine_with_store();
-    println!("Page-size sweep — IA normalized iTLB energy (VI-PT, base = 100%)\n");
-    let sizes = [1024u64, 4096, 16384, 65536];
-    print!("{:<12}", "benchmark");
-    for s in sizes {
-        print!(" {:>9}", format!("{}K", s / 1024));
-    }
-    println!();
-    // One (base, IA) pair per benchmark per page size, planned as run
-    // keys so the engine deduplicates, parallelizes, and persists them.
-    let mut keys = Vec::new();
-    for p in engine.profiles() {
-        for bytes in sizes {
-            for kind in [StrategyKind::Base, StrategyKind::Ia] {
-                keys.push(
-                    RunKey::new(p.name, &scale, kind, AddressingMode::ViPt).with_page_bytes(bytes),
-                );
-            }
-        }
-    }
-    let reports = engine.run_many(&keys);
-    let mut pairs = reports.chunks_exact(2);
-    for p in engine.profiles() {
-        print!("{:<12}", p.name);
-        for _ in sizes {
-            let pair = pairs.next().expect("one (base, IA) pair per size");
-            let (base, ia) = (&pair[0], &pair[1]);
-            print!(" {:>9}", pct(ia.energy_vs(base)));
-        }
-        println!();
-    }
-    println!("\npaper shape: the normalized energy falls monotonically as pages grow");
-    println!("(fewer page crossings => fewer CFR refills)");
-    print_store_summary(&engine);
+    cfr_bench::print_section(cfr_bench::render::fig_pagesize);
 }

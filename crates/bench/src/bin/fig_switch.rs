@@ -1,82 +1,6 @@
 //! Extension (paper §3.2, quantified): context-switch frequency curves.
-//! Energy and CPI versus scheduling quantum for ASID-tagged vs
-//! flush-on-switch TLBs, over a mixed-page-size program set (two 4 KB
-//! processes and two 2 MB processes) — the superpage half of the mix
-//! crosses pages far less often, so its CFR survives longer between
-//! switches.
-
-use cfr_bench::{engine_with_store, print_store_summary, scale_from_args};
-use cfr_core::{ScenarioConfig, ScenarioProc, StrategyKind, TlbMode};
-use cfr_types::AddressingMode;
-use cfr_workload::profiles;
-
-const SWITCH_PENALTY: u32 = 400;
-const SHOOTDOWN_PER_ENTRY: u32 = 2;
+//! See [`cfr_bench::render::fig_switch`].
 
 fn main() {
-    let scale = scale_from_args();
-    let engine = engine_with_store();
-    let names = profiles::mix(scale.seed, 4);
-    // Half the mix runs on 2 MB superpages: the 4K/2M page-mix axis.
-    let procs: Vec<ScenarioProc> = names
-        .iter()
-        .enumerate()
-        .map(|(i, n)| {
-            let p = ScenarioProc::new(n);
-            if i % 2 == 1 {
-                p.with_page_bytes(2 * 1024 * 1024)
-            } else {
-                p
-            }
-        })
-        .collect();
-    println!("Context-switch sweep — 4-program 4K/2M mix, IA strategy, VI-PT");
-    println!(
-        "mix: {}\n",
-        procs
-            .iter()
-            .map(|p| match p.page_bytes {
-                Some(_) => format!("{} (2M)", p.profile),
-                None => format!("{} (4K)", p.profile),
-            })
-            .collect::<Vec<_>>()
-            .join(", ")
-    );
-
-    let quanta = [5_000u64, 20_000, 80_000, 320_000];
-    let modes = [TlbMode::Asid, TlbMode::Flush];
-    let mut cfgs: Vec<ScenarioConfig> = Vec::new();
-    for &quantum in &quanta {
-        for &tlb_mode in &modes {
-            let mut cfg =
-                ScenarioConfig::new(procs.clone(), scale, StrategyKind::Ia, AddressingMode::ViPt);
-            cfg.quantum = quantum;
-            cfg.tlb_mode = tlb_mode;
-            cfg.asid_count = 16;
-            cfg.switch_penalty = SWITCH_PENALTY;
-            cfg.shootdown_per_entry = SHOOTDOWN_PER_ENTRY;
-            cfgs.push(cfg);
-        }
-    }
-    let reports = engine.run_scenarios(&cfgs);
-
-    println!(
-        "{:>9} {:>10} {:>11} {:>12} {:>13}",
-        "quantum", "asid-cpi", "flush-cpi", "asid-mJ", "flush-mJ"
-    );
-    for (qi, &quantum) in quanta.iter().enumerate() {
-        let asid = &reports[qi * 2];
-        let flush = &reports[qi * 2 + 1];
-        println!(
-            "{:>9} {:>10.3} {:>11.3} {:>12.4} {:>13.4}",
-            quantum,
-            asid.cpi(),
-            flush.cpi(),
-            asid.machine.itlb_energy_mj(),
-            flush.machine.itlb_energy_mj(),
-        );
-    }
-    println!("\nshape: both curves improve as the quantum grows (fewer switches);");
-    println!("the flush curve sits above the ASID curve at every point");
-    print_store_summary(&engine);
+    cfr_bench::print_section(cfr_bench::render::fig_switch);
 }

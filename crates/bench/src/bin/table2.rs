@@ -1,50 +1,6 @@
-//! Reproduces **Table 2**: benchmark characteristics under the default
-//! configuration (Table 1), base execution.
-
-use cfr_bench::{engine_with_store, print_store_summary, scale_from_args};
-use cfr_core::table2;
-use cfr_workload::profiles;
+//! Reproduces **Table 2**: benchmark characteristics, base runs.
+//! Prints exactly its `all_experiments` section; see [`cfr_bench::render::table2`].
 
 fn main() {
-    let scale = scale_from_args();
-    let engine = engine_with_store();
-    let f = scale.to_paper_factor();
-    println!("Table 2 — benchmark characteristics (extrapolated to 250M instructions)");
-    println!("paper values in parentheses; cycles in millions, energy in mJ\n");
-    println!(
-        "{:<12} {:>22} {:>22} {:>22} {:>22} {:>14} {:>10} {:>26}",
-        "benchmark",
-        "VI-PT cycles(M)",
-        "VI-PT iTLB E(mJ)",
-        "VI-VT cycles(M)",
-        "VI-VT iTLB E(mJ)",
-        "iL1 miss",
-        "branch%",
-        "crossings BOUNDARY/BRANCH"
-    );
-    let rows = table2(&engine, &scale);
-    for (row, p) in rows.iter().zip(profiles::all()) {
-        let t = &p.paper;
-        println!(
-            "{:<12} {:>10.1} ({:>7.1}) {:>12.2} ({:>6.1}) {:>10.1} ({:>7.1}) {:>12.3} ({:>6.3}) {:>6.3} ({:>4.3}) {:>4.1} ({:>3.1}) {:>10}/{:<10} ({:.1}%)",
-            row.name,
-            row.vipt_cycles as f64 * f / 1e6,
-            t.vipt_cycles_m,
-            row.vipt_energy_mj * f,
-            t.vipt_energy_mj,
-            row.vivt_cycles as f64 * f / 1e6,
-            t.vivt_cycles_m,
-            row.vivt_energy_mj * f,
-            t.vivt_energy_mj,
-            row.il1_miss_rate,
-            t.il1_miss_rate,
-            row.branch_fraction * 100.0,
-            t.branch_fraction * 100.0,
-            row.crossings_boundary,
-            row.crossings_branch,
-            100.0 * row.crossings_boundary as f64
-                / (row.crossings_boundary + row.crossings_branch).max(1) as f64,
-        );
-    }
-    print_store_summary(&engine);
+    cfr_bench::print_section(cfr_bench::render::table2);
 }

@@ -1,30 +1,6 @@
-//! Reproduces **Table 3**: dynamic iTLB lookups for SoCA/SoLA/IA, split
-//! into the BOUNDARY and BRANCH cases (VI-PT).
-
-use cfr_bench::{engine_with_store, print_store_summary, scale_from_args};
-use cfr_core::table3;
+//! Reproduces **Table 3**: dynamic iTLB lookups by cause (VI-PT).
+//! Prints exactly its `all_experiments` section; see [`cfr_bench::render::table3`].
 
 fn main() {
-    let scale = scale_from_args();
-    let engine = engine_with_store();
-    println!(
-        "Table 3 — dynamic iTLB lookups by cause (VI-PT), at {} commits/run",
-        scale.max_commits
-    );
-    println!(
-        "paper shape: SoCA >> SoLA > IA in the BRANCH column; BOUNDARY identical across schemes\n"
-    );
-    println!(
-        "{:<12} {:>24} {:>24} {:>24}",
-        "benchmark", "SoCA bnd/branch", "SoLA bnd/branch", "IA bnd/branch"
-    );
-    for r in table3(&engine, &scale) {
-        print!("{:<12}", r.name);
-        for (b, br) in r.lookups {
-            let pctb = 100.0 * b as f64 / (b + br).max(1) as f64;
-            print!(" {:>10}/{:<8}({:>4.1}%)", b, br, pctb);
-        }
-        println!();
-    }
-    print_store_summary(&engine);
+    cfr_bench::print_section(cfr_bench::render::table3);
 }

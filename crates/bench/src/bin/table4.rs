@@ -1,37 +1,6 @@
-//! Reproduces **Table 4**: static and dynamic branch statistics — how many
-//! branches are statically analyzable, and how many of those stay in-page.
-
-use cfr_bench::{engine_with_store, print_store_summary, scale_from_args};
-use cfr_core::table4;
-use cfr_workload::profiles;
+//! Reproduces **Table 4**: static and dynamic branch statistics.
+//! Prints exactly its `all_experiments` section; see [`cfr_bench::render::table4`].
 
 fn main() {
-    let scale = scale_from_args();
-    let engine = engine_with_store();
-    println!("Table 4 — static and dynamic branch statistics\n");
-    println!(
-        "{:<12} {:>8} {:>18} {:>18} | {:>10} {:>20} {:>20}",
-        "benchmark", "static", "analyzable", "in-page", "dynamic", "analyzable", "in-page"
-    );
-    for (r, p) in table4(&engine, &scale).iter().zip(profiles::all()) {
-        let t = &p.paper;
-        println!(
-            "{:<12} {:>8} {:>8} ({:>5.1}%) {:>8} ({:>5.1}%) | {:>10} {:>8} ({:>5.1}%/{:>5.1}%) {:>8} ({:>5.1}%/{:>5.1}%)",
-            r.name,
-            r.static_total,
-            r.static_analyzable,
-            100.0 * r.static_analyzable as f64 / r.static_total.max(1) as f64,
-            r.static_in_page,
-            100.0 * r.static_in_page as f64 / r.static_analyzable.max(1) as f64,
-            r.dyn_total,
-            r.dyn_analyzable,
-            100.0 * r.dyn_analyzable as f64 / r.dyn_total.max(1) as f64,
-            100.0 * t.analyzable_fraction,
-            r.dyn_in_page,
-            100.0 * r.dyn_in_page as f64 / r.dyn_analyzable.max(1) as f64,
-            100.0 * t.in_page_fraction,
-        );
-    }
-    println!("\n(x%/y%) = measured / paper");
-    print_store_summary(&engine);
+    cfr_bench::print_section(cfr_bench::render::table4);
 }

@@ -1,21 +1,6 @@
 //! Reproduces **Table 5**: branch predictor accuracy.
-
-use cfr_bench::{engine_with_store, print_store_summary, scale_from_args};
-use cfr_core::table5;
-use cfr_workload::profiles;
+//! Prints exactly its `all_experiments` section; see [`cfr_bench::render::table5`].
 
 fn main() {
-    let scale = scale_from_args();
-    let engine = engine_with_store();
-    println!("Table 5 — branch predictor accuracy (all branch kinds, pipeline run)\n");
-    println!("{:<12} {:>10} {:>10}", "benchmark", "measured", "paper");
-    for ((name, acc), p) in table5(&engine, &scale).iter().zip(profiles::all()) {
-        println!(
-            "{:<12} {:>9.2}% {:>9.2}%",
-            name,
-            acc * 100.0,
-            p.paper.predictor_accuracy * 100.0
-        );
-    }
-    print_store_summary(&engine);
+    cfr_bench::print_section(cfr_bench::render::table5);
 }

@@ -1,44 +1,6 @@
-//! Reproduces **Table 6**: energy (VI-PT and VI-VT) and execution cycles
-//! (VI-VT) for Base/OPT/IA across four monolithic iTLB configurations.
-
-use cfr_bench::{engine_with_store, print_store_summary, scale_from_args};
-use cfr_core::table6;
+//! Reproduces **Table 6**: the iTLB configuration sweep.
+//! Prints exactly its `all_experiments` section; see [`cfr_bench::render::table6`].
 
 fn main() {
-    let scale = scale_from_args();
-    let engine = engine_with_store();
-    let f = scale.to_paper_factor();
-    println!("Table 6 — iTLB configuration sweep (energies in mJ at 250M-instruction scale)");
-    println!("paper shape: OPT/IA percentages shrink as the iTLB grows; VI-VT cycles for OPT/IA");
-    println!("approach base as the iTLB grows (misses stop mattering)\n");
-    println!(
-        "{:<7} {:<12} {:>30} {:>30} {:>33}",
-        "iTLB",
-        "benchmark",
-        "VI-PT E base/OPT/IA",
-        "VI-VT E base/OPT/IA",
-        "VI-VT cycles(M) base/OPT/IA"
-    );
-    for r in table6(&engine, &scale) {
-        let e = r.vipt_energy_mj;
-        let v = r.vivt_energy_mj;
-        let c = r.vivt_cycles;
-        println!(
-            "{:<7} {:<12} {:>9.2}/{:>6.2} ({:>4.1}%)/{:>6.2} ({:>4.1}%) {:>8.3}/{:>6.3}/{:>6.3} {:>9.1}/{:>8.1}/{:>8.1}",
-            r.itlb,
-            r.name,
-            e[0] * f,
-            e[1] * f,
-            100.0 * e[1] / e[0],
-            e[2] * f,
-            100.0 * e[2] / e[0],
-            v[0] * f,
-            v[1] * f,
-            v[2] * f,
-            c[0] as f64 * f / 1e6,
-            c[1] as f64 * f / 1e6,
-            c[2] as f64 * f / 1e6,
-        );
-    }
-    print_store_summary(&engine);
+    cfr_bench::print_section(cfr_bench::render::table6);
 }

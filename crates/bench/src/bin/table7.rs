@@ -1,30 +1,6 @@
-//! Reproduces **Table 7**: IA (VI-PT) execution cycles across iTLB sizes —
-//! showing IA lets even a tiny iTLB perform acceptably, and a large one
-//! perform best.
-
-use cfr_bench::{engine_with_store, print_store_summary, scale_from_args};
-use cfr_core::table7;
+//! Reproduces **Table 7**: IA (VI-PT) cycles across iTLB sizes.
+//! Prints exactly its `all_experiments` section; see [`cfr_bench::render::table7`].
 
 fn main() {
-    let scale = scale_from_args();
-    let engine = engine_with_store();
-    let f = scale.to_paper_factor();
-    println!("Table 7 — execution cycles (millions, 250M-instruction scale) for IA (VI-PT)\n");
-    println!(
-        "{:<12} {:>12} {:>12} {:>12} {:>12}",
-        "benchmark", "1-entry", "8-entry FA", "16-entry 2w", "32-entry FA"
-    );
-    for (name, cycles) in table7(&engine, &scale) {
-        println!(
-            "{:<12} {:>12.1} {:>12.1} {:>12.1} {:>12.1}",
-            name,
-            cycles[0] as f64 * f / 1e6,
-            cycles[1] as f64 * f / 1e6,
-            cycles[2] as f64 * f / 1e6,
-            cycles[3] as f64 * f / 1e6,
-        );
-    }
-    println!("\npaper shape: cycles shrink monotonically with iTLB size; the 1-entry");
-    println!("column is dramatically slower (every page change walks the page table)");
-    print_store_summary(&engine);
+    cfr_bench::print_section(cfr_bench::render::table7);
 }

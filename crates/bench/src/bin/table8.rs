@@ -1,30 +1,6 @@
-//! Reproduces **Table 8**: the PI-PT study — base PI-PT, PI-PT with IA,
-//! base VI-PT, base VI-VT.
-
-use cfr_bench::{engine_with_store, print_store_summary, scale_from_args};
-use cfr_core::table8;
+//! Reproduces **Table 8**: the PI-PT study.
+//! Prints exactly its `all_experiments` section; see [`cfr_bench::render::table8`].
 
 fn main() {
-    let scale = scale_from_args();
-    let engine = engine_with_store();
-    let f = scale.to_paper_factor();
-    println!("Table 8 — PI-PT iL1 study (E in mJ, C in millions of cycles; 250M scale)\n");
-    println!(
-        "{:<12} {:>18} {:>18} {:>18} {:>18}",
-        "benchmark", "PI-PT base E/C", "PI-PT IA E/C", "VI-PT base E/C", "VI-VT base E/C"
-    );
-    for r in table8(&engine, &scale) {
-        let p = |(e, c): (f64, u64)| format!("{:.2}/{:.1}", e * f, c as f64 * f / 1e6);
-        println!(
-            "{:<12} {:>18} {:>18} {:>18} {:>18}",
-            r.name,
-            p(r.pipt_base),
-            p(r.pipt_ia),
-            p(r.vipt_base),
-            p(r.vivt_base)
-        );
-    }
-    println!("\npaper shape: base PI-PT is much slower than VI-PT at equal energy;");
-    println!("PI-PT+IA comes within ~6% of base VI-PT cycles at a fraction of the energy");
-    print_store_summary(&engine);
+    cfr_bench::print_section(cfr_bench::render::table8);
 }

@@ -1,84 +1,6 @@
 //! Extension (paper §3.2, quantified): multiprogrammed OS scenarios.
-//! The paper notes the CFR is invalidated on a context switch but never
-//! costs the switches; this table time-slices a four-program mix over one
-//! core and sweeps the OS knobs — scheduling quantum, TLB mode
-//! (ASID-tagged vs flush-on-switch), and hardware ASID count — reporting
-//! whole-machine CPI and translation-path energy for each point.
-
-use cfr_bench::{engine_with_store, print_store_summary, scale_from_args};
-use cfr_core::{ScenarioConfig, ScenarioProc, StrategyKind, TlbMode};
-use cfr_types::AddressingMode;
-use cfr_workload::profiles;
-
-/// OS cost constants shared by every cell (cycles).
-const SWITCH_PENALTY: u32 = 400;
-const SHOOTDOWN_PER_ENTRY: u32 = 2;
-const FAULT_LATENCY: u32 = 300;
-const DEMAND_FAULT_PENALTY: u32 = 800;
+//! See [`cfr_bench::render::table_os`].
 
 fn main() {
-    let scale = scale_from_args();
-    let engine = engine_with_store();
-    let names = profiles::mix(scale.seed, 4);
-    println!("Multiprogrammed OS table — 4-program mix, IA strategy, VI-PT");
-    println!("mix: {}\n", names.join(", "));
-
-    let quanta = [10_000u64, 50_000, 250_000];
-    let mut cells: Vec<(u64, TlbMode, u16)> = Vec::new();
-    for &quantum in &quanta {
-        for asids in [2u16, 16] {
-            cells.push((quantum, TlbMode::Asid, asids));
-        }
-        cells.push((quantum, TlbMode::Flush, 1));
-    }
-    let cfgs: Vec<ScenarioConfig> = cells
-        .iter()
-        .map(|&(quantum, tlb_mode, asid_count)| {
-            let mut cfg = ScenarioConfig::new(
-                names.iter().map(|n| ScenarioProc::new(n)).collect(),
-                scale,
-                StrategyKind::Ia,
-                AddressingMode::ViPt,
-            );
-            cfg.quantum = quantum;
-            cfg.tlb_mode = tlb_mode;
-            cfg.asid_count = asid_count;
-            cfg.switch_penalty = SWITCH_PENALTY;
-            cfg.shootdown_per_entry = SHOOTDOWN_PER_ENTRY;
-            cfg.fault_latency = FAULT_LATENCY;
-            cfg.demand_fault_penalty = DEMAND_FAULT_PENALTY;
-            cfg
-        })
-        .collect();
-    let reports = engine.run_scenarios(&cfgs);
-
-    println!(
-        "{:>9} {:>6} {:>6} {:>7} {:>12} {:>9} {:>9} {:>10} {:>7}",
-        "quantum",
-        "mode",
-        "asids",
-        "cpi",
-        "energy-mJ",
-        "switches",
-        "flushed",
-        "shootdowns",
-        "faults"
-    );
-    for ((quantum, mode, asids), r) in cells.iter().zip(&reports) {
-        println!(
-            "{:>9} {:>6} {:>6} {:>7.3} {:>12.4} {:>9} {:>9} {:>10} {:>7}",
-            quantum,
-            mode.name(),
-            asids,
-            r.cpi(),
-            r.machine.itlb_energy_mj(),
-            r.context_switches,
-            r.itlb_flushed + r.dtlb_flushed,
-            r.shootdowns,
-            r.machine.itlb.protection_faults + r.demand_faults,
-        );
-    }
-    println!("\nshape: shorter quanta switch more; flush mode re-misses both TLBs");
-    println!("after every switch, while ASID tagging only pays on ASID reuse");
-    print_store_summary(&engine);
+    cfr_bench::print_section(cfr_bench::render::table_os);
 }

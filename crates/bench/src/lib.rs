@@ -1,9 +1,10 @@
 //! # cfr-bench
 //!
 //! The reproduction harness: one binary per table/figure of the paper's
-//! evaluation (indexed in the README's "Reproducing the paper"), plus criterion
-//! microbenchmarks of the substrate (not auto-discovered offline, see
-//! `vendor/README.md`).
+//! evaluation, `all_experiments` printing them all as one Markdown
+//! document, plus `store_gc` and `chaos_soak`. Each experiment's text
+//! comes from its one renderer in [`render`], so an experiment binary
+//! prints exactly its section of the `all_experiments` document.
 //!
 //! Run an experiment with, e.g.:
 //!
@@ -19,6 +20,8 @@
 //! simulated once, in parallel.
 
 use cfr_core::{Engine, ExperimentScale};
+
+pub mod render;
 
 /// Parses `--commits N` / `--seed N` (also the `--flag=N` form) from an
 /// argument stream (exclusive of the program name) into an experiment
@@ -86,16 +89,17 @@ pub fn pct(x: f64) -> String {
     format!("{:.2}%", x * 100.0)
 }
 
-/// Builds the engine every experiment binary shares, backed by the
-/// machine-wide persistent artifact store (`$CFR_STORE_DIR`, default
-/// `target/cfr-store`): a run simulated, a program generated, or a walk
-/// measured by *any* binary — or an earlier invocation of this one — is
-/// served from disk instead of being recomputed. If the store directory
-/// cannot be created the binary still runs, just without cross-process
-/// caching.
-#[must_use]
-pub fn engine_with_store() -> Engine {
-    Engine::with_default_store()
+/// Runs one experiment binary: parses `--commits`/`--seed`, renders
+/// `section` on an engine over the machine-wide persistent artifact
+/// store ([`Engine::with_default_store`]), prints it on stdout, then the
+/// `store:` line on stderr. A run simulated, a program generated, or a
+/// walk measured by *any* binary is served from that store instead of
+/// being recomputed.
+pub fn print_section(section: render::Render) {
+    let scale = scale_from_args();
+    let engine = Engine::with_default_store();
+    print!("{}", section(&engine, &scale));
+    print_store_summary(&engine);
 }
 
 /// Prints the shared per-namespace `store: runs X warm / Y cold; …`

@@ -7,7 +7,7 @@ use cfr_cpu::{
 use cfr_energy::{EnergyMeter, EnergyModel};
 use cfr_mem::{PageTable, TlbConfig, TlbStats, TwoLevelTlb};
 use cfr_types::{AddressingMode, RecordError, RecordReader, RecordWriter, TlbOrganization};
-use cfr_workload::{compile_trace, BenchmarkProfile, CompiledTrace, Program, ProgramCache};
+use cfr_workload::{compile_trace, CompiledTrace, Program};
 
 use crate::compiler;
 use crate::scenario::ScenarioBinary;
@@ -263,7 +263,11 @@ const CALLS_PER_TWO_COMMITS: u64 = 3;
 pub struct Simulator;
 
 impl Simulator {
-    /// Compiles `program` for `kind` and runs it to completion.
+    /// Compiles `program` for `kind` and runs it to completion under the
+    /// environment-selected [`ExecBackend`]. The [`crate::Engine`]
+    /// memoizes compilations and pre-decoded traces across runs instead;
+    /// callers holding a compiled program should use
+    /// [`Simulator::run_traced`] or [`Simulator::run_interp`] directly.
     #[must_use]
     pub fn run_program(
         program: &Program,
@@ -272,32 +276,9 @@ impl Simulator {
         mode: AddressingMode,
     ) -> RunReport {
         let laid = compiler::compile_for(program, cfg.cpu.geometry, kind);
-        Self::run_compiled(&laid, cfg, kind, mode)
-    }
-
-    /// Runs an already-compiled (laid-out, instrumented, marked) program
-    /// under the environment-selected [`ExecBackend`].
-    ///
-    /// `laid` must be the [`compiler::compile_for`] output for this
-    /// `kind` and `cfg.cpu.geometry` — the [`crate::Engine`] memoizes
-    /// those compilations across runs, since every strategy of a
-    /// compilation class shares the same binary. When the compiled-trace
-    /// backend is selected the trace is compiled here ad hoc; callers
-    /// holding a memoized trace should use [`Simulator::run_traced`]
-    /// directly.
-    #[must_use]
-    pub fn run_compiled(
-        laid: &cfr_workload::LaidProgram,
-        cfg: &SimConfig,
-        kind: StrategyKind,
-        mode: AddressingMode,
-    ) -> RunReport {
         match ExecBackend::from_env() {
-            ExecBackend::Compiled => {
-                let trace = compile_trace(laid);
-                Self::run_traced(&trace, cfg, kind, mode)
-            }
-            ExecBackend::Interp => Self::run_interp(laid, cfg, kind, mode),
+            ExecBackend::Compiled => Self::run_traced(&compile_trace(&laid), cfg, kind, mode),
+            ExecBackend::Interp => Self::run_interp(&laid, cfg, kind, mode),
         }
     }
 
@@ -446,21 +427,6 @@ impl Simulator {
             page_table: pipe.page_table().clone(),
         });
         (Self::report(&strategy, cpu, kind, mode), recorded)
-    }
-
-    /// Runs `profile`'s program, borrowing it from `programs` — the
-    /// program is generated at most once per cache, no matter how many
-    /// (strategy, mode, iTLB) combinations run over it.
-    #[must_use]
-    pub fn run_profile(
-        profile: &BenchmarkProfile,
-        programs: &ProgramCache,
-        cfg: &SimConfig,
-        kind: StrategyKind,
-        mode: AddressingMode,
-    ) -> RunReport {
-        let program = programs.get(profile);
-        Self::run_program(&program, cfg, kind, mode)
     }
 }
 

@@ -5,7 +5,7 @@ use cfr_sim::core::{
     fig6, table6, table6_itlbs, Engine, ExperimentScale, SimConfig, Simulator, StrategyKind,
 };
 use cfr_sim::types::AddressingMode;
-use cfr_sim::workload::{profiles, ProgramCache};
+use cfr_sim::workload::profiles;
 
 fn quick() -> SimConfig {
     let mut cfg = SimConfig::default_config();
@@ -217,9 +217,8 @@ fn accounting_consistency() {
 fn all_profiles_run() {
     let mut cfg = quick();
     cfg.max_commits = 40_000;
-    let programs = ProgramCache::new();
     for p in profiles::all() {
-        let r = Simulator::run_profile(&p, &programs, &cfg, StrategyKind::Ia, AddressingMode::ViPt);
+        let r = Simulator::run_program(&p.generate(), &cfg, StrategyKind::Ia, AddressingMode::ViPt);
         assert_eq!(r.committed, 40_000, "{}", p.name);
         assert!(r.cpu.ipc() > 0.1 && r.cpu.ipc() <= 4.0, "{}", p.name);
     }
