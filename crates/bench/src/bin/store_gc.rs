@@ -17,7 +17,8 @@
 //! grants/expiries), asks the daemon for a GC pass over the wire, and
 //! reports the result against the same byte budget.
 
-use cfr_core::{ArtifactStore, GcPolicy, RemoteStore, SHARD_COUNT, STORE_ADDR_ENV};
+use cfr_core::{ArtifactStore, GcPolicy, RemoteStore, SHARD_COUNT};
+use cfr_types::net::store_addr_from_env;
 
 /// Maintenance against a running daemon: STATS (occupancy + load), then
 /// GC, all over the protocol — the daemon owns the directory, so a local
@@ -84,7 +85,7 @@ fn remote_maintenance(addr: &str) {
 }
 
 fn main() {
-    if let Ok(addr) = std::env::var(STORE_ADDR_ENV) {
+    if let Some(addr) = store_addr_from_env() {
         remote_maintenance(&addr);
         return;
     }

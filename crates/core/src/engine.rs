@@ -7,11 +7,14 @@
 //! benchmark, for example). Run serially and independently, the full
 //! evaluation pays for the same simulations many times over.
 //!
-//! The [`Engine`] replaces that with keyed jobs. There are three kinds —
+//! The [`Engine`] replaces that with keyed jobs. There are five kinds —
 //! pipeline runs ([`RunKey`] → [`RunReport`]), multiprogrammed scenarios
-//! ([`ScenarioConfig`] → [`ScenarioReport`]) and Table 4's functional
-//! walks (→ [`WalkMeasurement`]) — and every kind goes through the same
-//! pipeline, `Engine::resolve`:
+//! ([`ScenarioConfig`] → [`ScenarioReport`]), Table 4's functional walks
+//! (→ [`WalkMeasurement`]), and the artifacts those three execute:
+//! generated programs (→ [`Program`]) and pre-decoded traces (→
+//! [`CompiledTrace`]). Every kind goes through the same pipeline,
+//! `Engine::resolve`, which is the only code that reads or writes a
+//! store record:
 //!
 //! 1. **claim** the requested keys that are neither done nor being
 //!    computed by a concurrent batch, so each unique key is computed at
@@ -20,17 +23,17 @@
 //! 2. **probe** the optional persistent [`Store`] ([`Engine::with_store`])
 //!    for the claimed keys in one batched load, extending the dedup
 //!    across processes;
-//! 3. **prefetch**, in one more batched load, the program and trace
-//!    records the cold keys need that the engine does not hold yet;
-//! 4. **prepare** each cold key's compiled binaries serially, through
-//!    the memoized program, layout and trace caches;
-//! 5. **compute** the cold keys in parallel (rayon), each first claimed
+//! 3. **prepare** each cold key's compiled binaries: the programs of
+//!    layouts the engine lacks resolve as one nested job batch, the
+//!    layouts compile once per compilation class, and — under the
+//!    compiled backend — their traces resolve as a second nested batch;
+//! 4. **compute** the cold keys in parallel (rayon), each first claimed
 //!    in the store — against the store daemon, racing processes compute
 //!    every key once globally — and saved as soon as it is computed.
 //!    Cold runs that drive the same pipeline share one worker, which
 //!    simulates one of them and replays the others' translators against
 //!    it, verified call by call (`cfr_cpu::TranslationLog`);
-//! 6. **publish** the values, returned as cheap [`Arc`] handles in
+//! 5. **publish** the values, returned as cheap [`Arc`] handles in
 //!    request order.
 //!
 //! Parallel execution is **deterministic**: a job's outcome depends only
@@ -48,11 +51,11 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use cfr_types::net::claim_lease;
 use cfr_types::{
     AddressingMode, ClaimOutcome, PageGeometry, RecordError, RecordReader, RecordWriter,
-    StoreBackend, NS_PROGRAMS, NS_RUNS, NS_SCENARIOS, NS_TRACES, NS_WALKS,
+    NS_PROGRAMS, NS_RUNS, NS_SCENARIOS, NS_TRACES, NS_WALKS,
 };
 use cfr_workload::{
-    measure_walk, walk_store_key, BenchmarkProfile, LaidProgram, Program, ProgramCache, TraceCache,
-    WalkMeasurement,
+    compile_trace, measure_walk, program_store_key, trace_store_key, walk_store_key,
+    BenchmarkProfile, CompiledTrace, LaidProgram, Program, WalkMeasurement,
 };
 use rayon::prelude::*;
 
@@ -238,28 +241,48 @@ impl RunKey {
     }
 }
 
-/// A multiprogrammed scenario, identified by its config record: as unique
-/// as the config (the record serializes every identity field) and several
-/// times cheaper to hash and clone in the memo tables.
+/// A job identified by its store key: what to compute, and the key
+/// record, which serializes every identity field — as unique as the
+/// input and several times cheaper to hash than it.
 #[derive(Clone, Debug)]
-struct Scenario {
-    cfg: ScenarioConfig,
+struct Keyed<T> {
+    input: T,
     store_key: String,
 }
 
-impl PartialEq for Scenario {
+impl<T> PartialEq for Keyed<T> {
     fn eq(&self, other: &Self) -> bool {
         self.store_key == other.store_key
     }
 }
 
-impl Eq for Scenario {}
+impl<T> Eq for Keyed<T> {}
 
-impl Hash for Scenario {
+impl<T> Hash for Keyed<T> {
     fn hash<H: Hasher>(&self, state: &mut H) {
         self.store_key.hash(state);
     }
 }
+
+/// A multiprogrammed scenario, keyed by its config record.
+type Scenario = Keyed<ScenarioConfig>;
+
+/// A profile's generated program, keyed by [`program_store_key`], which
+/// fingerprints the generator parameters.
+type Generation = Keyed<BenchmarkProfile>;
+
+impl Generation {
+    fn of(profile: &BenchmarkProfile) -> Self {
+        Self {
+            store_key: program_store_key(profile),
+            input: profile.clone(),
+        }
+    }
+}
+
+/// The pre-decoded trace of one compiled binary's layout, keyed by
+/// [`trace_store_key`].
+type TraceCompile = Keyed<Arc<LaidProgram>>;
 
 /// One functional walk of a profile's plain (uninstrumented) 4 KB layout
 /// at one scale: Table 4's input, persisted in the `walks` namespace.
@@ -323,7 +346,7 @@ trait Job: Clone + Eq + Hash + Debug + Send + Sync {
     /// Whether a cold key executes its binaries — and so, under the
     /// compiled backend, needs their pre-decoded traces — rather than
     /// only walking their layout.
-    const EXECUTES: bool;
+    const EXECUTES: bool = false;
 
     /// This kind's memo table on `engine`.
     fn table(engine: &Engine) -> &JobTable<Self>;
@@ -335,8 +358,10 @@ trait Job: Clone + Eq + Hash + Debug + Send + Sync {
     /// The compiled binaries a cold key needs. The prepare step resolves
     /// them in this order — memoized, so strategies sharing a
     /// compilation class share one binary — and hands them to
-    /// [`Job::compute`].
-    fn binaries(&self) -> Vec<Binary>;
+    /// [`Job::compute`]. Programs and traces need none.
+    fn binaries(&self) -> Vec<Binary> {
+        Vec::new()
+    }
 
     /// Computes the key's value from its prepared binaries. When
     /// `record`, a kind that shares pipelines also returns the run for the
@@ -362,14 +387,20 @@ trait Job: Clone + Eq + Hash + Debug + Send + Sync {
         None
     }
 
-    /// Parses a stored value. Anything but exactly one current-codec
-    /// record — torn, corrupt, written by another codec — is a miss.
-    fn decode(text: &str) -> Option<Self::Value> {
-        let mut r = RecordReader::new(text);
-        let value = Self::READ(&mut r).ok()?;
-        r.finish().ok()?;
-        Some(value)
+    /// Parses a stored value for this key. Anything but exactly one
+    /// current-codec record — torn, corrupt, written by another codec —
+    /// is a miss, and so is a value the kind's own checks reject.
+    fn decode(&self, text: &str) -> Option<Self::Value> {
+        parse(text, Self::READ)
     }
+}
+
+/// Exactly one `read` record in `text`, or `None`.
+fn parse<V>(text: &str, read: fn(&mut RecordReader<'_>) -> Result<V, RecordError>) -> Option<V> {
+    let mut r = RecordReader::new(text);
+    let value = read(&mut r).ok()?;
+    r.finish().ok()?;
+    Some(value)
 }
 
 impl Job for RunKey {
@@ -436,7 +467,7 @@ impl Job for Scenario {
     }
 
     fn binaries(&self) -> Vec<Binary> {
-        let cfg = &self.cfg;
+        let cfg = &self.input;
         (0..cfg.procs.len())
             .map(|i| Binary {
                 profile: cfg.procs[i].profile,
@@ -452,7 +483,7 @@ impl Job for Scenario {
         backend: ExecBackend,
         _: bool,
     ) -> (ScenarioReport, Option<Recorded>) {
-        (scenario::simulate(&self.cfg, bins, backend), None)
+        (scenario::simulate(&self.input, bins, backend), None)
     }
 }
 
@@ -462,7 +493,6 @@ impl Job for Walk {
     const WRITE: fn(&WalkMeasurement, &mut RecordWriter) = WalkMeasurement::to_record;
     const READ: fn(&mut RecordReader<'_>) -> Result<WalkMeasurement, RecordError> =
         WalkMeasurement::from_record;
-    const EXECUTES: bool = false;
 
     fn table(engine: &Engine) -> &JobTable<Self> {
         &engine.walks
@@ -488,6 +518,74 @@ impl Job for Walk {
     ) -> (WalkMeasurement, Option<Recorded>) {
         let walk = measure_walk(&bins[0].laid, self.scale.max_commits, self.scale.seed);
         (walk, None)
+    }
+}
+
+impl Job for Generation {
+    type Value = Program;
+    const NS: &'static str = NS_PROGRAMS;
+    const WRITE: fn(&Program, &mut RecordWriter) = Program::to_record;
+    const READ: fn(&mut RecordReader<'_>) -> Result<Program, RecordError> = Program::from_record;
+
+    fn table(engine: &Engine) -> &JobTable<Self> {
+        &engine.programs
+    }
+
+    fn key_record(&self) -> String {
+        self.store_key.clone()
+    }
+
+    fn compute(
+        &self,
+        _: &[ScenarioBinary],
+        _: ExecBackend,
+        _: bool,
+    ) -> (Program, Option<Recorded>) {
+        (self.input.generate(), None)
+    }
+
+    /// A stored program must also pass [`Program::validate`].
+    fn decode(&self, text: &str) -> Option<Program> {
+        parse(text, Self::READ).filter(|program| program.validate().is_ok())
+    }
+}
+
+impl Job for TraceCompile {
+    type Value = CompiledTrace;
+    const NS: &'static str = NS_TRACES;
+    const WRITE: fn(&CompiledTrace, &mut RecordWriter) = CompiledTrace::to_record;
+    const READ: fn(&mut RecordReader<'_>) -> Result<CompiledTrace, RecordError> =
+        CompiledTrace::from_record;
+
+    fn table(engine: &Engine) -> &JobTable<Self> {
+        &engine.traces
+    }
+
+    fn key_record(&self) -> String {
+        self.store_key.clone()
+    }
+
+    fn compute(
+        &self,
+        _: &[ScenarioBinary],
+        _: ExecBackend,
+        _: bool,
+    ) -> (CompiledTrace, Option<Recorded>) {
+        (compile_trace(&self.input), None)
+    }
+
+    /// A stored trace must also pass [`CompiledTrace::validate`] and
+    /// match its layout's shape: geometry, base, instrumentation and
+    /// slot count.
+    fn decode(&self, text: &str) -> Option<CompiledTrace> {
+        let laid = &self.input;
+        parse(text, Self::READ).filter(|trace| {
+            trace.validate().is_ok()
+                && trace.geom == laid.geom
+                && trace.base == laid.base
+                && trace.instrumented == laid.instrumented
+                && trace.len() == laid.slots.len()
+        })
     }
 }
 
@@ -570,21 +668,9 @@ impl<J: Job> Drop for Release<'_, J> {
     }
 }
 
-/// Gates a cold key on the store's claim coordinator. `Some` is the
-/// value another client published while we raced it; `None` means
-/// compute it here — claim granted, no coordinator (local stores), or
-/// any degraded outcome: a failure is always a miss, never a stall.
-fn published_elsewhere(store: &dyn StoreBackend, ns: &str, key: &str) -> Option<String> {
-    let lease = claim_lease();
-    match store.claim(ns, key, lease) {
-        ClaimOutcome::Hit(text) => Some(text),
-        ClaimOutcome::Granted | ClaimOutcome::Unsupported => None,
-        ClaimOutcome::Busy => store.wait_for(ns, key, lease),
-    }
-}
-
 /// A deduplicating, memoizing, parallel executor of simulation runs,
-/// multiprogrammed scenarios and functional walks.
+/// multiprogrammed scenarios and functional walks, and of the programs
+/// and traces they execute.
 ///
 /// One engine should be shared across every experiment of a session (the
 /// `all_experiments` binary shares a single engine across all ten
@@ -593,19 +679,18 @@ fn published_elsewhere(store: &dyn StoreBackend, ns: &str, key: &str) -> Option<
 #[derive(Debug)]
 pub struct Engine {
     profiles: Vec<BenchmarkProfile>,
-    programs: ProgramCache,
-    /// Memoized pre-decoded traces for the compiled execution backend
-    /// (`traces` store namespace; warm across processes like `programs`).
-    traces: TraceCache,
     /// Memoized compiled binaries (layout + instrumentation + marking):
     /// one compilation per [`LaidKey`] no matter how many jobs execute
-    /// it. A batch holds this lock across its prefetch and prepare
-    /// steps, so every artifact answer it primes is consumed by that
-    /// same batch.
+    /// it. The lock covers layout compilation only; no nested job batch
+    /// runs under it.
     laid: Mutex<HashMap<LaidKey, Arc<LaidProgram>>>,
     runs: JobTable<RunKey>,
     scenarios: JobTable<Scenario>,
     walks: JobTable<Walk>,
+    /// Generated programs, the input of every layout.
+    programs: JobTable<Generation>,
+    /// Pre-decoded traces, which only the compiled backend executes.
+    traces: JobTable<TraceCompile>,
     /// Persistent cross-process result store, consulted before computing
     /// and written after (see [`Store`]). `None` = in-memory only.
     store: Option<Store>,
@@ -659,25 +744,23 @@ impl Engine {
         }
         Self {
             profiles,
-            programs: ProgramCache::new(),
-            traces: TraceCache::new(),
             laid: Mutex::new(HashMap::new()),
             runs: JobTable::default(),
             scenarios: JobTable::default(),
             walks: JobTable::default(),
+            programs: JobTable::default(),
+            traces: JobTable::default(),
             store: None,
         }
     }
 
     /// Attaches a persistent [`Store`]: every job key is looked up in it
     /// before computing, and every fresh value is written back, so a key
-    /// computes once *per machine* rather than once per process. The
-    /// same store backs the program and trace caches, so a fully-warm
-    /// invocation generates, compiles and walks nothing either.
+    /// computes once *per machine* rather than once per process. Programs
+    /// and traces are jobs too, so a fully-warm invocation generates,
+    /// compiles and walks nothing either.
     #[must_use]
     pub fn with_store(mut self, store: Store) -> Self {
-        self.programs.attach_store(store.backend());
-        self.traces.attach_store(store.backend());
         self.store = Some(store);
         self
     }
@@ -736,14 +819,8 @@ impl Engine {
         StoreSummary {
             runs: self.runs.traffic(),
             walks: self.walks.traffic(),
-            programs: NamespaceTraffic {
-                warm: self.programs.loaded(),
-                cold: self.programs.generated(),
-            },
-            traces: NamespaceTraffic {
-                warm: self.traces.loaded(),
-                cold: self.traces.compiled(),
-            },
+            programs: self.programs.traffic(),
+            traces: self.traces.traffic(),
             scenarios: self.scenarios.traffic(),
         }
     }
@@ -810,14 +887,18 @@ impl Engine {
             .unwrap_or_else(|| panic!("unknown benchmark profile {name:?}"))
     }
 
-    /// The generated program for a registered profile, memoized.
+    /// The generated program for a registered profile: a one-key job
+    /// batch, memoized and persisted like any other.
     ///
     /// # Panics
     ///
     /// Panics if `name` is not a registered profile.
     #[must_use]
     pub fn program(&self, name: &str) -> Arc<Program> {
-        self.programs.get(self.profile(name))
+        let job = Generation::of(self.profile(name));
+        self.resolve(&[job])
+            .pop()
+            .expect("one key in, one program out")
     }
 
     /// How many simulations have actually executed. Without a store,
@@ -894,8 +975,8 @@ impl Engine {
     /// deduplicate in-process (within and across batches and threads)
     /// and across processes through the `scenarios` store namespace,
     /// exactly like plain runs, and warm replays are byte-identical.
-    /// Per-process binaries and pre-decoded traces resolve through the
-    /// same memoized compilation caches (and store namespaces) runs use.
+    /// Per-process binaries resolve through the same program and trace
+    /// jobs and layout memo runs use.
     ///
     /// # Panics
     ///
@@ -906,7 +987,7 @@ impl Engine {
         let keys: Vec<Scenario> = cfgs
             .iter()
             .map(|cfg| Scenario {
-                cfg: cfg.clone(),
+                input: cfg.clone(),
                 store_key: cfg.store_key(),
             })
             .collect();
@@ -939,7 +1020,7 @@ impl Engine {
                     keys: &claimed,
                 };
                 let values = self.compute_claimed(&claimed);
-                // 6. Publish, then wake waiters.
+                // 5. Publish, then wake waiters.
                 let mut slots = table.lock();
                 for (&key, value) in claimed.iter().zip(values) {
                     *slots.get_mut(key).expect("a claimed key keeps its slot") = Slot::Done(value);
@@ -975,7 +1056,7 @@ impl Engine {
         }
     }
 
-    /// Steps 2–5 of [`Engine::resolve`] for a batch of claimed keys,
+    /// Steps 2–4 of [`Engine::resolve`] for a batch of claimed keys,
     /// returning their values in order.
     fn compute_claimed<J: Job>(&self, claimed: &[&J]) -> Vec<Arc<J::Value>> {
         let table = J::table(self);
@@ -986,12 +1067,13 @@ impl Engine {
             .collect();
         // 2. Probe the store for the whole claimed set in ONE batched
         // load (a networked backend answers it in one round trip), so a
-        // fully-warm batch touches neither the caches nor a worker pool.
+        // fully-warm batch touches neither a layout nor a worker pool.
         let mut values: Vec<Option<J::Value>> = match &store {
             Some(store) => store
                 .load_many(&items)
                 .into_iter()
-                .map(|value| value.and_then(|text| J::decode(&text)))
+                .zip(claimed)
+                .map(|(value, key)| value.and_then(|text| key.decode(&text)))
                 .collect(),
             None => Vec::new(),
         };
@@ -1008,7 +1090,7 @@ impl Engine {
             return values.into_iter().flatten().map(Arc::new).collect();
         }
 
-        // 3–4. Prefetch and prepare the cold keys' binaries.
+        // 3. Prepare the cold keys' binaries.
         let backend = ExecBackend::from_env();
         let cold_keys: Vec<&J> = cold.iter().map(|&i| claimed[i]).collect();
         let jobs: Vec<(usize, Vec<ScenarioBinary>)> = cold
@@ -1017,7 +1099,7 @@ impl Engine {
             .zip(self.prepare(&cold_keys, backend))
             .collect();
 
-        // 5. Compute the cold keys in parallel, one partition per worker:
+        // 4. Compute the cold keys in parallel, one partition per worker:
         // the cold keys that drive one pipeline ([`Job::pipeline`]), in
         // batch order; every other key is a partition of its own.
         let mut partitions: Vec<Vec<&(usize, Vec<ScenarioBinary>)>> = Vec::new();
@@ -1047,7 +1129,7 @@ impl Engine {
             .collect()
     }
 
-    /// Step 5 of [`Engine::resolve`] for one partition of cold keys,
+    /// Step 4 of [`Engine::resolve`] for one partition of cold keys,
     /// `(index into claimed, binaries)` in batch order. The first key is
     /// simulated — recorded, when keys follow it — and each later key is
     /// replayed against that recording ([`Job::follow`]); the keys whose
@@ -1078,13 +1160,13 @@ impl Engine {
                         rejected.push(job);
                         continue;
                     };
-                    self.settle::<J>(record, || {
+                    self.settle(key, record, || {
                         table.replayed.fetch_add(1, Ordering::Relaxed);
                         value
                     })
                 } else {
                     let followed = n + 1 < round.len();
-                    self.settle::<J>(record, || {
+                    self.settle(key, record, || {
                         let (value, recorded) = key.compute(bins, backend, followed);
                         leader = recorded;
                         value
@@ -1100,17 +1182,29 @@ impl Engine {
     /// Settles one cold key, whose store key is `record`. With a
     /// coordinating backend the key is first claimed, so N processes
     /// racing the same cold plan compute each key once globally: losers
-    /// get the winner's published value back warm. Otherwise `compute`
-    /// makes the value, which is saved as soon as it exists (one append
-    /// per record; concurrent binaries sharing the store resync past torn
-    /// bytes and read them as misses) — which also wakes the daemon's
-    /// waiters on that key.
-    fn settle<J: Job>(&self, record: &str, compute: impl FnOnce() -> J::Value) -> J::Value {
+    /// get the winner's published value back warm. Otherwise — claim
+    /// granted, no coordinator (local stores), or any degraded outcome:
+    /// a failure is always a miss, never a stall — `compute` makes the
+    /// value, which is saved as soon as it exists (one append per record;
+    /// concurrent binaries sharing the store resync past torn bytes and
+    /// read them as misses), which also wakes the daemon's waiters on
+    /// that key.
+    fn settle<J: Job>(
+        &self,
+        key: &J,
+        record: &str,
+        compute: impl FnOnce() -> J::Value,
+    ) -> J::Value {
         let table = J::table(self);
         let store = self.store.as_ref().map(Store::backend);
         if let Some(store) = &store {
-            let elsewhere = published_elsewhere(store.as_ref(), J::NS, record);
-            if let Some(value) = elsewhere.and_then(|text| J::decode(&text)) {
+            let lease = claim_lease();
+            let elsewhere = match store.claim(J::NS, record, lease) {
+                ClaimOutcome::Hit(text) => Some(text),
+                ClaimOutcome::Granted | ClaimOutcome::Unsupported => None,
+                ClaimOutcome::Busy => store.wait_for(J::NS, record, lease),
+            };
+            if let Some(value) = elsewhere.and_then(|text| key.decode(&text)) {
                 table.warm.fetch_add(1, Ordering::Relaxed);
                 return value;
             }
@@ -1125,16 +1219,17 @@ impl Engine {
         value
     }
 
-    /// Steps 3–4 of [`Engine::resolve`]: one batched store probe for the
-    /// program and trace records the cold keys need that the caches do
-    /// not hold yet, primed into the caches; then each key's binaries,
-    /// resolved serially through the memoized caches — which consume
-    /// every primed answer — so parallel workers share one immutable
-    /// `Arc` per compilation class.
+    /// Step 3 of [`Engine::resolve`]: each cold key's binaries, one
+    /// immutable `Arc` per compilation class for the parallel workers to
+    /// share. The programs of classes not laid out yet resolve as one job
+    /// batch, the layouts compile under the `laid` lock, and — when the
+    /// keys execute under the compiled backend — the layouts' traces
+    /// resolve as a second job batch. No lock is held across either
+    /// batch, and neither kind depends on a claimed key, so nested claims
+    /// never wait on each other.
     fn prepare<J: Job>(&self, cold: &[&J], backend: ExecBackend) -> Vec<Vec<ScenarioBinary>> {
-        let traced = J::EXECUTES && backend == ExecBackend::Compiled;
-        // Resolve profiles before taking the layout lock, so an unknown
-        // name panics without poisoning it for every later batch.
+        // Resolve profiles first, so an unknown name panics before the
+        // layout lock is taken and poisoned for every later batch.
         let wanted: Vec<Vec<(Binary, &BenchmarkProfile)>> = cold
             .iter()
             .map(|key| {
@@ -1142,72 +1237,63 @@ impl Engine {
                 bins.map(|bin| (bin, self.profile(bin.profile))).collect()
             })
             .collect();
-        let mut laid = self.laid.lock().expect("layout cache poisoned");
-        if let Some(store) = &self.store {
-            let mut items: Vec<(String, String)> = Vec::new();
-            for &(bin, profile) in wanted.iter().flatten() {
-                let trace = traced
-                    .then(|| {
-                        let (instrumented, marked) = (bin.instrumented(), bin.sola_marked());
-                        self.traces
-                            .prefetch_key(profile, bin.geom, instrumented, marked)
-                    })
-                    .flatten();
-                let probes = [
-                    (NS_PROGRAMS, self.programs.prefetch_key(profile)),
-                    (NS_TRACES, trace),
-                ];
-                for (ns, key) in probes {
-                    let Some(key) = key else { continue };
-                    let item = (ns.to_string(), key);
-                    if !items.contains(&item) {
-                        items.push(item);
-                    }
-                }
-            }
-            if !items.is_empty() {
-                let mut values = store.backend().load_many(&items);
-                values.resize_with(items.len(), || None);
-                for ((ns, key), value) in items.into_iter().zip(values) {
-                    if ns == NS_PROGRAMS {
-                        self.programs.prime(key, value);
-                    } else {
-                        self.traces.prime(key, value);
-                    }
-                }
-            }
-        }
-        wanted
+        let missing: Vec<Generation> = {
+            let laid = self.laid.lock().expect("layout cache poisoned");
+            let mut names = HashSet::new();
+            wanted
+                .iter()
+                .flatten()
+                .filter(|(bin, _)| !laid.contains_key(&bin.class()) && names.insert(bin.profile))
+                .map(|(_, profile)| Generation::of(profile))
+                .collect()
+        };
+        let programs: HashMap<&str, Arc<Program>> = missing
+            .iter()
+            .map(|job| job.input.name)
+            .zip(self.resolve(&missing))
+            .collect();
+        let layouts: Vec<Vec<Arc<LaidProgram>>> = {
+            let mut laid = self.laid.lock().expect("layout cache poisoned");
+            let mut lay_out = |bin: &Binary| {
+                let layout = laid.entry(bin.class()).or_insert_with(|| {
+                    let program = &programs[bin.profile];
+                    Arc::new(compiler::compile_for(program, bin.geom, bin.strategy))
+                });
+                Arc::clone(layout)
+            };
+            wanted
+                .iter()
+                .map(|bins| bins.iter().map(|(bin, _)| lay_out(bin)).collect())
+                .collect()
+        };
+        let traced = J::EXECUTES && backend == ExecBackend::Compiled;
+        let traces: Vec<TraceCompile> = if traced {
+            let bins = wanted.iter().flatten().zip(layouts.iter().flatten());
+            bins.map(|(&(bin, profile), laid)| TraceCompile {
+                store_key: trace_store_key(
+                    profile,
+                    bin.geom,
+                    bin.instrumented(),
+                    bin.sola_marked(),
+                ),
+                input: Arc::clone(laid),
+            })
+            .collect()
+        } else {
+            Vec::new()
+        };
+        let mut traces = self.resolve(&traces).into_iter();
+        layouts
             .into_iter()
             .map(|bins| {
                 bins.into_iter()
-                    .map(|(bin, profile)| self.binary(&mut laid, bin, profile, traced))
+                    .map(|laid| ScenarioBinary {
+                        laid,
+                        trace: traces.next(),
+                    })
                     .collect()
             })
             .collect()
-    }
-
-    /// One binary a job needs: its layout, memoized per [`LaidKey`] in
-    /// `laid`, plus — when `traced` — its pre-decoded trace, memoized
-    /// per compilation class and warm across processes through the
-    /// store's `traces` namespace.
-    fn binary(
-        &self,
-        laid: &mut HashMap<LaidKey, Arc<LaidProgram>>,
-        bin: Binary,
-        profile: &BenchmarkProfile,
-        traced: bool,
-    ) -> ScenarioBinary {
-        let layout = laid.entry(bin.class()).or_insert_with(|| {
-            let program = self.programs.get(profile);
-            Arc::new(compiler::compile_for(&program, bin.geom, bin.strategy))
-        });
-        let layout = Arc::clone(layout);
-        let trace = traced.then(|| self.traces.get(profile, &layout, bin.sola_marked()));
-        ScenarioBinary {
-            laid: layout,
-            trace,
-        }
     }
 }
 
@@ -1242,8 +1328,13 @@ mod tests {
         let again = engine.run(a);
         assert_eq!(engine.simulated_runs(), 2);
         assert!(Arc::ptr_eq(&again, &reports[0]));
-        // Each benchmark's program was generated once.
-        assert_eq!(engine.store_summary().programs.cold, 1);
+        // Each benchmark's program was generated once, and each
+        // compilation class's trace — Base's plain binary and IA's
+        // instrumented one — compiled once, under the compiled backend.
+        let s = engine.store_summary();
+        assert_eq!(s.programs.cold, 1);
+        let traced = ExecBackend::from_env() == ExecBackend::Compiled;
+        assert_eq!(s.traces.cold, if traced { 2 } else { 0 });
     }
 
     #[test]

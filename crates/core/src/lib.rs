@@ -27,16 +27,18 @@
 //! Experiments do not call the simulator directly: they describe the jobs
 //! they need as keys — [`RunKey`]s *(benchmark, scale, strategy, mode,
 //! iTLB)*, [`ScenarioConfig`]s, or Table 4's walks — and hand them to an
-//! [`Engine`]. Every job kind goes through the engine's one pipeline:
+//! [`Engine`]. Every job kind — those three, and the programs and traces
+//! they execute — goes through the engine's one pipeline:
 //!
 //! - **claim**: identical keys — within a batch, across batches and
 //!   threads, and across experiments sharing the engine — are computed
 //!   exactly once;
 //! - **probe**: with a persistent [`Store`] attached, keys any process
 //!   already computed are read back in one batched exchange;
-//! - **prefetch and prepare**: the program and trace records the cold
-//!   keys need are fetched in one more batch, then each benchmark's
-//!   program is generated, laid out and pre-decoded once per engine and
+//! - **prepare**: the programs and traces the cold keys execute are jobs
+//!   too, resolved through the same pipeline in two nested batches, so
+//!   each benchmark's program is generated, laid out and pre-decoded
+//!   once per engine — and, with a store daemon, once globally — and
 //!   shared via `Arc`;
 //! - **compute**: cold keys execute on all cores via rayon — claimed in
 //!   the store first, so processes racing one store daemon compute each

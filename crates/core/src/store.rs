@@ -5,10 +5,9 @@
 //! store shared by every persisted layer. A [`Store`] opens the backend
 //! the environment asks for and hands it to the
 //! [`Engine`](crate::Engine), whose one job pipeline does all typed
-//! traffic. Each job kind — runs, scenarios, walks — names its
-//! namespace, its canonical key record and its value codec; the program
-//! and trace caches persist through the same backend. The contract is
-//! the same in every namespace:
+//! traffic. Each job kind — runs, scenarios, walks, programs, traces —
+//! names its namespace, its canonical key record and its value codec.
+//! The contract is the same in every namespace:
 //!
 //! - the store **key** is the job key's canonical record (for a run,
 //!   [`RunKey::store_key`](crate::RunKey::store_key)) — equal keys
@@ -35,15 +34,15 @@
 //!
 //! [`Store::open_default`] picks the backend from the environment: when
 //! `CFR_STORE_ADDR` names a daemon, every engine and binary transparently
-//! becomes a network client with **zero call-site changes**; unset, the
-//! shards are opened directly. Either way the failure contract is
+//! becomes a network client with **zero call-site changes**; unset or
+//! blank, the shards are opened directly. Either way the failure contract is
 //! identical: anything that cannot produce the exact stored bytes —
 //! including a dead daemon — is a miss, and the job goes cold.
 
 use std::io;
 use std::sync::Arc;
 
-use cfr_types::net::STORE_ADDR_ENV;
+use cfr_types::net::store_addr_from_env;
 use cfr_types::{
     ArtifactStore, ChaosBackend, FaultPlan, GcPolicy, LayeredStore, RemoteStore, StoreBackend,
     NS_RUNS,
@@ -90,6 +89,7 @@ impl Store {
     /// networked store**: the daemon first, the machine-local shards
     /// (`$CFR_STORE_DIR`, else [`cfr_types::DEFAULT_STORE_DIR`]) as a
     /// read-mostly fallback. Unset, it is the machine-local store alone.
+    /// A blank variable counts as unset.
     ///
     /// An unreachable daemon is not an error — the client reconnects
     /// with backoff and every operation degrades to a miss meanwhile.
@@ -101,11 +101,7 @@ impl Store {
     /// fallback layer).
     pub fn open_default() -> io::Result<Self> {
         let (backend, shard_dir): (Arc<dyn StoreBackend>, Option<std::path::PathBuf>) =
-            if let Some(addr) = std::env::var(STORE_ADDR_ENV)
-                .ok()
-                .map(|a| a.trim().to_string())
-                .filter(|a| !a.is_empty())
-            {
+            if let Some(addr) = store_addr_from_env() {
                 let local = ArtifactStore::open_default().ok().map(Arc::new);
                 let dir = local.as_ref().map(|l| l.dir().to_path_buf());
                 (
@@ -139,8 +135,8 @@ impl Store {
         Self { backend }
     }
 
-    /// The underlying namespaced store backend (shared by the engine's
-    /// job pipeline and its program and trace caches).
+    /// The underlying namespaced store backend, which the engine's job
+    /// pipeline reads and writes.
     #[must_use]
     pub fn backend(&self) -> Arc<dyn StoreBackend> {
         Arc::clone(&self.backend)

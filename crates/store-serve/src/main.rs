@@ -33,7 +33,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use cfr_types::net::{RemoteStore, ServerConfig, StoreServer, DEFAULT_DAEMON_ADDR};
-use cfr_types::store::{ArtifactStore, GcPolicy, DEFAULT_STORE_DIR, STORE_DIR_ENV};
+use cfr_types::store::{store_dir_from_env, ArtifactStore, GcPolicy, DEFAULT_STORE_DIR};
 
 /// SIGTERM → graceful drain. The handler only flips an atomic flag
 /// (the only thing async-signal-safe to do); the main thread polls it
@@ -249,9 +249,10 @@ fn main() -> ExitCode {
         return maintenance(command, &args.addr);
     }
 
-    let dir = args.dir.clone().unwrap_or_else(|| {
-        std::env::var(STORE_DIR_ENV).unwrap_or_else(|_| DEFAULT_STORE_DIR.to_string())
-    });
+    let dir = args
+        .dir
+        .clone()
+        .unwrap_or_else(|| store_dir_from_env().display().to_string());
     // The daemon's store is opened UNBOUNDED: saves never compact
     // inline. The environment's policy is enforced by the background GC
     // thread and the GC command instead — GC off the save path. The

@@ -37,18 +37,19 @@ pub use chaos::{
     CHAOS_SEED_ENV,
 };
 pub use net::{
-    claim_lease, HealthReport, LayeredStore, RemoteStore, Request, Response, ServerConfig,
-    StoreServer, StoreStats, CLAIM_LEASE_ENV, DEFAULT_DAEMON_ADDR, MAX_FRAME_ENV, STORE_ADDR_ENV,
+    claim_lease, store_addr_from_env, HealthReport, LayeredStore, RemoteStore, Request, Response,
+    ServerConfig, StoreServer, StoreStats, CLAIM_LEASE_ENV, DEFAULT_DAEMON_ADDR, MAX_FRAME_ENV,
+    STORE_ADDR_ENV,
 };
 pub use org::{AddressingMode, CacheOrganization, TlbOrganization};
 pub use page::{PageGeometry, PageGeometryError};
 pub use protection::Protection;
 pub use record::{fnv1a64, RecordError, RecordReader, RecordWriter};
 pub use store::{
-    ArtifactStore, ClaimOutcome, FsyncPolicy, GcPolicy, GcReport, NamespaceCounts, ShardOccupancy,
-    StoreBackend, StoreLock, DEFAULT_STORE_DIR, LOCK_FILE_NAME, NAMESPACES, NS_PROGRAMS, NS_RUNS,
-    NS_SCENARIOS, NS_TRACES, NS_WALKS, SHARD_COUNT, STORE_DIR_ENV, STORE_FORMAT_VERSION,
-    STORE_FSYNC_ENV, STORE_MAX_AGE_ENV, STORE_MAX_BYTES_ENV,
+    store_dir_from_env, ArtifactStore, ClaimOutcome, FsyncPolicy, GcPolicy, GcReport,
+    NamespaceCounts, ShardOccupancy, StoreBackend, StoreLock, DEFAULT_STORE_DIR, LOCK_FILE_NAME,
+    NAMESPACES, NS_PROGRAMS, NS_RUNS, NS_SCENARIOS, NS_TRACES, NS_WALKS, SHARD_COUNT,
+    STORE_DIR_ENV, STORE_FORMAT_VERSION, STORE_FSYNC_ENV, STORE_MAX_AGE_ENV, STORE_MAX_BYTES_ENV,
 };
 
 /// Number of bytes every instruction occupies in the synthetic ISA.

@@ -84,10 +84,26 @@ pub use server::{ServerConfig, StoreServer};
 
 use std::time::Duration;
 
-/// Environment variable naming the store daemon (`host:port`). When set,
-/// `cfr_core::Store::open_default` builds a [`LayeredStore`] (remote
-/// first, local fallback) instead of opening the shards directly.
+/// Environment variable naming the store daemon (`host:port`). When set
+/// and not blank, `cfr_core::Store::open_default` builds a
+/// [`LayeredStore`] (remote first, local fallback) instead of opening
+/// the shards directly.
 pub const STORE_ADDR_ENV: &str = "CFR_STORE_ADDR";
+
+/// The store daemon the environment names: [`STORE_ADDR_ENV`], trimmed,
+/// or `None` when it is unset or blank.
+#[must_use]
+pub fn store_addr_from_env() -> Option<String> {
+    non_blank(std::env::var(STORE_ADDR_ENV).ok())
+}
+
+/// A [`STORE_ADDR_ENV`] value as an address: trimmed, and `None` when
+/// unset or blank.
+fn non_blank(value: Option<String>) -> Option<String> {
+    value
+        .map(|v| v.trim().to_string())
+        .filter(|v| !v.is_empty())
+}
 
 /// Environment variable overriding the maximum frame payload size in
 /// bytes (default [`MAX_FRAME_BYTES`]; values below 4096 are clamped up
@@ -116,4 +132,18 @@ pub fn claim_lease() -> Duration {
         .and_then(|v| v.trim().parse::<u64>().ok())
         .filter(|&ms| ms > 0)
         .map_or(DEFAULT_CLAIM_LEASE, Duration::from_millis)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_blank_store_addr_means_unset() {
+        for blank in [None, Some(""), Some("  "), Some("\t\n")] {
+            assert_eq!(non_blank(blank.map(String::from)), None);
+        }
+        let addr = non_blank(Some(" 127.0.0.1:7433\n".into()));
+        assert_eq!(addr.as_deref(), Some("127.0.0.1:7433"));
+    }
 }

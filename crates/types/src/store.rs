@@ -84,6 +84,7 @@
 //!   framing changes.
 
 use std::collections::HashMap;
+use std::ffi::OsString;
 use std::fmt;
 use std::fs::{self, OpenOptions};
 use std::io::{self, Seek, Write};
@@ -108,6 +109,22 @@ pub const STORE_DIR_ENV: &str = "CFR_STORE_DIR";
 
 /// Default store directory, relative to the working directory.
 pub const DEFAULT_STORE_DIR: &str = "target/cfr-store";
+
+/// The store directory the environment names: [`STORE_DIR_ENV`], or
+/// [`DEFAULT_STORE_DIR`] when it is unset or blank.
+#[must_use]
+pub fn store_dir_from_env() -> PathBuf {
+    dir_or_default(std::env::var_os(STORE_DIR_ENV))
+}
+
+/// A [`STORE_DIR_ENV`] value as a directory: unset or blank means
+/// [`DEFAULT_STORE_DIR`].
+fn dir_or_default(value: Option<OsString>) -> PathBuf {
+    match value {
+        Some(dir) if !dir.to_string_lossy().trim().is_empty() => PathBuf::from(dir),
+        _ => PathBuf::from(DEFAULT_STORE_DIR),
+    }
+}
 
 /// Environment variable capping the store's total on-disk bytes.
 pub const STORE_MAX_BYTES_ENV: &str = "CFR_STORE_MAX_BYTES";
@@ -174,13 +191,14 @@ fn now_secs() -> u64 {
 }
 
 /// The namespaced `(namespace, key) → value` surface every persisted
-/// layer (run reports, walk measurements, generated programs) talks to.
+/// layer (run reports, scenario reports, walk measurements, generated
+/// programs, pre-decoded traces) talks to.
 ///
 /// Implemented by the on-disk [`ArtifactStore`], by the TCP
 /// [`RemoteStore`](crate::net::RemoteStore) client, and by the
 /// [`LayeredStore`](crate::net::LayeredStore) that stacks the two — so
-/// the engine, the typed run store, and the program cache select local
-/// vs. remote storage without any call-site changes.
+/// the engine's one job pipeline selects local vs. remote storage
+/// without any call-site changes.
 ///
 /// The contract inherited from the store itself: **every failure is a
 /// miss**. A `load` that cannot produce the exact bytes that were saved
@@ -619,16 +637,15 @@ impl ArtifactStore {
         store
     }
 
-    /// Opens the machine-shared default store: `$CFR_STORE_DIR` if set,
-    /// else [`DEFAULT_STORE_DIR`], with the environment's GC policy.
+    /// Opens the machine-shared default store: `$CFR_STORE_DIR` if set
+    /// and not blank, else [`DEFAULT_STORE_DIR`], with the environment's
+    /// GC policy.
     ///
     /// # Errors
     ///
     /// Errors if the directory cannot be created.
     pub fn open_default() -> io::Result<Self> {
-        let dir = std::env::var_os(STORE_DIR_ENV)
-            .map_or_else(|| PathBuf::from(DEFAULT_STORE_DIR), PathBuf::from);
-        Self::open(dir, GcPolicy::from_env())
+        Self::open(store_dir_from_env(), GcPolicy::from_env())
     }
 
     /// The store's root directory.
@@ -1183,6 +1200,16 @@ fn scan_shard(dir: &Path, shard: u32, index: &mut Index) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_blank_store_dir_means_the_default() {
+        let default = PathBuf::from(DEFAULT_STORE_DIR);
+        for blank in [None, Some(""), Some("   "), Some("\t\n")] {
+            assert_eq!(dir_or_default(blank.map(OsString::from)), default);
+        }
+        let dir = dir_or_default(Some(OsString::from("store-ci")));
+        assert_eq!(dir, PathBuf::from("store-ci"));
+    }
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir =

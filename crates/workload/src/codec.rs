@@ -370,7 +370,7 @@ impl Program {
     }
 
     /// Parses a [`Self::to_record`] stream. Callers loading untrusted
-    /// bytes (the program cache) should additionally run
+    /// bytes (the engine's program jobs) should additionally run
     /// [`Program::validate`] on the result.
     ///
     /// # Errors

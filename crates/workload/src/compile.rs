@@ -16,25 +16,22 @@
 //! The golden-output suite holds both backends to the same recorded
 //! reports, so the trace is an optimization, never a second model.
 //!
-//! Traces persist in the artifact store under the `traces` namespace
-//! (keys fingerprint the generator params, page geometry, layout
-//! instrumentation, and SoLA marking), so a warm process skips the
-//! compile entirely. Loaded traces are structurally re-validated; any
-//! parse or validation failure degrades to a cold recompile.
-
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+//! The `cfr-core` engine persists traces as jobs in the artifact store's
+//! `traces` namespace, under [`trace_store_key`] (which fingerprints the
+//! generator params, page geometry, layout instrumentation, and SoLA
+//! marking), so a warm process skips the compile entirely. A loaded
+//! trace must pass [`CompiledTrace::validate`] and match its layout's
+//! shape; anything else degrades to a cold recompile.
+//!
+//! [`trace_store_key`]: crate::trace_store_key
 
 use cfr_types::{
-    PageGeometry, RecordError, RecordReader, RecordWriter, StoreBackend, VirtAddr,
-    INSTRUCTION_BYTES, NS_TRACES,
+    PageGeometry, RecordError, RecordReader, RecordWriter, VirtAddr, INSTRUCTION_BYTES,
 };
 
-use crate::codec::{opt_reg_from_record, opt_reg_to_record, record_bool, trace_store_key};
+use crate::codec::{opt_reg_from_record, opt_reg_to_record, record_bool};
 use crate::isa::{BranchKind, BranchTarget, DataRegion, OpClass, RegId};
 use crate::layout::LaidProgram;
-use crate::profiles::BenchmarkProfile;
 use crate::rng::SplitMix64;
 use crate::walk::{
     BranchExec, StepInfo, FRAME_BYTES, GLOBAL_BASE, HEAP_BASE, MAX_CALL_DEPTH, STACK_BASE,
@@ -468,7 +465,7 @@ impl CompiledTrace {
     }
 
     /// Parses a [`Self::to_record`] stream. Callers loading untrusted
-    /// bytes (the trace cache) should additionally run
+    /// bytes (the engine's trace jobs) should additionally run
     /// [`Self::validate`] on the result.
     ///
     /// # Errors
@@ -747,180 +744,11 @@ impl<'t> TraceWalker<'t> {
     }
 }
 
-/// Memo key: profile name plus everything that changes the compiled
-/// trace — page geometry, layout instrumentation, SoLA marking.
-type TraceKey = (&'static str, u64, bool, bool);
-
-/// A memo of compiled traces, optionally backed by the persistent
-/// artifact store's `traces` namespace — the compiled-backend sibling of
-/// [`ProgramCache`](crate::cache::ProgramCache).
-#[derive(Debug, Default)]
-pub struct TraceCache {
-    traces: Mutex<HashMap<TraceKey, Arc<CompiledTrace>>>,
-    store: Mutex<Option<Arc<dyn StoreBackend>>>,
-    /// Store-probe answers delivered ahead of time by a batched prefetch
-    /// ([`TraceCache::prime`]), keyed by store key: `Some(text)` is the
-    /// stored record, `None` a definite miss. Consumed by the next
-    /// [`TraceCache::get`] in place of its own per-key store probe.
-    pending: Mutex<HashMap<String, Option<String>>>,
-    compiled: AtomicU64,
-    loaded: AtomicU64,
-}
-
-impl TraceCache {
-    /// An empty, in-memory-only cache.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Backs this cache with a persistent store: first requests consult
-    /// the store's `traces` namespace before compiling, and fresh
-    /// compilations are written back.
-    pub fn attach_store(&self, store: Arc<dyn StoreBackend>) {
-        *self.store.lock().expect("trace cache poisoned") = Some(store);
-    }
-
-    /// The compiled trace for `laid` (the layout of `profile`'s program,
-    /// with `sola_marked` naming whether the SoLA in-page pass ran), from
-    /// (in order) the in-memory memo, the attached store, or
-    /// [`compile_trace`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if a cache mutex is poisoned.
-    #[must_use]
-    pub fn get(
-        &self,
-        profile: &BenchmarkProfile,
-        laid: &LaidProgram,
-        sola_marked: bool,
-    ) -> Arc<CompiledTrace> {
-        let key: TraceKey = (
-            profile.name,
-            laid.geom.page_bytes(),
-            laid.instrumented,
-            sola_marked,
-        );
-        let mut traces = self.traces.lock().expect("trace cache poisoned");
-        if let Some(trace) = traces.get(&key) {
-            return Arc::clone(trace);
-        }
-        let store = self.store.lock().expect("trace cache poisoned").clone();
-        let store_key = trace_store_key(profile, laid.geom, laid.instrumented, sola_marked);
-        let primed = self
-            .pending
-            .lock()
-            .expect("trace cache poisoned")
-            .remove(&store_key);
-        let warm = match primed {
-            // A batched prefetch already probed the store for this key;
-            // a primed `None` is a definite miss, so skip the re-probe.
-            Some(answer) => answer.and_then(|text| Self::parse_stored(&text, laid)),
-            None => store
-                .as_deref()
-                .and_then(|s| s.load(NS_TRACES, &store_key))
-                .and_then(|text| Self::parse_stored(&text, laid)),
-        };
-        let trace = match warm {
-            Some(warm) => {
-                self.loaded.fetch_add(1, Ordering::Relaxed);
-                warm
-            }
-            None => {
-                self.compiled.fetch_add(1, Ordering::Relaxed);
-                let fresh = compile_trace(laid);
-                if let Some(store) = &store {
-                    let mut w = RecordWriter::new();
-                    fresh.to_record(&mut w);
-                    store.save(NS_TRACES, &store_key, &w.finish());
-                }
-                fresh
-            }
-        };
-        let trace = Arc::new(trace);
-        traces.insert(key, Arc::clone(&trace));
-        trace
-    }
-
-    /// The store key a batched prefetch should probe for the trace of
-    /// `profile` laid out at `geom` (see [`trace_store_key`]), or `None`
-    /// when that trace is already memoized and a primed answer would
-    /// never be consumed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cache mutex is poisoned.
-    #[must_use]
-    pub fn prefetch_key(
-        &self,
-        profile: &BenchmarkProfile,
-        geom: PageGeometry,
-        instrumented: bool,
-        sola_marked: bool,
-    ) -> Option<String> {
-        let key: TraceKey = (profile.name, geom.page_bytes(), instrumented, sola_marked);
-        let traces = self.traces.lock().expect("trace cache poisoned");
-        (!traces.contains_key(&key))
-            .then(|| trace_store_key(profile, geom, instrumented, sola_marked))
-    }
-
-    /// Hands the cache the result of a batched store probe for
-    /// `store_key` (see [`Self::prefetch_key`]): `Some(text)` is the
-    /// stored record, `None` a definite miss. The next [`Self::get`] whose
-    /// layout maps to that key consumes the answer instead of issuing
-    /// its own store round trip; the primed record passes the exact same
-    /// validation a loaded one would, so corruption still degrades to a
-    /// recompile.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cache mutex is poisoned.
-    pub fn prime(&self, store_key: String, value: Option<String>) {
-        self.pending
-            .lock()
-            .expect("trace cache poisoned")
-            .insert(store_key, value);
-    }
-
-    /// Parses and re-validates a stored trace record; any parse,
-    /// validation, or shape mismatch against the live layout is a miss
-    /// (the caller recompiles and overwrites).
-    fn parse_stored(text: &str, laid: &LaidProgram) -> Option<CompiledTrace> {
-        let mut r = RecordReader::new(text);
-        let trace = CompiledTrace::from_record(&mut r).ok()?;
-        r.finish().ok()?;
-        trace.validate().ok()?;
-        (trace.geom == laid.geom
-            && trace.base == laid.base
-            && trace.instrumented == laid.instrumented
-            && trace.decoded.len() == laid.slots.len())
-        .then_some(trace)
-    }
-
-    /// How many traces this cache actually compiled (in-memory *and*
-    /// store misses).
-    #[must_use]
-    pub fn compiled(&self) -> u64 {
-        self.compiled.load(Ordering::Relaxed)
-    }
-
-    /// How many traces were served from the persistent store instead of
-    /// being compiled (0 without a store).
-    #[must_use]
-    pub fn loaded(&self) -> u64 {
-        self.loaded.load(Ordering::Relaxed)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::generate::{generate, GeneratorParams};
-    use crate::profiles;
     use crate::walk::Walker;
-    use cfr_types::{ArtifactStore, GcPolicy};
-    use std::path::PathBuf;
 
     fn small_laid(instrumented: bool) -> LaidProgram {
         let prog = generate(&GeneratorParams::small_test());
@@ -1046,119 +874,5 @@ mod tests {
             .expect("generated program has plain ops");
         trace.ops[plain_slot] = TraceOp::Return;
         assert!(trace.validate().is_err());
-    }
-
-    fn temp_store(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("cfr-tracecache-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
-    }
-
-    #[test]
-    fn cache_compiles_each_layout_once() {
-        let cache = TraceCache::new();
-        let profile = profiles::mesa();
-        let laid = LaidProgram::lay_out(&profile.generate(), PageGeometry::default_4k(), false);
-        let a = cache.get(&profile, &laid, false);
-        let b = cache.get(&profile, &laid, false);
-        assert!(Arc::ptr_eq(&a, &b), "second get must share the first Arc");
-        assert_eq!(cache.compiled(), 1);
-        // A different layout flavour is a different trace.
-        let instr = LaidProgram::lay_out(&profile.generate(), PageGeometry::default_4k(), true);
-        let c = cache.get(&profile, &instr, false);
-        assert_eq!(cache.compiled(), 2);
-        assert_ne!(*c, *a);
-        assert_eq!(cache.loaded(), 0, "no store attached");
-    }
-
-    #[test]
-    fn store_serves_traces_across_caches() {
-        let dir = temp_store("warm");
-        let profile = profiles::mesa();
-        let laid = LaidProgram::lay_out(&profile.generate(), PageGeometry::default_4k(), true);
-
-        let cold = TraceCache::new();
-        cold.attach_store(Arc::new(
-            ArtifactStore::open(&dir, GcPolicy::unbounded()).unwrap(),
-        ));
-        let compiled = cold.get(&profile, &laid, false);
-        assert_eq!((cold.compiled(), cold.loaded()), (1, 0));
-
-        // A fresh cache over the same directory (= a fresh process) loads
-        // instead of compiling, and the trace is identical.
-        let warm = TraceCache::new();
-        warm.attach_store(Arc::new(
-            ArtifactStore::open(&dir, GcPolicy::unbounded()).unwrap(),
-        ));
-        let loaded = warm.get(&profile, &laid, false);
-        assert_eq!((warm.compiled(), warm.loaded()), (0, 1));
-        assert_eq!(*loaded, *compiled);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn primed_answers_replace_per_key_store_probes() {
-        let profile = profiles::mesa();
-        let laid = LaidProgram::lay_out(&profile.generate(), PageGeometry::default_4k(), false);
-        let mut w = RecordWriter::new();
-        compile_trace(&laid).to_record(&mut w);
-        let record = w.finish();
-        let key = trace_store_key(&profile, laid.geom, laid.instrumented, false);
-
-        // A primed hit serves warm with no store attached at all — proof
-        // the cache consumed the prefetched answer, not a store probe.
-        let cache = TraceCache::new();
-        let prefetch = |cache: &TraceCache| cache.prefetch_key(&profile, laid.geom, false, false);
-        assert_eq!(prefetch(&cache).as_ref(), Some(&key));
-        cache.prime(key.clone(), Some(record));
-        let trace = cache.get(&profile, &laid, false);
-        assert_eq!((cache.compiled(), cache.loaded()), (0, 1));
-        assert_eq!(*trace, compile_trace(&laid));
-        assert_eq!(prefetch(&cache), None, "memoized traces are not probed");
-
-        // A primed definite miss compiles without consulting the store.
-        let cold = TraceCache::new();
-        cold.prime(key.clone(), None);
-        let _ = cold.get(&profile, &laid, false);
-        assert_eq!((cold.compiled(), cold.loaded()), (1, 0));
-
-        // A corrupt primed record degrades to a recompile, like any
-        // corrupt stored record.
-        let corrupt = TraceCache::new();
-        corrupt.prime(key, Some("not a trace".into()));
-        let recompiled = corrupt.get(&profile, &laid, false);
-        assert_eq!((corrupt.compiled(), corrupt.loaded()), (1, 0));
-        assert_eq!(*recompiled, compile_trace(&laid));
-    }
-
-    #[test]
-    fn corrupt_stored_trace_recompiles() {
-        let dir = temp_store("corrupt");
-        let profile = profiles::mesa();
-        let laid = LaidProgram::lay_out(&profile.generate(), PageGeometry::default_4k(), false);
-        let store: Arc<dyn StoreBackend> =
-            Arc::new(ArtifactStore::open(&dir, GcPolicy::unbounded()).unwrap());
-        let key = trace_store_key(&profile, laid.geom, laid.instrumented, false);
-        // A parseable-but-invalid trace (no slots), a parseable trace
-        // whose shape mismatches the live layout, and plain garbage: all
-        // three degrade to a cold recompile, never wrong output.
-        for vandalism in [
-            "trace 4096 4194304 0 1 1 1 itargets 0 slots 0",
-            "trace 4096 4194304 0 1 1 1 itargets 0 slots 1 ialu - - -",
-            "not a trace",
-        ] {
-            store.save(NS_TRACES, &key, vandalism);
-            let cache = TraceCache::new();
-            cache.attach_store(Arc::clone(&store));
-            let trace = cache.get(&profile, &laid, false);
-            assert_eq!(cache.compiled(), 1, "bad record recompiles: {vandalism}");
-            assert_eq!(*trace, compile_trace(&laid));
-        }
-        // The recompile repaired the store.
-        let repaired = TraceCache::new();
-        repaired.attach_store(Arc::clone(&store));
-        let _ = repaired.get(&profile, &laid, false);
-        assert_eq!((repaired.compiled(), repaired.loaded()), (0, 1));
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

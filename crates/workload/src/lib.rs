@@ -29,7 +29,6 @@
 //! assert_eq!(step.slot, 0, "execution starts at the entry slot");
 //! ```
 
-mod cache;
 pub mod codec;
 mod compile;
 mod generate;
@@ -41,9 +40,8 @@ mod program;
 mod rng;
 mod walk;
 
-pub use cache::ProgramCache;
 pub use codec::{params_fingerprint, program_store_key, trace_store_key, walk_store_key};
-pub use compile::{compile_trace, CompiledTrace, DecodedInstr, TraceCache, TraceOp, TraceWalker};
+pub use compile::{compile_trace, CompiledTrace, DecodedInstr, TraceOp, TraceWalker};
 pub use generate::{generate, GeneratorParams};
 pub use isa::{BranchKind, BranchSpec, BranchTarget, DataRegion, Instruction, OpClass, RegId};
 pub use layout::{LaidProgram, Slot};

@@ -49,8 +49,8 @@ fn sample_keys(scale: &ExperimentScale) -> Vec<RunKey> {
 }
 
 /// Parallel engine output must be bit-identical to serial simulation of
-/// freshly generated programs (also proving the program cache hands out
-/// unmodified programs).
+/// freshly generated programs (also proving the engine's program jobs
+/// hand out unmodified programs).
 #[test]
 fn parallel_reports_match_serial_runs() {
     four_workers();

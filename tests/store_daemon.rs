@@ -15,7 +15,8 @@ use std::thread;
 use std::time::Duration;
 
 use cfr_sim::core::{
-    Engine, ExperimentScale, RunKey, ScenarioConfig, ScenarioProc, Store, StrategyKind, TlbMode,
+    Engine, ExperimentScale, RunKey, ScenarioConfig, ScenarioProc, Store, StoreSummary,
+    StrategyKind, TlbMode,
 };
 use cfr_sim::types::net::FRAME_MAGIC;
 use cfr_sim::types::{
@@ -168,10 +169,11 @@ fn scenarios(scale: &ExperimentScale) -> Vec<ScenarioConfig> {
 
 /// Four engines race the same fully-cold plan — runs, then scenarios —
 /// through one daemon. The protocol-level claim/wait cycle must make
-/// each unique key compute **exactly once globally** in both job
-/// namespaces — the daemon's own counters are the proof: one claim
-/// granted per key, none expired, and the sum of the racers' cold counts
-/// equals the unique-key count. Every racer still comes back with
+/// each unique key compute **exactly once globally** in every job
+/// namespace the plan touches — runs, scenarios and the programs and
+/// traces they execute. The daemon's own counters are the proof: one
+/// claim granted per key, none expired, and the sum of the racers' cold
+/// counts equals the reference engine's. Every racer still comes back with
 /// reference-identical reports (losers read the winner's published
 /// record).
 #[test]
@@ -186,6 +188,7 @@ fn racing_engines_simulate_each_cold_key_exactly_once_globally() {
     let reference = Engine::new();
     let expected = reference.run_many(&ks);
     let expected_scens = reference.run_scenarios(&scens);
+    let unique = reference.store_summary();
 
     let engines: Vec<Arc<Engine>> = (0..4).map(|_| Arc::new(remote_engine(&addr))).collect();
     let workers: Vec<_> = engines
@@ -229,6 +232,19 @@ fn racing_engines_simulate_each_cold_key_exactly_once_globally() {
         scens.len() as u64,
         "cold scenarios across all racers == unique configs (global dedup)"
     );
+    let cold_sum = |ns: fn(&StoreSummary) -> u64| -> u64 {
+        engines.iter().map(|e| ns(&e.store_summary())).sum()
+    };
+    assert_eq!(
+        cold_sum(|s| s.programs.cold),
+        unique.programs.cold,
+        "cold programs across all racers == the reference's (global dedup)"
+    );
+    assert_eq!(
+        cold_sum(|s| s.traces.cold),
+        unique.traces.cold,
+        "cold traces across all racers == the reference's (global dedup)"
+    );
     // Every racer resolved every key: what it did not compute, it read
     // warm (probe hit, claim hit, or wait-published hit).
     for engine in &engines {
@@ -239,7 +255,7 @@ fn racing_engines_simulate_each_cold_key_exactly_once_globally() {
     let stats = RemoteStore::new(addr).stats().expect("daemon reachable");
     assert_eq!(
         stats.claims_granted,
-        (ks.len() + scens.len()) as u64,
+        ks.len() as u64 + scens.len() as u64 + unique.programs.cold + unique.traces.cold,
         "exactly one claim granted per unique key"
     );
     assert_eq!(stats.claims_expired, 0, "no claim lapsed during the race");

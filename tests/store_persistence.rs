@@ -11,10 +11,11 @@ use std::sync::Arc;
 
 use cfr_sim::core::{
     fig4, fig6, table2, table3, table4, table5, table6, table7, table8, ArtifactStore, Engine,
-    ExperimentScale, GcPolicy, RunKey, RunReport, Store, StoreBackend, StrategyKind, NS_PROGRAMS,
-    NS_TRACES, STORE_FORMAT_VERSION,
+    ExecBackend, ExperimentScale, GcPolicy, RunKey, RunReport, Store, StoreBackend, StrategyKind,
+    NS_PROGRAMS, NS_TRACES, STORE_FORMAT_VERSION,
 };
-use cfr_sim::types::AddressingMode;
+use cfr_sim::types::{AddressingMode, PageGeometry};
+use cfr_sim::workload::{profiles, program_store_key, trace_store_key};
 
 fn temp_store(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("cfr-store-it-{tag}-{}", std::process::id()));
@@ -203,9 +204,9 @@ impl StoreBackend for ArtifactCounter {
     }
 }
 
-/// The artifact prefetch probes only programs and traces the engine
-/// does not already hold, so every program or trace record a batched
-/// load returns is one the engine then uses warm. Checked on a cold
+/// The engine probes only programs and traces it does not already hold,
+/// so every program or trace record a batched load returns is one the
+/// engine then uses warm. Checked on a cold
 /// nine-experiment pass over an empty store (nothing to find, nothing
 /// used) and on a pass with a new seed over the filled store (new runs,
 /// reused artifacts).
@@ -240,10 +241,64 @@ fn prefetch_reads_only_artifacts_the_engine_uses() {
             "seed {seed:#x}: programs reused"
         );
         assert_eq!(
+            s.traces.warm > 0,
+            filled && ExecBackend::from_env() == ExecBackend::Compiled,
+            "seed {seed:#x}: traces reused"
+        );
+        assert_eq!(
             counter.found.load(Ordering::Relaxed),
             s.programs.warm + s.traces.warm,
             "seed {seed:#x}: every artifact record read is used"
         );
+    }
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// A stored program or trace record that does not parse, or parses but
+/// fails validation — a function without a terminator, a trace whose
+/// shape does not match its layout — is a miss: the engine regenerates
+/// the program and recompiles the trace, and the overwrite serves the
+/// next engine warm.
+#[test]
+fn invalid_program_and_trace_records_are_recomputed() {
+    let dir = temp_store("artifacts");
+    let store = Arc::new(ArtifactStore::open(&dir, GcPolicy::unbounded()).unwrap());
+    let mesa = profiles::mesa();
+    let program_key = program_store_key(&mesa);
+    // IA runs the instrumented, unmarked binary.
+    let trace_key = trace_store_key(&mesa, PageGeometry::default_4k(), true, false);
+    let traced = u64::from(ExecBackend::from_env() == ExecBackend::Compiled);
+    let ia = |seed| {
+        let scale = ExperimentScale {
+            max_commits: 5_000,
+            seed,
+        };
+        RunKey::new("177.mesa", &scale, StrategyKind::Ia, AddressingMode::ViPt)
+    };
+    // Each round runs at new seeds, so its runs are cold and need the
+    // artifacts.
+    for (round, program, trace) in [
+        (0, "not a program", "not a trace"),
+        (
+            1,
+            "program 1 1 1 functions 1 0 1 blocks 1 1 ialu - - -",
+            "trace 4096 4194304 0 1 1 1 itargets 0 slots 1 ialu - - -",
+        ),
+    ] {
+        store.save(NS_PROGRAMS, &program_key, program);
+        store.save(NS_TRACES, &trace_key, trace);
+        let engine = Engine::new().with_store(Store::over(store.clone()));
+        let _ = engine.run(ia(2 * round + 1));
+        let s = engine.store_summary();
+        assert_eq!((s.programs.warm, s.programs.cold), (0, 1), "{program}");
+        assert_eq!((s.traces.warm, s.traces.cold), (0, traced), "{trace}");
+        assert_eq!(*engine.program("177.mesa"), mesa.generate());
+
+        let repaired = Engine::new().with_store(Store::over(store.clone()));
+        let _ = repaired.run(ia(2 * round + 2));
+        let s = repaired.store_summary();
+        assert_eq!((s.programs.warm, s.programs.cold), (1, 0), "{program}");
+        assert_eq!((s.traces.warm, s.traces.cold), (traced, 0), "{trace}");
     }
     let _ = fs::remove_dir_all(&dir);
 }
