@@ -24,13 +24,17 @@ fn main() {
 
     // Engine accounting goes to stderr so stdout stays a byte-stable
     // Markdown document.
+    let retained = engine.retained_logs();
     eprintln!(
         "engine: {} unique runs computed across all tables/figures \
-         ({} pipelines simulated, {} runs replayed), {} programs generated",
+         ({} pipelines simulated, {} runs replayed), {} programs generated, \
+         {} translation logs retained ({:.1} MB)",
         engine.simulated_runs(),
         engine.simulated_runs() - engine.replayed_runs(),
         engine.replayed_runs(),
-        engine.store_summary().programs.cold
+        engine.store_summary().programs.cold,
+        retained.logs,
+        retained.bytes as f64 / 1e6
     );
     print_store_summary(&engine);
 }

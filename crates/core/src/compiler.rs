@@ -8,6 +8,11 @@
 //! 2. **In-page branch marking** ([`mark_in_page_branches`]) — the SoLA
 //!    pass: set the extra instruction bit on every *statically analyzable*
 //!    branch whose target lies on the branch's own page.
+//!
+//! [`compile_for`] runs both passes for all three compiler-assisted
+//! schemes. Only SoLA reads the in-page bit — SoCA and IA never do — so
+//! SoCA, SoLA and IA run one binary, and their runs of one configuration
+//! drive one pipeline.
 
 use cfr_types::PageGeometry;
 use cfr_workload::{LaidProgram, Program};
@@ -56,12 +61,14 @@ pub fn mark_in_page_branches(prog: &mut LaidProgram) -> u64 {
     marked
 }
 
-/// Compiles `program` for `kind`: instrumented layout for the software
-/// schemes, plain layout otherwise, plus the SoLA marking pass.
+/// Compiles `program` for `kind`: the plain layout for Base, OPT and HoA;
+/// for the compiler-assisted schemes, the instrumented layout with its
+/// in-page branches marked (see the module docs).
 #[must_use]
 pub fn compile_for(program: &Program, geom: PageGeometry, kind: StrategyKind) -> LaidProgram {
-    let mut laid = LaidProgram::lay_out(program, geom, wants_instrumented(kind));
-    if kind == StrategyKind::SoLA {
+    let instrumented = wants_instrumented(kind);
+    let mut laid = LaidProgram::lay_out(program, geom, instrumented);
+    if instrumented {
         mark_in_page_branches(&mut laid);
     }
     laid
@@ -131,15 +138,12 @@ mod tests {
     }
 
     #[test]
-    fn compile_for_soca_does_not_mark() {
+    fn soca_sola_and_ia_compile_to_one_binary() {
         let p = program();
-        let laid = compile_for(&p, PageGeometry::default_4k(), StrategyKind::SoCA);
-        assert!(laid.instrumented);
-        assert!(!laid.slots.iter().any(|s| s
-            .instr
-            .branch
-            .as_ref()
-            .is_some_and(|b| b.in_page_hint)));
+        let geom = PageGeometry::default_4k();
+        let sola = compile_for(&p, geom, StrategyKind::SoLA);
+        assert_eq!(compile_for(&p, geom, StrategyKind::SoCA), sola);
+        assert_eq!(compile_for(&p, geom, StrategyKind::Ia), sola);
     }
 
     #[test]

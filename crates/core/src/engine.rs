@@ -30,9 +30,12 @@
 //! 4. **compute** the cold keys in parallel (rayon), each first claimed
 //!    in the store — against the store daemon, racing processes compute
 //!    every key once globally — and saved as soon as it is computed.
-//!    Cold runs that drive the same pipeline share one worker, which
-//!    simulates one of them and replays the others' translators against
-//!    it, verified call by call (`cfr_cpu::TranslationLog`);
+//!    Cold runs that drive the same pipeline share one worker. It first
+//!    replays their translators against the runs of that pipeline earlier
+//!    batches simulated, then simulates one of the rest and replays the
+//!    others against it, each replay verified call by call
+//!    (`cfr_cpu::TranslationLog`). The batch's simulated runs are kept
+//!    for later batches in partition order, under a byte budget;
 //! 5. **publish** the values, returned as cheap [`Arc`] handles in
 //!    request order.
 //!
@@ -67,18 +70,28 @@ use crate::store::Store;
 use crate::strategy::StrategyKind;
 
 /// Identity of one compiled (laid-out) binary: benchmark, page size, and
-/// the compilation class — whether boundary instrumentation ran and
-/// whether the SoLA in-page marking pass ran. Strategies within a class
-/// execute the *same* binary, so the engine compiles it once.
-type LaidKey = (&'static str, u64, bool, bool);
+/// the compilation class — whether the boundary instrumentation and
+/// in-page marking passes ran, which they do together (see
+/// [`compiler::compile_for`]). Strategies within a class — Base, OPT and
+/// HoA; SoCA, SoLA and IA — execute the *same* binary, so the engine
+/// compiles it once.
+type LaidKey = (&'static str, u64, bool);
 
 /// What a run's pipeline depends on besides its translator: the binary
 /// and the key with its translator — strategy and iTLB — erased, which
 /// leaves the addressing mode and the configuration without its iTLB.
-/// Cold runs with equal identities in one batch form a partition, and
-/// one worker simulates one of them and replays the others against it
-/// (see [`Simulator::replay`]).
+/// Cold runs with equal identities in one batch form a partition, which
+/// one worker computes by replaying against the retained runs of that
+/// identity, then simulating one run and replaying the others against
+/// it (see [`Simulator::replay`]). Simulated runs are retained under
+/// their identity.
 type PipelineId = (LaidKey, RunKey);
+
+/// The byte budget of an engine's retained runs: their logs' bytes plus
+/// their page tables' (see [`Engine::retained_logs`]). The paper plan
+/// keeps all of its 120–127 simulated runs in under 10 MB at 60k
+/// commits; at 1M commits the budget fills after 74.
+const LOG_BUDGET: u64 = 64 << 20;
 
 /// The identity of one simulation run. Two runs with equal keys produce
 /// bit-identical [`RunReport`]s, which is what makes engine-level
@@ -320,13 +333,8 @@ impl Binary {
         compiler::wants_instrumented(self.strategy)
     }
 
-    fn sola_marked(&self) -> bool {
-        self.strategy == StrategyKind::SoLA
-    }
-
     fn class(&self) -> LaidKey {
-        let page = self.geom.page_bytes();
-        (self.profile, page, self.instrumented(), self.sola_marked())
+        (self.profile, self.geom.page_bytes(), self.instrumented())
     }
 }
 
@@ -364,8 +372,8 @@ trait Job: Clone + Eq + Hash + Debug + Send + Sync {
     }
 
     /// Computes the key's value from its prepared binaries. When
-    /// `record`, a kind that shares pipelines also returns the run for the
-    /// rest of its partition to [`Job::follow`].
+    /// `record`, a kind that shares pipelines also returns the run for
+    /// later keys of its pipeline to [`Job::follow`].
     fn compute(
         &self,
         bins: &[ScenarioBinary],
@@ -374,14 +382,14 @@ trait Job: Clone + Eq + Hash + Debug + Send + Sync {
     ) -> (Self::Value, Option<Recorded>);
 
     /// The pipeline a cold key drives, for a kind whose keys can replay a
-    /// sibling's recorded run; `None` — every kind but runs — computes
-    /// the key on its own.
+    /// recorded run of it; `None` — every kind but runs — computes the
+    /// key on its own.
     fn pipeline(&self) -> Option<PipelineId> {
         None
     }
 
-    /// The key's value replayed against a partition sibling's recorded
-    /// run, or `None` when the replay is rejected.
+    /// The key's value replayed against a recorded run of its pipeline,
+    /// or `None` when the replay is rejected.
     fn follow(&self, recorded: &Recorded) -> Option<Self::Value> {
         let _ = recorded;
         None
@@ -603,8 +611,8 @@ struct JobTable<J: Job> {
     warm: AtomicU64,
     /// Values computed in this process.
     cold: AtomicU64,
-    /// The cold values computed by replaying a partition sibling's
-    /// recorded run instead of simulating.
+    /// The cold values computed by replaying a recorded run of their
+    /// pipeline instead of simulating.
     replayed: AtomicU64,
 }
 
@@ -668,6 +676,71 @@ impl<J: Job> Drop for Release<'_, J> {
     }
 }
 
+/// The simulated runs an engine keeps for later batches to replay
+/// against, by pipeline identity: every run a batch simulated, added in
+/// partition order, until one does not fit the budget. Nothing is
+/// evicted.
+#[derive(Debug)]
+struct Logs {
+    by_pipeline: HashMap<PipelineId, Vec<Arc<Recorded>>>,
+    kept: RetainedLogs,
+    budget: u64,
+    /// Set by the first run that did not fit; no run is kept after it.
+    full: bool,
+}
+
+impl Logs {
+    fn new(budget: u64) -> Self {
+        Self {
+            by_pipeline: HashMap::new(),
+            kept: RetainedLogs::default(),
+            budget,
+            full: false,
+        }
+    }
+
+    /// Keeps `recorded` under `id`, if it fits the budget.
+    fn keep(&mut self, id: PipelineId, recorded: Arc<Recorded>) {
+        let bytes = recorded.heap_bytes() as u64;
+        self.full |= self.kept.bytes + bytes > self.budget;
+        if !self.full {
+            self.kept.logs += 1;
+            self.kept.bytes += bytes;
+            self.by_pipeline.entry(id).or_default().push(recorded);
+        }
+    }
+}
+
+/// The simulated runs an engine keeps for replays (see
+/// [`Engine::retained_logs`]).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct RetainedLogs {
+    /// Runs kept.
+    pub logs: u64,
+    /// Their translation logs' and page tables' heap bytes.
+    pub bytes: u64,
+}
+
+/// The cold keys of one batch that one worker computes: their indices
+/// into the claimed keys and their binaries, in batch order, and for keys
+/// that drive one pipeline, its identity and retained runs.
+struct Partition<'a> {
+    jobs: Vec<&'a (usize, Vec<ScenarioBinary>)>,
+    pipeline: Option<PipelineId>,
+    retained: Vec<Arc<Recorded>>,
+}
+
+/// What one worker computed for a [`Partition`]: each key's value by its
+/// index into the claimed keys, and the runs it recorded.
+type Computed<V> = (Vec<(usize, V)>, Vec<Arc<Recorded>>);
+
+/// A batch's recorded runs by partition, filed as each partition is
+/// done, and the first partition whose runs are not yet retained.
+struct Unretained {
+    next: usize,
+    runs: Vec<Option<Vec<Arc<Recorded>>>>,
+}
+
 /// A deduplicating, memoizing, parallel executor of simulation runs,
 /// multiprogrammed scenarios and functional walks, and of the programs
 /// and traces they execute.
@@ -691,6 +764,8 @@ pub struct Engine {
     programs: JobTable<Generation>,
     /// Pre-decoded traces, which only the compiled backend executes.
     traces: JobTable<TraceCompile>,
+    /// Simulated runs kept for later batches' replays.
+    logs: Mutex<Logs>,
     /// Persistent cross-process result store, consulted before computing
     /// and written after (see [`Store`]). `None` = in-memory only.
     store: Option<Store>,
@@ -750,6 +825,7 @@ impl Engine {
             walks: JobTable::default(),
             programs: JobTable::default(),
             traces: JobTable::default(),
+            logs: Mutex::new(Logs::new(LOG_BUDGET)),
             store: None,
         }
     }
@@ -918,6 +994,14 @@ impl Engine {
         self.runs.replayed.load(Ordering::Relaxed)
     }
 
+    /// The simulated runs the engine keeps for later batches to replay
+    /// against, and their bytes. Every simulated run is kept until one no
+    /// longer fits a fixed 64 MiB budget; after that, none is.
+    #[must_use]
+    pub fn retained_logs(&self) -> RetainedLogs {
+        self.logs.lock().expect("retained logs poisoned").kept
+    }
+
     /// Executes one run (cached like any other).
     ///
     /// # Panics
@@ -936,11 +1020,12 @@ impl Engine {
     /// result cache; the remaining *unique* keys run in parallel. Keys
     /// that drive the same pipeline — the same binary, addressing mode
     /// and configuration, differing only in strategy or iTLB — go to one
-    /// worker, which simulates one and replays the others' translators
-    /// against it; a replay that would drive a different pipeline is
-    /// rejected, and that key is simulated. Results are bit-identical to
-    /// serial [`Simulator::run_program`] calls with the same key, in any
-    /// batch composition or order.
+    /// worker, which replays their translators against the runs of that
+    /// pipeline earlier batches simulated, then simulates one of the rest
+    /// and replays the others against it; a replay that would drive a
+    /// different pipeline is rejected, and that key is simulated. Results
+    /// are bit-identical to serial [`Simulator::run_program`] calls with
+    /// the same key, in any batch composition or order.
     ///
     /// Safe to call from several threads at once: overlapping keys are
     /// claimed atomically, so each unique key still simulates exactly
@@ -1101,24 +1186,51 @@ impl Engine {
 
         // 4. Compute the cold keys in parallel, one partition per worker:
         // the cold keys that drive one pipeline ([`Job::pipeline`]), in
-        // batch order; every other key is a partition of its own.
-        let mut partitions: Vec<Vec<&(usize, Vec<ScenarioBinary>)>> = Vec::new();
+        // batch order, with the runs of it the engine retained; every
+        // other key is a partition of its own.
+        let mut partitions: Vec<Partition<'_>> = Vec::new();
         let mut of_pipeline: HashMap<PipelineId, usize> = HashMap::new();
+        let logs = self.logs.lock().expect("retained logs poisoned");
         for job in &jobs {
-            let shared = claimed[job.0].pipeline().map(|id| {
+            let pipeline = claimed[job.0].pipeline();
+            let shared = pipeline.map(|id| {
                 *of_pipeline.entry(id).or_insert_with(|| {
-                    partitions.push(Vec::new());
+                    let retained = logs.by_pipeline.get(&id).cloned();
+                    partitions.push(Partition {
+                        jobs: Vec::new(),
+                        pipeline,
+                        retained: retained.unwrap_or_default(),
+                    });
                     partitions.len() - 1
                 })
             });
             match shared {
-                Some(p) => partitions[p].push(job),
-                None => partitions.push(vec![job]),
+                Some(p) => partitions[p].jobs.push(job),
+                None => partitions.push(Partition {
+                    jobs: vec![job],
+                    pipeline,
+                    retained: Vec::new(),
+                }),
             }
         }
-        let fresh: Vec<Vec<(usize, J::Value)>> = partitions
-            .par_iter()
-            .map(|part| self.compute_partition(part, claimed, &items, backend))
+        // Whether the budget has room decides, for the whole batch,
+        // whether a run nothing in its partition follows is recorded.
+        let record_all = !logs.full;
+        drop(logs);
+        let unretained = Mutex::new(Unretained {
+            next: 0,
+            runs: vec![None; partitions.len()],
+        });
+        let indices: Vec<usize> = (0..partitions.len()).collect();
+        let fresh: Vec<Vec<(usize, J::Value)>> = indices
+            .into_par_iter()
+            .map(|p| {
+                let part = &partitions[p];
+                let (values, recorded) =
+                    self.compute_partition(part, record_all, claimed, &items, backend);
+                self.retain_in_order(&partitions, &unretained, p, recorded);
+                values
+            })
             .collect();
         for (i, value) in fresh.into_iter().flatten() {
             values[i] = Some(value);
@@ -1129,54 +1241,89 @@ impl Engine {
             .collect()
     }
 
-    /// Step 4 of [`Engine::resolve`] for one partition of cold keys,
-    /// `(index into claimed, binaries)` in batch order. The first key is
-    /// simulated — recorded, when keys follow it — and each later key is
-    /// replayed against that recording ([`Job::follow`]); the keys whose
+    /// Step 4 of [`Engine::resolve`] for one partition of cold keys. Each
+    /// key is first replayed against the partition's retained runs
+    /// ([`Job::follow`]). Of the keys no replay accepted, the first is
+    /// simulated — recorded, when keys follow it or `record_all` — and
+    /// each later one is replayed against that recording; the keys whose
     /// replay is rejected form the next round, led by the first of them.
-    /// A partition of one is simulated exactly as a lone key.
+    /// A partition of one with nothing retained is simulated exactly as
+    /// a lone key. Returns the values and the runs recorded.
     ///
     /// Each key is settled on its own: claimed in the store before it is
     /// simulated or once its replay is accepted, and saved as soon as it
     /// exists.
     fn compute_partition<J: Job>(
         &self,
-        part: &[&(usize, Vec<ScenarioBinary>)],
+        part: &Partition<'_>,
+        record_all: bool,
         claimed: &[&J],
         items: &[(String, String)],
         backend: ExecBackend,
-    ) -> Vec<(usize, J::Value)> {
+    ) -> Computed<J::Value> {
         let table = J::table(self);
-        let mut done = Vec::with_capacity(part.len());
-        let mut round = part.to_vec();
-        while !round.is_empty() {
-            let mut leader: Option<Recorded> = None;
+        let mut done = Vec::with_capacity(part.jobs.len());
+        let mut recorded = Vec::new();
+        // The runs the pending keys replay against: the retained ones,
+        // then each round's leader's.
+        let mut leaders = part.retained.clone();
+        let mut pending = part.jobs.clone();
+        while !pending.is_empty() {
             let mut rejected = Vec::new();
-            for (n, &job) in round.iter().enumerate() {
-                let (i, bins) = (job.0, &job.1);
-                let (key, record) = (claimed[i], &items[i].1);
-                let value = if let Some(recorded) = &leader {
-                    let Some(value) = key.follow(recorded) else {
-                        rejected.push(job);
-                        continue;
-                    };
-                    self.settle(key, record, || {
-                        table.replayed.fetch_add(1, Ordering::Relaxed);
-                        value
-                    })
-                } else {
-                    let followed = n + 1 < round.len();
-                    self.settle(key, record, || {
-                        let (value, recorded) = key.compute(bins, backend, followed);
-                        leader = recorded;
-                        value
-                    })
-                };
-                done.push((i, value));
+            for &job in &pending {
+                let (key, record) = (claimed[job.0], &items[job.0].1);
+                match leaders.iter().find_map(|leader| key.follow(leader)) {
+                    Some(value) => {
+                        let value = self.settle(key, record, || {
+                            table.replayed.fetch_add(1, Ordering::Relaxed);
+                            value
+                        });
+                        done.push((job.0, value));
+                    }
+                    None => rejected.push(job),
+                }
             }
-            round = rejected;
+            let Some((&&(i, ref bins), rest)) = rejected.split_first() else {
+                break;
+            };
+            let record = !rest.is_empty() || record_all;
+            let mut leader = None;
+            let value = self.settle(claimed[i], &items[i].1, || {
+                let (value, run) = claimed[i].compute(bins, backend, record);
+                leader = run.map(Arc::new);
+                value
+            });
+            done.push((i, value));
+            leaders = leader.iter().cloned().collect();
+            recorded.extend(leader);
+            pending = rest.to_vec();
         }
-        done
+        (done, recorded)
+    }
+
+    /// Files partition `p`'s recorded runs, then offers the retained logs,
+    /// in partition order, the runs of every filed partition whose
+    /// predecessors have offered theirs. So which runs are kept does not
+    /// depend on the worker count, and a run the budget refuses is
+    /// dropped as soon as its turn comes, not when the batch ends.
+    fn retain_in_order(
+        &self,
+        partitions: &[Partition<'_>],
+        unretained: &Mutex<Unretained>,
+        p: usize,
+        recorded: Vec<Arc<Recorded>>,
+    ) {
+        let mut unretained = unretained.lock().expect("unretained runs poisoned");
+        let Unretained { next, runs } = &mut *unretained;
+        runs[p] = Some(recorded);
+        let mut logs = self.logs.lock().expect("retained logs poisoned");
+        while let Some(done) = runs.get_mut(*next).and_then(Option::take) {
+            let pipeline = partitions[*next].pipeline;
+            for run in done {
+                logs.keep(pipeline.expect("only pipelines record"), run);
+            }
+            *next += 1;
+        }
     }
 
     /// Settles one cold key, whose store key is `record`. With a
@@ -1270,12 +1417,7 @@ impl Engine {
         let traces: Vec<TraceCompile> = if traced {
             let bins = wanted.iter().flatten().zip(layouts.iter().flatten());
             bins.map(|(&(bin, profile), laid)| TraceCompile {
-                store_key: trace_store_key(
-                    profile,
-                    bin.geom,
-                    bin.instrumented(),
-                    bin.sola_marked(),
-                ),
+                store_key: trace_store_key(profile, bin.geom, bin.instrumented()),
                 input: Arc::clone(laid),
             })
             .collect()
@@ -1427,6 +1569,40 @@ mod tests {
         assert_eq!(warm.store_summary().runs.warm, 3);
         assert_eq!((warm.simulated_runs(), warm.replayed_runs()), (0, 0));
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn runs_are_retained_until_the_budget_is_full() {
+        let scale = tiny();
+        let run = |kind| RunKey::new("177.mesa", &scale, kind, AddressingMode::ViPt);
+        // Two pipelines, each run by Base and then by HoA, which replays
+        // against Base's run when that run was retained.
+        let (base, hoa) = (run(StrategyKind::Base), run(StrategyKind::HoA));
+        let batches = [
+            base,
+            base.with_il1_bytes(4096),
+            hoa,
+            hoa.with_il1_bytes(4096),
+        ];
+        let unbounded = Engine::new();
+        let first = unbounded.run(batches[0]);
+        let one_log = unbounded.retained_logs();
+        assert_eq!(one_log.logs, 1, "a lone simulated run is retained");
+        let reports: Vec<_> = batches.iter().map(|&key| unbounded.run(key)).collect();
+        assert!(Arc::ptr_eq(&first, &reports[0]));
+        assert_eq!(unbounded.retained_logs().logs, 2);
+        assert_eq!(unbounded.replayed_runs(), 2);
+
+        // Room for the first run's log only: the second is refused, so
+        // the second HoA run is simulated, and no run after it is kept.
+        let engine = Engine::new();
+        engine.logs.lock().unwrap().budget = one_log.bytes;
+        for (&key, report) in batches.iter().zip(&reports) {
+            assert_eq!(*engine.run(key), **report, "{key:?}");
+        }
+        assert_eq!(engine.retained_logs(), one_log);
+        assert!(engine.logs.lock().unwrap().full);
+        assert_eq!(engine.replayed_runs(), 1, "HoA replayed against Base only");
     }
 
     #[test]

@@ -43,8 +43,10 @@
 //! - **compute**: cold keys execute on all cores via rayon — claimed in
 //!   the store first, so processes racing one store daemon compute each
 //!   key once globally — and are saved as they finish; cold runs that
-//!   drive the same pipeline share a worker, which simulates one and
-//!   replays the others' translators against it;
+//!   drive the same pipeline share a worker, which replays their
+//!   translators against runs of that pipeline the engine kept from
+//!   earlier batches, or simulates one and replays the others against
+//!   it;
 //! - **publish**: results come back in request order, so parallel output
 //!   is bit-identical to serial execution.
 //!
@@ -88,7 +90,7 @@ pub use cfr_types::store::{
     NS_TRACES, NS_WALKS, SHARD_COUNT, STORE_DIR_ENV, STORE_FORMAT_VERSION, STORE_MAX_AGE_ENV,
     STORE_MAX_BYTES_ENV,
 };
-pub use engine::{Engine, NamespaceTraffic, RunKey, StoreSummary};
+pub use engine::{Engine, NamespaceTraffic, RetainedLogs, RunKey, StoreSummary};
 pub use experiment::{
     fig4, fig5, fig6, table2, table3, table4, table5, table6, table6_itlbs, table7, table8,
     ExperimentScale, Fig4Row, Fig6Row, Table2Row, Table3Row, Table4Row, Table6Row, Table8Row,

@@ -239,9 +239,9 @@ impl RunReport {
     }
 }
 
-/// A run kept for the runs that drive the same pipeline — the same
-/// binary, addressing mode and configuration up to the iTLB — to replay
-/// their translators against (see [`Simulator::replay`]).
+/// A simulated run kept for the runs that drive the same pipeline — the
+/// same binary, addressing mode and configuration up to the iTLB — to
+/// replay their translators against (see [`Simulator::replay`]).
 #[derive(Debug)]
 pub(crate) struct Recorded {
     /// The pipeline's statistics.
@@ -252,11 +252,17 @@ pub(crate) struct Recorded {
     page_table: PageTable,
 }
 
-/// Room a recorded run's log starts with, in translator calls per two
-/// committed instructions: right- and wrong-path fetches, iL1 misses and
-/// predicted branches come to 1.19–1.35 calls per commit on the paper's
-/// profiles at 60k commits.
-const CALLS_PER_TWO_COMMITS: u64 = 3;
+impl Recorded {
+    /// The heap bytes the recording holds: its log and its page table.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        self.log.heap_bytes() + self.page_table.heap_bytes()
+    }
+}
+
+/// Room a recorded run's log starts with, in bytes per committed
+/// instruction. The paper's profiles log 0.5–1.3 bytes per commit, and a
+/// finished log gives back the room it did not use.
+const LOG_BYTES_PER_COMMIT: u64 = 2;
 
 /// The top-level runner.
 #[derive(Clone, Copy, Debug, Default)]
@@ -412,8 +418,8 @@ impl Simulator {
     ) -> (RunReport, Option<Recorded>) {
         let mut strategy = Self::strategy(cfg, kind, mode);
         let log = if record {
-            let calls = cfg.max_commits.saturating_mul(CALLS_PER_TWO_COMMITS) / 2;
-            let mut recorder = Recorder::new(&mut strategy, usize::try_from(calls).unwrap_or(0));
+            let bytes = cfg.max_commits.saturating_mul(LOG_BYTES_PER_COMMIT);
+            let mut recorder = Recorder::new(&mut strategy, usize::try_from(bytes).unwrap_or(0));
             pipe.run(&mut recorder, cfg.max_commits);
             Some(recorder.finish())
         } else {

@@ -673,18 +673,6 @@ impl FetchTranslator for Strategy {
         }
     }
 
-    fn prefetch_translation(&self, pc: VirtAddr) {
-        // Host-side hint only: pull the iTLB's key/LRU rows for this page
-        // toward the host caches so the pipeline's fetch batch overlaps
-        // this probe's host miss with the iL1 tag probe. Reads nothing
-        // architecturally visible and charges no energy.
-        let vpn = self.geom.vpn(pc);
-        match &self.itlb {
-            ItlbModel::Mono(t) => t.prefetch(vpn),
-            ItlbModel::TwoLevel(t) => t.prefetch(vpn),
-        }
-    }
-
     fn on_branch_predicted(&mut self, _branch_pc: VirtAddr, btb_target: Option<VirtAddr>) {
         if self.kind != StrategyKind::Ia {
             return;

@@ -18,66 +18,8 @@
 //! every energy figure must match exactly (the compiled-vs-interpreter
 //! pipeline test and the repo's golden tests enforce this).
 
-use cfr_mem::{Cache, Tlb};
-use cfr_types::{VirtAddr, Vpn};
+use cfr_types::VirtAddr;
 use cfr_workload::{CompiledTrace, DecodedInstr, LaidProgram, StepInfo, TraceWalker, Walker};
-
-use crate::translate::FetchTranslator;
-
-/// Batches the *independent* metadata probes one simulated access issues.
-///
-/// The pipeline touches several unrelated structures per event — a fetch
-/// probes the iL1 tag array and the strategy's iTLB; a data reference
-/// probes the dL1 and the dTLB. Each probe's first host-memory load is an
-/// all-but-guaranteed cache miss into a multi-megabyte metadata arena, and
-/// running the lookups back to back serializes those misses. `LookupBatch`
-/// issues a host prefetch for every structure in the batch *before* the
-/// first lookup runs, so the misses overlap instead.
-///
-/// Purely a host-side performance hint: every method takes `&self`
-/// structures, reads nothing architecturally visible, and changes no
-/// simulator state — modeled output is byte-identical with or without the
-/// batch (the golden suite enforces this).
-///
-/// ```
-/// # use cfr_cpu::LookupBatch;
-/// # use cfr_mem::{Cache, CacheConfig};
-/// # let il1 = Cache::new(CacheConfig::default_il1());
-/// LookupBatch::begin().cache(&il1, 0x40_0000);
-/// // ... il1.access(0x40_0000, ...) now starts from warmer host caches.
-/// ```
-#[derive(Debug)]
-pub struct LookupBatch;
-
-impl LookupBatch {
-    /// Starts an empty batch.
-    #[inline]
-    pub fn begin() -> Self {
-        Self
-    }
-
-    /// Adds a cache tag-array probe for `addr` to the batch.
-    #[inline]
-    pub fn cache(self, cache: &Cache, addr: u64) -> Self {
-        cache.prefetch(addr);
-        self
-    }
-
-    /// Adds a TLB key-array probe for `vpn` to the batch.
-    #[inline]
-    pub fn tlb(self, tlb: &Tlb, vpn: Vpn) -> Self {
-        tlb.prefetch(vpn);
-        self
-    }
-
-    /// Adds the translator's iTLB probe for `pc` to the batch (a no-op for
-    /// strategies that keep no iTLB, e.g. [`crate::NullTranslator`]).
-    #[inline]
-    pub fn translation<T: FetchTranslator + ?Sized>(self, translator: &T, pc: VirtAddr) -> Self {
-        translator.prefetch_translation(pc);
-        self
-    }
-}
 
 /// A program representation plus its architectural oracle.
 ///

@@ -40,7 +40,7 @@ mod ring;
 mod stats;
 mod translate;
 
-pub use backend::{CompiledBackend, ExecutionBackend, InterpBackend, LookupBatch};
+pub use backend::{CompiledBackend, ExecutionBackend, InterpBackend};
 pub use bpred::{BranchPredictor, Btb, Prediction, PredictorConfig, ReturnAddressStack};
 pub use config::CpuConfig;
 pub use pipeline::{Pipeline, SliceEnd};

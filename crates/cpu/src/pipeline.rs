@@ -21,7 +21,6 @@
 
 use cfr_mem::{AccessKind, Cache, Dram, PageTable, Tlb};
 
-use crate::backend::LookupBatch;
 use cfr_types::{PageGeometry, Protection, VirtAddr, INSTRUCTION_BYTES};
 use cfr_workload::{BranchKind, CompiledTrace, LaidProgram, OpClass, RegId};
 
@@ -779,11 +778,6 @@ impl<B: ExecutionBackend> Pipeline<B> {
     /// added latency in cycles.
     fn data_access(&mut self, addr: VirtAddr, kind: AccessKind) -> u32 {
         let vpn = self.geom.vpn(addr);
-        // The dTLB and dL1 probes are independent (the dL1 is virtually
-        // indexed); overlap their host-memory misses before either runs.
-        LookupBatch::begin()
-            .tlb(&self.dtlb, vpn)
-            .cache(&self.dl1, addr.raw());
         let t = self
             .dtlb
             .lookup(vpn, &mut self.page_table, Protection::data());
@@ -926,11 +920,6 @@ impl<B: ExecutionBackend> Pipeline<B> {
                 kind,
                 wrong_path: self.wrong_path,
             };
-            // The strategy's iTLB probe and the iL1 tag probe below are
-            // independent; overlap their host-memory misses up front.
-            LookupBatch::begin()
-                .translation(translator, pc)
-                .cache(&self.il1, pc.raw());
             let out = translator.on_fetch(&ev, &mut self.page_table);
             group_stall = group_stall.max(out.stall);
 

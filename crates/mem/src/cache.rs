@@ -458,24 +458,6 @@ impl Cache {
         }
     }
 
-    /// Begins pulling `addr`'s set metadata (key row, stamp row, packed
-    /// set record) toward the host caches without touching any simulator
-    /// state. Issued ahead of an *independent* companion lookup (the iTLB
-    /// probe of the same fetch, the dTLB probe of the same data access),
-    /// the two host-memory misses overlap instead of serializing.
-    /// Architecturally a no-op: results, counters, and replacement state
-    /// are untouched.
-    #[inline]
-    pub fn prefetch(&self, addr: u64) {
-        let (set, _) = self.set_and_tag(addr);
-        let base = set * self.assoc;
-        crate::prefetch_read(&self.keys[base]);
-        if self.assoc > 2 {
-            crate::prefetch_read(&self.lru[base]);
-        }
-        crate::prefetch_read(&self.set_state[set]);
-    }
-
     /// Whether `addr` is resident, without touching LRU state or stats.
     #[must_use]
     pub fn probe(&self, addr: u64) -> bool {

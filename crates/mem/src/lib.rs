@@ -34,28 +34,6 @@ mod page_table;
 mod proptests;
 mod tlb;
 
-/// Pulls the host cache line holding `r` toward L1 without reading it.
-///
-/// Used by the `prefetch` methods of [`Cache`] and [`Tlb`]: the pipeline
-/// issues several *independent* metadata probes per simulated fetch (iL1
-/// tags + iTLB keys; dL1 + dTLB on the data side), and starting all their
-/// host-memory loads before any lookup runs lets the host misses overlap
-/// instead of serializing. Purely a host-side hint: no simulator state is
-/// read or written, so modeled behaviour is untouched on every
-/// architecture (and this is a no-op off x86_64).
-#[inline(always)]
-pub(crate) fn prefetch_read<T>(r: &T) {
-    #[cfg(target_arch = "x86_64")]
-    // SAFETY: prefetch instructions have no memory effects and SSE is
-    // baseline on x86_64; any pointer value is allowed.
-    unsafe {
-        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-        _mm_prefetch::<_MM_HINT_T0>(std::ptr::from_ref(r).cast::<i8>());
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = r;
-}
-
 pub use cache::{AccessKind, AccessResult, Cache, CacheConfig, CacheStats};
 pub use cfr_types::AddressingMode;
 pub use dram::{Dram, DramConfig};

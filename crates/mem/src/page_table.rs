@@ -205,6 +205,13 @@ impl PageTable {
     pub fn mapped_pages(&self) -> usize {
         self.live
     }
+
+    /// The heap bytes the table's slot arrays hold.
+    #[must_use]
+    pub fn heap_bytes(&self) -> usize {
+        self.keys.capacity() * std::mem::size_of::<u64>()
+            + self.frames.capacity() * std::mem::size_of::<(Pfn, Protection)>()
+    }
 }
 
 #[cfg(test)]

@@ -239,19 +239,14 @@ proptest! {
     #[test]
     fn tlb_fast_path_matches_reference(
         shape in 0u64..4,
-        ops in proptest::collection::vec((0u64..4, 0u64..12, proptest::bool::ANY), 1..300),
+        ops in proptest::collection::vec((0u64..4, 0u64..12), 1..300),
     ) {
         let org = tlb_org(shape);
         let mut fast = Tlb::new(TlbConfig { organization: org, miss_penalty: 50 });
         let mut reference = RefTlb::new(org);
         let mut pt = PageTable::new();
-        for &(op, page, prefetch) in &ops {
+        for &(op, page) in &ops {
             let vpn = Vpn::new(page);
-            if prefetch {
-                // The batched-probe warm-up is architecturally a no-op:
-                // interleaving it anywhere must not perturb parity.
-                fast.prefetch(vpn);
-            }
             match op {
                 0 | 1 => {
                     // lookup == access + refill-on-miss, against the same
@@ -303,7 +298,7 @@ proptest! {
     fn cache_fast_path_matches_reference(
         assoc_sel in 0u64..4,
         ops in proptest::collection::vec(
-            (0u64..0x400, proptest::bool::ANY, proptest::bool::ANY),
+            (0u64..0x400, proptest::bool::ANY),
             1..400,
         ),
     ) {
@@ -315,12 +310,8 @@ proptest! {
         };
         let mut fast = Cache::new(CacheConfig { organization: org, hit_latency: 1 });
         let mut reference = RefCache::new(org);
-        for &(addr, write, prefetch) in &ops {
+        for &(addr, write) in &ops {
             let kind = if write { AccessKind::Write } else { AccessKind::Read };
-            if prefetch {
-                // Architecturally a no-op (host-cache warm-up only).
-                fast.prefetch(addr);
-            }
             let got = fast.access(addr, kind);
             let (hit, writeback) = reference.access(addr, kind);
             prop_assert_eq!(got.hit, hit, "addr {:#x}", addr);
@@ -341,18 +332,15 @@ proptest! {
     fn single_asid_tlb_matches_untagged_reference(
         shape in 0u64..4,
         asid in 0u64..0x10000,
-        ops in proptest::collection::vec((0u64..4, 0u64..12, proptest::bool::ANY), 1..300),
+        ops in proptest::collection::vec((0u64..4, 0u64..12), 1..300),
     ) {
         let org = tlb_org(shape);
         let mut tagged = Tlb::new(TlbConfig { organization: org, miss_penalty: 50 });
         tagged.set_asid(asid as u16);
         let mut reference = RefTlb::new(org);
         let mut pt = PageTable::new();
-        for &(op, page, prefetch) in &ops {
+        for &(op, page) in &ops {
             let vpn = Vpn::new(page);
-            if prefetch {
-                tagged.prefetch(vpn);
-            }
             match op {
                 0 | 1 => {
                     let got = tagged.lookup(vpn, &mut pt, Protection::code());

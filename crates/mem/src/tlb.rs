@@ -364,17 +364,6 @@ impl Tlb {
         None
     }
 
-    /// Begins pulling `vpn`'s set metadata (key row and stamp row) toward
-    /// the host caches without touching any simulator state — the TLB half
-    /// of the batched-probe pattern (see [`crate::Cache::prefetch`]).
-    /// Architecturally a no-op.
-    #[inline]
-    pub fn prefetch(&self, vpn: Vpn) {
-        let base = self.set_of(vpn) * self.ways;
-        crate::prefetch_read(&self.keys[base]);
-        crate::prefetch_read(&self.lru[base]);
-    }
-
     /// Moves entry index `i` to the front of the MRU list (inserting it
     /// if absent, dropping the oldest slot).
     #[inline]
@@ -675,14 +664,6 @@ impl TwoLevelTlb {
             penalty,
             fault,
         }
-    }
-
-    /// Begins pulling the L1 set's metadata toward the host caches (see
-    /// [`Tlb::prefetch`]); L2 is consulted only on an L1 miss, so its rows
-    /// are left to demand. Architecturally a no-op.
-    #[inline]
-    pub fn prefetch(&self, vpn: Vpn) {
-        self.l1.prefetch(vpn);
     }
 
     /// Invalidates a page in both levels.

@@ -71,22 +71,25 @@ pub fn walk_store_key(
 
 /// The artifact-store key of a compiled trace of `profile`'s program:
 /// the program identity (name + params fingerprint) plus everything the
-/// trace depends on — page geometry, layout instrumentation, and whether
-/// the SoLA in-page marking pass ran over the layout first.
+/// trace depends on — page geometry and layout instrumentation. Every
+/// instrumented layout also carries SoLA's in-page marks, and its key
+/// says `marked`, so no trace of an unmarked layout can serve it.
 #[must_use]
 pub fn trace_store_key(
     profile: &BenchmarkProfile,
     geom: PageGeometry,
     instrumented: bool,
-    sola_marked: bool,
 ) -> String {
     format!(
-        "trace {} {:016x} {} {} {}",
+        "trace {} {:016x} {} {}",
         profile.name,
         params_fingerprint(&profile.params),
         geom.page_bytes(),
-        if instrumented { "instr" } else { "plain" },
-        if sola_marked { "marked" } else { "unmarked" },
+        if instrumented {
+            "instr marked"
+        } else {
+            "plain unmarked"
+        },
     )
 }
 

@@ -18,8 +18,9 @@
 //!
 //! The `cfr-core` engine persists traces as jobs in the artifact store's
 //! `traces` namespace, under [`trace_store_key`] (which fingerprints the
-//! generator params, page geometry, layout instrumentation, and SoLA
-//! marking), so a warm process skips the compile entirely. A loaded
+//! generator params, page geometry and layout instrumentation, which
+//! implies SoLA's in-page marks), so a warm process skips the compile
+//! entirely. A loaded
 //! trace must pass [`CompiledTrace::validate`] and match its layout's
 //! shape; anything else degrades to a cold recompile.
 //!

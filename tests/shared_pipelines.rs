@@ -1,15 +1,18 @@
 //! Shared pipelines, end to end: the engine simulates one run per
-//! distinct pipeline of a batch and replays the sibling runs' translators
-//! against it, and every report must still equal the solo simulation of
-//! its key, floats to the bit.
+//! distinct pipeline and replays the other runs' translators against it —
+//! within a batch, and against the runs earlier batches simulated — and
+//! every report must still equal the solo simulation of its key, floats
+//! to the bit.
 //!
-//! The batch is a reduced paper plan in one `run_many`: two profiles, all
-//! six strategies × three addressing modes, each under Table 6's four
-//! iTLBs and Fig. 6's two-level and 128-entry choices, at two seeds. The
-//! reference is `Simulator::run_traced`, or `Simulator::run_interp` under
+//! The plan is a reduced paper plan: two profiles, all six strategies ×
+//! three addressing modes, each under Table 6's four iTLBs and Fig. 6's
+//! two-level and 128-entry choices, at two seeds. It is resolved in one
+//! `run_many` and in seven, one per iTLB. The reference is
+//! `Simulator::run_traced`, or `Simulator::run_interp` under
 //! `CFR_BACKEND=interp`, the backend the engine itself runs.
 
 use std::collections::HashSet;
+use std::sync::OnceLock;
 
 use cfr_sim::core::{
     compiler, table6_itlbs, Engine, ExecBackend, ExperimentScale, ItlbChoice, RunKey, RunReport,
@@ -67,49 +70,101 @@ fn bits(report: &RunReport) -> String {
     w.finish()
 }
 
+/// `key` simulated on its own, on the engine's backend.
+fn solo(engine: &Engine, key: &RunKey) -> RunReport {
+    let program = engine.program(key.profile);
+    let cfg = key.config();
+    let laid = compiler::compile_for(&program, cfg.cpu.geometry, key.strategy);
+    match ExecBackend::from_env() {
+        ExecBackend::Compiled => {
+            Simulator::run_traced(&compile_trace(&laid), &cfg, key.strategy, key.mode)
+        }
+        ExecBackend::Interp => Simulator::run_interp(&laid, &cfg, key.strategy, key.mode),
+    }
+}
+
+/// Resolves `batches` in order on one fresh engine, checks every report
+/// against its key's solo simulation, and returns the engine.
+fn resolve_checked(batches: &[Vec<RunKey>]) -> Engine {
+    let engine = Engine::new();
+    for keys in batches {
+        let reports = engine.run_many(keys);
+        for (key, report) in keys.iter().zip(&reports) {
+            let solo = solo(&engine, key);
+            assert_eq!(**report, solo, "{key:?}");
+            assert_eq!(bits(report), bits(&solo), "{key:?}");
+        }
+    }
+    engine
+}
+
+/// The plan resolved in one batch: its pipelines simulated and runs
+/// replayed.
+fn one_batch() -> (u64, u64) {
+    static COUNTS: OnceLock<(u64, u64)> = OnceLock::new();
+    *COUNTS.get_or_init(|| {
+        let engine = resolve_checked(&[plan()]);
+        let replayed = engine.replayed_runs();
+        (engine.simulated_runs() - replayed, replayed)
+    })
+}
+
 #[test]
 fn every_shared_report_equals_its_solo_simulation() {
-    let engine = Engine::new();
     let keys = plan();
-    let reports = engine.run_many(&keys);
-
-    let backend = ExecBackend::from_env();
-    for (key, report) in keys.iter().zip(&reports) {
-        let program = engine.program(key.profile);
-        let cfg = key.config();
-        let laid = compiler::compile_for(&program, cfg.cpu.geometry, key.strategy);
-        let solo = match backend {
-            ExecBackend::Compiled => {
-                Simulator::run_traced(&compile_trace(&laid), &cfg, key.strategy, key.mode)
-            }
-            ExecBackend::Interp => Simulator::run_interp(&laid, &cfg, key.strategy, key.mode),
-        };
-        assert_eq!(**report, solo, "{key:?}");
-        assert_eq!(bits(report), bits(&solo), "{key:?}");
-    }
+    let (pipelines, replayed) = one_batch();
 
     // Both paths ran: some runs were replayed, and some replays were
     // rejected, so more pipelines were simulated than the batch has
     // distinct pipeline identities (binary, mode, configuration without
     // the iTLB).
-    let (computed, replayed) = (engine.simulated_runs(), engine.replayed_runs());
-    assert_eq!(computed, keys.len() as u64, "every key is cold and unique");
     assert!(replayed > 0, "no replay was accepted");
-    assert!(replayed < computed, "nothing was simulated");
+    assert!(pipelines > 0, "nothing was simulated");
+    assert_eq!(
+        pipelines + replayed,
+        keys.len() as u64,
+        "every key is cold and unique"
+    );
     let identities: HashSet<_> = keys
         .iter()
         .map(|k| {
-            let class = (
-                compiler::wants_instrumented(k.strategy),
-                k.strategy == StrategyKind::SoLA,
-            );
+            let class = compiler::wants_instrumented(k.strategy);
             (k.profile, k.scale.seed, k.mode, class)
         })
         .collect();
     assert!(
-        computed - replayed > identities.len() as u64,
-        "no replay was rejected: {} pipelines simulated for {} identities",
-        computed - replayed,
+        pipelines > identities.len() as u64,
+        "no replay was rejected: {pipelines} pipelines simulated for {} identities",
         identities.len()
     );
+}
+
+#[test]
+fn one_batch_per_itlb_simulates_no_more_pipelines_than_one_batch() {
+    let batches: Vec<Vec<RunKey>> = itlbs()
+        .into_iter()
+        .map(|itlb| plan().into_iter().filter(|k| k.itlb == itlb).collect())
+        .collect();
+    let engine = resolve_checked(&batches);
+    let replayed = engine.replayed_runs();
+    assert_eq!(engine.simulated_runs(), plan().len() as u64);
+    let (pipelines, _) = one_batch();
+    assert!(
+        engine.simulated_runs() - replayed <= pipelines,
+        "{} pipelines simulated in seven batches, {pipelines} in one",
+        engine.simulated_runs() - replayed
+    );
+}
+
+#[test]
+fn a_run_of_an_earlier_batchs_pipeline_is_replayed() {
+    let scale = ExperimentScale {
+        max_commits: 20_000,
+        seed: 1,
+    };
+    let run = |kind| RunKey::new("254.gap", &scale, kind, AddressingMode::ViPt);
+    let engine = resolve_checked(&[vec![run(StrategyKind::Base)], vec![run(StrategyKind::HoA)]]);
+    assert_eq!(engine.simulated_runs(), 2);
+    assert_eq!(engine.replayed_runs(), 1, "HoA replayed against Base's run");
+    assert_eq!(engine.retained_logs().logs, 1);
 }

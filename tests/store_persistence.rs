@@ -265,8 +265,8 @@ fn invalid_program_and_trace_records_are_recomputed() {
     let store = Arc::new(ArtifactStore::open(&dir, GcPolicy::unbounded()).unwrap());
     let mesa = profiles::mesa();
     let program_key = program_store_key(&mesa);
-    // IA runs the instrumented, unmarked binary.
-    let trace_key = trace_store_key(&mesa, PageGeometry::default_4k(), true, false);
+    // IA runs the instrumented binary, which carries SoLA's in-page marks.
+    let trace_key = trace_store_key(&mesa, PageGeometry::default_4k(), true);
     let traced = u64::from(ExecBackend::from_env() == ExecBackend::Compiled);
     let ia = |seed| {
         let scale = ExperimentScale {
