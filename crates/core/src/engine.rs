@@ -23,10 +23,13 @@
 //! 2. **probe** the optional persistent [`Store`] ([`Engine::with_store`])
 //!    for the claimed keys in one batched load, extending the dedup
 //!    across processes;
-//! 3. **prepare** each cold key's compiled binaries: the programs of
-//!    layouts the engine lacks resolve as one nested job batch, the
-//!    layouts compile once per compilation class, and — under the
-//!    compiled backend — their traces resolve as a second nested batch;
+//! 3. **prepare** each cold key's binaries: their programs resolve as one
+//!    nested job batch. Under the compiled backend, the binaries' traces
+//!    resolve as a second nested batch, each trace job laying its binary
+//!    out and dropping the layout once the trace exists; under the
+//!    interpreter, the layouts are what runs, and compile once per
+//!    compilation class. A walk gets the program and lays out its own
+//!    binary;
 //! 4. **compute** the cold keys in parallel (rayon), each first claimed
 //!    in the store — against the store daemon, racing processes compute
 //!    every key once globally — and saved as soon as it is computed.
@@ -64,7 +67,7 @@ use rayon::prelude::*;
 
 use crate::compiler;
 use crate::experiment::ExperimentScale;
-use crate::scenario::{self, ScenarioBinary, ScenarioConfig, ScenarioReport};
+use crate::scenario::{self, Executable, ScenarioConfig, ScenarioReport};
 use crate::simulator::{ExecBackend, ItlbChoice, Recorded, RunReport, SimConfig, Simulator};
 use crate::store::Store;
 use crate::strategy::StrategyKind;
@@ -293,9 +296,9 @@ impl Generation {
     }
 }
 
-/// The pre-decoded trace of one compiled binary's layout, keyed by
-/// [`trace_store_key`].
-type TraceCompile = Keyed<Arc<LaidProgram>>;
+/// The pre-decoded trace of one compiled binary, keyed by
+/// [`trace_store_key`]: the binary, and the program it is laid out from.
+type TraceCompile = Keyed<(Binary, Arc<Program>)>;
 
 /// One functional walk of a profile's plain (uninstrumented) 4 KB layout
 /// at one scale: Table 4's input, persisted in the `walks` namespace.
@@ -321,7 +324,7 @@ impl Walk {
 
 /// A compiled binary a job needs: `profile`'s program laid out at `geom`
 /// for `strategy`'s compilation class.
-#[derive(Clone, Copy)]
+#[derive(Clone, Copy, Debug)]
 struct Binary {
     profile: &'static str,
     geom: PageGeometry,
@@ -336,6 +339,19 @@ impl Binary {
     fn class(&self) -> LaidKey {
         (self.profile, self.geom.page_bytes(), self.instrumented())
     }
+
+    /// Lays out `program`, this binary's profile's program, as this binary.
+    fn compile(&self, program: &Program) -> LaidProgram {
+        compiler::compile_for(program, self.geom, self.strategy)
+    }
+}
+
+/// A cold key's binaries as the prepare step hands them to
+/// [`Job::compute`]: their programs, and — for a kind that executes its
+/// binaries — what each runs on.
+struct Prepared {
+    programs: Vec<Arc<Program>>,
+    exes: Vec<Executable>,
 }
 
 /// One kind of keyed engine job. [`Engine::resolve`] drives every kind
@@ -351,9 +367,8 @@ trait Job: Clone + Eq + Hash + Debug + Send + Sync {
     const WRITE: fn(&Self::Value, &mut RecordWriter);
     /// Parses a [`Job::WRITE`] record.
     const READ: fn(&mut RecordReader<'_>) -> Result<Self::Value, RecordError>;
-    /// Whether a cold key executes its binaries — and so, under the
-    /// compiled backend, needs their pre-decoded traces — rather than
-    /// only walking their layout.
+    /// Whether a cold key executes its binaries — and so needs their
+    /// executables — rather than only walking a layout of its own.
     const EXECUTES: bool = false;
 
     /// This kind's memo table on `engine`.
@@ -374,12 +389,7 @@ trait Job: Clone + Eq + Hash + Debug + Send + Sync {
     /// Computes the key's value from its prepared binaries. When
     /// `record`, a kind that shares pipelines also returns the run for
     /// later keys of its pipeline to [`Job::follow`].
-    fn compute(
-        &self,
-        bins: &[ScenarioBinary],
-        backend: ExecBackend,
-        record: bool,
-    ) -> (Self::Value, Option<Recorded>);
+    fn compute(&self, bins: &Prepared, record: bool) -> (Self::Value, Option<Recorded>);
 
     /// The pipeline a cold key drives, for a kind whose keys can replay a
     /// recorded run of it; `None` — every kind but runs — computes the
@@ -435,13 +445,9 @@ impl Job for RunKey {
         }]
     }
 
-    fn compute(
-        &self,
-        bins: &[ScenarioBinary],
-        _: ExecBackend,
-        record: bool,
-    ) -> (RunReport, Option<Recorded>) {
-        Simulator::run_binary(&bins[0], &self.config(), self.strategy, self.mode, record)
+    fn compute(&self, bins: &Prepared, record: bool) -> (RunReport, Option<Recorded>) {
+        let exe = &bins.exes[0];
+        Simulator::run_binary(exe, &self.config(), self.strategy, self.mode, record)
     }
 
     fn pipeline(&self) -> Option<PipelineId> {
@@ -485,13 +491,8 @@ impl Job for Scenario {
             .collect()
     }
 
-    fn compute(
-        &self,
-        bins: &[ScenarioBinary],
-        backend: ExecBackend,
-        _: bool,
-    ) -> (ScenarioReport, Option<Recorded>) {
-        (scenario::simulate(&self.input, bins, backend), None)
+    fn compute(&self, bins: &Prepared, _: bool) -> (ScenarioReport, Option<Recorded>) {
+        (scenario::run(&self.input, &bins.exes), None)
     }
 }
 
@@ -518,13 +519,11 @@ impl Job for Walk {
         }]
     }
 
-    fn compute(
-        &self,
-        bins: &[ScenarioBinary],
-        _: ExecBackend,
-        _: bool,
-    ) -> (WalkMeasurement, Option<Recorded>) {
-        let walk = measure_walk(&bins[0].laid, self.scale.max_commits, self.scale.seed);
+    /// Walks a plain layout it builds from the program and drops, so a
+    /// walk batch holds at most one layout per worker.
+    fn compute(&self, bins: &Prepared, _: bool) -> (WalkMeasurement, Option<Recorded>) {
+        let laid = self.binaries()[0].compile(&bins.programs[0]);
+        let walk = measure_walk(&laid, self.scale.max_commits, self.scale.seed);
         (walk, None)
     }
 }
@@ -543,12 +542,7 @@ impl Job for Generation {
         self.store_key.clone()
     }
 
-    fn compute(
-        &self,
-        _: &[ScenarioBinary],
-        _: ExecBackend,
-        _: bool,
-    ) -> (Program, Option<Recorded>) {
+    fn compute(&self, _: &Prepared, _: bool) -> (Program, Option<Recorded>) {
         (self.input.generate(), None)
     }
 
@@ -573,21 +567,18 @@ impl Job for TraceCompile {
         self.store_key.clone()
     }
 
-    fn compute(
-        &self,
-        _: &[ScenarioBinary],
-        _: ExecBackend,
-        _: bool,
-    ) -> (CompiledTrace, Option<Recorded>) {
-        (compile_trace(&self.input), None)
+    fn compute(&self, _: &Prepared, _: bool) -> (CompiledTrace, Option<Recorded>) {
+        let (bin, program) = &self.input;
+        (compile_trace(&bin.compile(program)), None)
     }
 
     /// A stored trace must also pass [`CompiledTrace::validate`] and
-    /// match its layout's shape: geometry, base, instrumentation and
-    /// slot count.
+    /// match the shape of the binary's layout, which is laid out to check
+    /// and dropped: geometry, base, instrumentation and slot count.
     fn decode(&self, text: &str) -> Option<CompiledTrace> {
-        let laid = &self.input;
+        let (bin, program) = &self.input;
         parse(text, Self::READ).filter(|trace| {
+            let laid = bin.compile(program);
             trace.validate().is_ok()
                 && trace.geom == laid.geom
                 && trace.base == laid.base
@@ -725,7 +716,7 @@ pub struct RetainedLogs {
 /// into the claimed keys and their binaries, in batch order, and for keys
 /// that drive one pipeline, its identity and retained runs.
 struct Partition<'a> {
-    jobs: Vec<&'a (usize, Vec<ScenarioBinary>)>,
+    jobs: Vec<&'a (usize, Prepared)>,
     pipeline: Option<PipelineId>,
     retained: Vec<Arc<Recorded>>,
 }
@@ -752,17 +743,21 @@ struct Unretained {
 #[derive(Debug)]
 pub struct Engine {
     profiles: Vec<BenchmarkProfile>,
-    /// Memoized compiled binaries (layout + instrumentation + marking):
-    /// one compilation per [`LaidKey`] no matter how many jobs execute
-    /// it. The lock covers layout compilation only; no nested job batch
-    /// runs under it.
+    /// Memoized compiled binaries (layout + instrumentation + marking),
+    /// which are what the interpreter runs: one compilation per
+    /// [`LaidKey`] no matter how many jobs execute it. Empty under the
+    /// compiled backend, which runs traces. The lock covers layout
+    /// compilation only; no nested job batch runs under it.
     laid: Mutex<HashMap<LaidKey, Arc<LaidProgram>>>,
     runs: JobTable<RunKey>,
     scenarios: JobTable<Scenario>,
     walks: JobTable<Walk>,
     /// Generated programs, the input of every layout.
     programs: JobTable<Generation>,
-    /// Pre-decoded traces, which only the compiled backend executes.
+    /// Pre-decoded traces, which only the compiled backend executes:
+    /// beside its program, all the engine keeps of a binary there. Each
+    /// trace job lays its binary out and drops the layout once the trace
+    /// exists.
     traces: JobTable<TraceCompile>,
     /// Simulated runs kept for later batches' replays.
     logs: Mutex<Logs>,
@@ -868,8 +863,8 @@ impl Engine {
     /// The functional walk measurement of each profile's laid-out
     /// program: the non-pipeline path behind Table 4 and the calibration
     /// tooling. Walks are jobs like runs: memoized, probed in one batched
-    /// store exchange, and — when cold — measured on the engine's
-    /// memoized plain-class layout and written back.
+    /// store exchange, and — when cold — measured on a plain layout each
+    /// walk builds from the memoized program and drops, and written back.
     ///
     /// # Panics
     ///
@@ -1178,7 +1173,7 @@ impl Engine {
         // 3. Prepare the cold keys' binaries.
         let backend = ExecBackend::from_env();
         let cold_keys: Vec<&J> = cold.iter().map(|&i| claimed[i]).collect();
-        let jobs: Vec<(usize, Vec<ScenarioBinary>)> = cold
+        let jobs: Vec<(usize, Prepared)> = cold
             .iter()
             .copied()
             .zip(self.prepare(&cold_keys, backend))
@@ -1226,8 +1221,7 @@ impl Engine {
             .into_par_iter()
             .map(|p| {
                 let part = &partitions[p];
-                let (values, recorded) =
-                    self.compute_partition(part, record_all, claimed, &items, backend);
+                let (values, recorded) = self.compute_partition(part, record_all, claimed, &items);
                 self.retain_in_order(&partitions, &unretained, p, recorded);
                 values
             })
@@ -1259,7 +1253,6 @@ impl Engine {
         record_all: bool,
         claimed: &[&J],
         items: &[(String, String)],
-        backend: ExecBackend,
     ) -> Computed<J::Value> {
         let table = J::table(self);
         let mut done = Vec::with_capacity(part.jobs.len());
@@ -1289,7 +1282,7 @@ impl Engine {
             let record = !rest.is_empty() || record_all;
             let mut leader = None;
             let value = self.settle(claimed[i], &items[i].1, || {
-                let (value, run) = claimed[i].compute(bins, backend, record);
+                let (value, run) = claimed[i].compute(bins, record);
                 leader = run.map(Arc::new);
                 value
             });
@@ -1366,15 +1359,16 @@ impl Engine {
         value
     }
 
-    /// Step 3 of [`Engine::resolve`]: each cold key's binaries, one
-    /// immutable `Arc` per compilation class for the parallel workers to
-    /// share. The programs of classes not laid out yet resolve as one job
-    /// batch, the layouts compile under the `laid` lock, and — when the
-    /// keys execute under the compiled backend — the layouts' traces
-    /// resolve as a second job batch. No lock is held across either
-    /// batch, and neither kind depends on a claimed key, so nested claims
-    /// never wait on each other.
-    fn prepare<J: Job>(&self, cold: &[&J], backend: ExecBackend) -> Vec<Vec<ScenarioBinary>> {
+    /// Step 3 of [`Engine::resolve`]: each cold key's binaries. Their
+    /// programs resolve as one job batch. A kind that executes its
+    /// binaries also gets one immutable executable per compilation class
+    /// for the parallel workers to share: under the compiled backend its
+    /// trace, from a second job batch whose jobs lay the binaries out
+    /// themselves; under the interpreter its layout, compiled under the
+    /// `laid` lock. No lock is held across either batch, and neither kind
+    /// depends on a claimed key, so nested claims never wait on each
+    /// other.
+    fn prepare<J: Job>(&self, cold: &[&J], backend: ExecBackend) -> Vec<Prepared> {
         // Resolve profiles first, so an unknown name panics before the
         // layout lock is taken and poisoned for every later batch.
         let wanted: Vec<Vec<(Binary, &BenchmarkProfile)>> = cold
@@ -1384,56 +1378,53 @@ impl Engine {
                 bins.map(|bin| (bin, self.profile(bin.profile))).collect()
             })
             .collect();
-        let missing: Vec<Generation> = {
-            let laid = self.laid.lock().expect("layout cache poisoned");
+        let generations: Vec<Generation> = {
             let mut names = HashSet::new();
             wanted
                 .iter()
                 .flatten()
-                .filter(|(bin, _)| !laid.contains_key(&bin.class()) && names.insert(bin.profile))
+                .filter(|(bin, _)| names.insert(bin.profile))
                 .map(|(_, profile)| Generation::of(profile))
                 .collect()
         };
-        let programs: HashMap<&str, Arc<Program>> = missing
+        let programs: HashMap<&str, Arc<Program>> = generations
             .iter()
             .map(|job| job.input.name)
-            .zip(self.resolve(&missing))
+            .zip(self.resolve(&generations))
             .collect();
-        let layouts: Vec<Vec<Arc<LaidProgram>>> = {
-            let mut laid = self.laid.lock().expect("layout cache poisoned");
-            let mut lay_out = |bin: &Binary| {
-                let layout = laid.entry(bin.class()).or_insert_with(|| {
-                    let program = &programs[bin.profile];
-                    Arc::new(compiler::compile_for(program, bin.geom, bin.strategy))
-                });
-                Arc::clone(layout)
-            };
-            wanted
-                .iter()
-                .map(|bins| bins.iter().map(|(bin, _)| lay_out(bin)).collect())
-                .collect()
-        };
-        let traced = J::EXECUTES && backend == ExecBackend::Compiled;
-        let traces: Vec<TraceCompile> = if traced {
-            let bins = wanted.iter().flatten().zip(layouts.iter().flatten());
-            bins.map(|(&(bin, profile), laid)| TraceCompile {
-                store_key: trace_store_key(profile, bin.geom, bin.instrumented()),
-                input: Arc::clone(laid),
-            })
-            .collect()
-        } else {
-            Vec::new()
-        };
-        let mut traces = self.resolve(&traces).into_iter();
-        layouts
-            .into_iter()
-            .map(|bins| {
-                bins.into_iter()
-                    .map(|laid| ScenarioBinary {
-                        laid,
-                        trace: traces.next(),
+        let program = |bin: &Binary| Arc::clone(&programs[bin.profile]);
+        let exes: Vec<Executable> = match backend {
+            _ if !J::EXECUTES => Vec::new(),
+            ExecBackend::Compiled => {
+                let traces: Vec<TraceCompile> = wanted
+                    .iter()
+                    .flatten()
+                    .map(|&(bin, profile)| TraceCompile {
+                        store_key: trace_store_key(profile, bin.geom, bin.instrumented()),
+                        input: (bin, program(&bin)),
                     })
-                    .collect()
+                    .collect();
+                let traces = self.resolve(&traces).into_iter();
+                traces.map(Executable::Traced).collect()
+            }
+            ExecBackend::Interp => {
+                let mut laid = self.laid.lock().expect("layout cache poisoned");
+                let bins = wanted.iter().flatten();
+                bins.map(|(bin, _)| {
+                    let layout = laid
+                        .entry(bin.class())
+                        .or_insert_with(|| Arc::new(bin.compile(&programs[bin.profile])));
+                    Executable::Laid(Arc::clone(layout))
+                })
+                .collect()
+            }
+        };
+        let mut exes = exes.into_iter();
+        wanted
+            .iter()
+            .map(|bins| Prepared {
+                programs: bins.iter().map(|(bin, _)| program(bin)).collect(),
+                exes: exes.by_ref().take(bins.len()).collect(),
             })
             .collect()
     }
@@ -1477,6 +1468,36 @@ mod tests {
         assert_eq!(s.programs.cold, 1);
         let traced = ExecBackend::from_env() == ExecBackend::Compiled;
         assert_eq!(s.traces.cold, if traced { 2 } else { 0 });
+    }
+
+    #[test]
+    fn a_compiled_engine_keeps_no_layout() {
+        let engine = Engine::new();
+        let scale = tiny();
+        let keys = [StrategyKind::Base, StrategyKind::Ia]
+            .map(|kind| RunKey::new("177.mesa", &scale, kind, AddressingMode::ViPt));
+        let reports = engine.run_many(&keys);
+        let walks = engine.walk_measurements(&["177.mesa"], &scale);
+        // Each binary's trace is all the engine keeps of it, and the walk
+        // lays out its own binary. Under the interpreter the layouts are
+        // what runs, one per compilation class.
+        let traced = ExecBackend::from_env() == ExecBackend::Compiled;
+        let layouts = engine.laid.lock().unwrap().len();
+        assert_eq!(layouts, if traced { 0 } else { 2 });
+        assert_eq!(
+            engine.store_summary().traces.cold,
+            if traced { 2 } else { 0 }
+        );
+        let program = engine.program("177.mesa");
+        for (key, report) in keys.iter().zip(&reports) {
+            let cfg = key.config();
+            let laid = compiler::compile_for(&program, cfg.cpu.geometry, key.strategy);
+            let solo = Simulator::run_traced(&compile_trace(&laid), &cfg, key.strategy, key.mode);
+            assert_eq!(**report, solo, "{key:?}");
+        }
+        let plain = compiler::compile_for(&program, PageGeometry::default_4k(), StrategyKind::Base);
+        let walk = measure_walk(&plain, scale.max_commits, scale.seed);
+        assert_eq!(walks, [walk]);
     }
 
     #[test]

@@ -276,13 +276,23 @@ fn read_u16(r: &mut RecordReader<'_>, what: &str) -> Result<u16, RecordError> {
 }
 
 /// The executable artifacts of one scenario process, resolved by the
-/// caller (the [`crate::Engine`] memoizes them across scenarios and runs).
+/// caller of [`simulate`].
 #[derive(Clone, Debug)]
 pub struct ScenarioBinary {
     /// The laid-out, instrumented program.
     pub laid: Arc<LaidProgram>,
     /// Its pre-decoded trace — required under [`ExecBackend::Compiled`].
     pub trace: Option<Arc<CompiledTrace>>,
+}
+
+/// The one artifact of a binary the pipeline runs on, which is all the
+/// [`crate::Engine`] keeps of it.
+#[derive(Clone, Debug)]
+pub(crate) enum Executable {
+    /// The pre-decoded trace, which the compiled backend runs.
+    Traced(Arc<CompiledTrace>),
+    /// The layout, which the interpreter runs.
+    Laid(Arc<LaidProgram>),
 }
 
 /// What one scenario run produced.
@@ -453,11 +463,28 @@ pub fn simulate(
     bins: &[ScenarioBinary],
     backend: ExecBackend,
 ) -> ScenarioReport {
+    let exes: Vec<Executable> = bins
+        .iter()
+        .map(|bin| match backend {
+            ExecBackend::Interp => Executable::Laid(Arc::clone(&bin.laid)),
+            ExecBackend::Compiled => Executable::Traced(Arc::clone(
+                bin.trace
+                    .as_ref()
+                    .expect("compiled backend needs a pre-decoded trace per process"),
+            )),
+        })
+        .collect();
+    run(cfg, &exes)
+}
+
+/// [`simulate`] over each process's [`Executable`], which picks its
+/// backend.
+pub(crate) fn run(cfg: &ScenarioConfig, exes: &[Executable]) -> ScenarioReport {
     assert!(
         !cfg.procs.is_empty(),
         "a scenario needs at least one process"
     );
-    assert_eq!(bins.len(), cfg.procs.len(), "one binary per process");
+    assert_eq!(exes.len(), cfg.procs.len(), "one binary per process");
     assert!(cfg.asid_count >= 1, "at least one ASID");
     assert!(cfg.quantum >= 1, "a zero quantum cannot make progress");
 
@@ -465,14 +492,10 @@ pub fn simulate(
     let sims: Vec<SimConfig> = (0..n).map(|i| cfg.proc_config(i)).collect();
     let mut pipes: Vec<AnyPipeline<'_>> = sims
         .iter()
-        .zip(bins)
-        .map(|(sim, bin)| match backend {
-            ExecBackend::Interp => AnyPipeline::Interp(Pipeline::new(&bin.laid, sim.cpu, sim.seed)),
-            ExecBackend::Compiled => {
-                let trace = bin
-                    .trace
-                    .as_deref()
-                    .expect("compiled backend needs a pre-decoded trace per process");
+        .zip(exes)
+        .map(|(sim, exe)| match exe {
+            Executable::Laid(laid) => AnyPipeline::Interp(Pipeline::new(laid, sim.cpu, sim.seed)),
+            Executable::Traced(trace) => {
                 AnyPipeline::Compiled(Pipeline::compiled(trace, sim.cpu, sim.seed))
             }
         })

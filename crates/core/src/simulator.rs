@@ -10,7 +10,7 @@ use cfr_types::{AddressingMode, RecordError, RecordReader, RecordWriter, TlbOrga
 use cfr_workload::{compile_trace, CompiledTrace, Program};
 
 use crate::compiler;
-use crate::scenario::ScenarioBinary;
+use crate::scenario::Executable;
 use crate::strategy::{ItlbModel, LookupBreakdown, Strategy, StrategyKind};
 
 /// Environment variable selecting the execution backend (`compiled`,
@@ -271,8 +271,9 @@ pub struct Simulator;
 impl Simulator {
     /// Compiles `program` for `kind` and runs it to completion under the
     /// environment-selected [`ExecBackend`]. The [`crate::Engine`]
-    /// memoizes compilations and pre-decoded traces across runs instead;
-    /// callers holding a compiled program should use
+    /// memoizes each binary's pre-decoded trace (its layout, under the
+    /// interpreter) across runs instead; callers holding a compiled
+    /// program should use
     /// [`Simulator::run_traced`] or [`Simulator::run_interp`] directly.
     #[must_use]
     pub fn run_program(
@@ -327,27 +328,27 @@ impl Simulator {
         .0
     }
 
-    /// Runs a prepared binary — on its pre-decoded trace when it has one,
-    /// else on the reference interpreter — exactly as
-    /// [`Simulator::run_traced`] or [`Simulator::run_interp`] would. When
-    /// `record`, the run is also kept for [`Simulator::replay`].
+    /// Runs a binary's executable — its pre-decoded trace or its layout —
+    /// exactly as [`Simulator::run_traced`] or [`Simulator::run_interp`]
+    /// would. When `record`, the run is also kept for
+    /// [`Simulator::replay`].
     pub(crate) fn run_binary(
-        bin: &ScenarioBinary,
+        exe: &Executable,
         cfg: &SimConfig,
         kind: StrategyKind,
         mode: AddressingMode,
         record: bool,
     ) -> (RunReport, Option<Recorded>) {
-        match &bin.trace {
-            Some(trace) => Self::run_pipeline(
+        match exe {
+            Executable::Traced(trace) => Self::run_pipeline(
                 Pipeline::compiled(trace, cfg.cpu, cfg.seed),
                 cfg,
                 kind,
                 mode,
                 record,
             ),
-            None => Self::run_pipeline(
-                Pipeline::new(&bin.laid, cfg.cpu, cfg.seed),
+            Executable::Laid(laid) => Self::run_pipeline(
+                Pipeline::new(laid, cfg.cpu, cfg.seed),
                 cfg,
                 kind,
                 mode,
@@ -605,10 +606,7 @@ mod tests {
         let mut cfg = quick_cfg();
         cfg.itlb_miss_penalty = 0;
         let laid = compiler::compile_for(&gap.generate(), cfg.cpu.geometry, StrategyKind::Base);
-        let bin = ScenarioBinary {
-            laid: std::sync::Arc::new(laid),
-            trace: None,
-        };
+        let bin = Executable::Laid(std::sync::Arc::new(laid));
         let (kind, mode) = (StrategyKind::Base, AddressingMode::ViPt);
         let (big, recorded) = Simulator::run_binary(&bin, &cfg, kind, mode, true);
         let recorded = recorded.expect("a recorded run");

@@ -67,7 +67,7 @@ impl LaidProgram {
             panic!("cannot lay out invalid program: {e}");
         }
         let base = VirtAddr::new(TEXT_BASE);
-        let mut slots: Vec<Slot> = Vec::with_capacity(prog.static_instructions());
+        let mut slots: Vec<Slot> = Vec::with_capacity(slot_bound(prog, geom, instrumented));
         let mut block_start = vec![0u32; prog.blocks.len()];
         let mut boundary_branches = 0u32;
 
@@ -172,6 +172,20 @@ impl LaidProgram {
             may_end_page(&s.instr)
         })
     }
+}
+
+/// An upper bound on a layout's slot count: the program's `n`
+/// instructions plus, when instrumented, the boundary branches the pass
+/// can insert. Each fills the last slot of a page of `p` slots whose
+/// other `p - 1` slots hold instructions, so there are at most
+/// `n / (p - 1)` of them (and at most `n`, one before each instruction).
+fn slot_bound(prog: &Program, geom: PageGeometry, instrumented: bool) -> usize {
+    let n = prog.static_instructions();
+    if !instrumented {
+        return n;
+    }
+    let per_page = geom.instructions_per_page() as usize;
+    n + n.div_ceil(per_page.saturating_sub(1).max(1))
 }
 
 /// Whether an instruction may legally occupy the last slot of a page in the
@@ -292,6 +306,21 @@ mod tests {
             heap_array_pages: 0,
         };
         let _ = LaidProgram::lay_out(&p, PageGeometry::default_4k(), false);
+    }
+
+    #[test]
+    fn instrumented_layout_reserves_its_boundary_branches() {
+        let mesa = crate::profiles::mesa().generate();
+        let small = generate(&GeneratorParams::small_test());
+        for (prog, bytes) in [(&mesa, 4096), (&mesa, 16384), (&small, 64)] {
+            let laid = LaidProgram::lay_out(prog, PageGeometry::new(bytes).unwrap(), true);
+            assert!(laid.boundary_branches > 0, "{bytes} B pages");
+            let (len, cap) = (laid.slots.len(), laid.slots.capacity());
+            assert!(
+                cap * 10 < len * 11,
+                "{bytes} B pages: {cap} slots for {len}"
+            );
+        }
     }
 
     #[test]
