@@ -13,9 +13,9 @@
 //!
 //! With `CFR_STORE_ADDR` set the tool becomes a daemon client instead:
 //! it prints the daemon's occupancy **and load counters** (active
-//! connections, pipeline depth high-water mark, batched keys, claim
-//! grants/expiries), asks the daemon for a GC pass over the wire, and
-//! reports the result against the same byte budget.
+//! connections, batched keys, claim grants/expiries), asks the daemon
+//! for a GC pass over the wire, and reports the result against the same
+//! byte budget.
 
 use cfr_core::{ArtifactStore, GcPolicy, RemoteStore, SHARD_COUNT};
 use cfr_types::net::store_addr_from_env;
@@ -44,10 +44,9 @@ fn remote_maintenance(addr: &str) {
         stats.live_records, stats.namespaces, stats.live_bytes, stats.file_bytes,
     );
     println!(
-        "load: {} active connections, pipeline depth hwm {}, \
-         {} batched keys (max batch {}), claims {} granted / {} expired",
+        "load: {} active connections, {} batched keys (max batch {}), \
+         claims {} granted / {} expired",
         stats.active_connections,
-        stats.pipeline_hwm,
         stats.batched_keys,
         stats.max_batch,
         stats.claims_granted,

@@ -20,7 +20,7 @@
 //!
 //! The daemon opens its store **unbounded** so saves never compact
 //! inline; the age/size policy (`CFR_STORE_MAX_BYTES` /
-//! `CFR_STORE_MAX_AGE`) is applied by a background GC thread (cadence
+//! `CFR_STORE_MAX_AGE`) is applied by the housekeeping thread (cadence
 //! `--gc-interval`, default 60 s) and by the `GC` protocol command.
 //! While the daemon runs, no other process can open the directory: the
 //! daemon holds an exclusive advisory lock on it (`daemon.lock`), and
@@ -78,15 +78,15 @@ mod term_signal {
 fn usage() -> ! {
     eprintln!(
         "usage: cfr-store-serve [--addr HOST:PORT] [--dir DIR] [--gc-interval SECS]\n\
-         \x20                     [--workers N] [--read-timeout SECS]\n\
+         \x20                     [--read-timeout SECS]\n\
          \x20      cfr-store-serve stats|health|gc|shutdown [--addr HOST:PORT]\n\
          \n\
          serve mode (default): own DIR (default $CFR_STORE_DIR, else {DEFAULT_STORE_DIR})\n\
          and serve it on HOST:PORT (default {DEFAULT_DAEMON_ADDR}). GC policy comes from\n\
-         CFR_STORE_MAX_BYTES / CFR_STORE_MAX_AGE and runs on a background thread\n\
-         every SECS seconds (default 60; 0 disables the thread). N worker threads\n\
-         multiplex all connections (default 4); a connection stalled mid-frame\n\
-         longer than the read timeout (default 10 s) is closed.\n\
+         CFR_STORE_MAX_BYTES / CFR_STORE_MAX_AGE and runs on the housekeeping thread\n\
+         every SECS seconds (default 60; 0 disables it). Each connection gets its\n\
+         own thread; one stalled mid-frame, or not reading its replies, longer\n\
+         than the read timeout (default 10 s) is closed.\n\
          \n\
          stats / health / gc / shutdown: send the protocol command to a running\n\
          daemon and print its reply. SIGTERM drains gracefully: in-flight frames\n\
@@ -101,19 +101,16 @@ struct Args {
     addr: String,
     dir: Option<String>,
     gc_interval: u64,
-    workers: usize,
     read_timeout: u64,
 }
 
 fn parse_args() -> Args {
-    let defaults = ServerConfig::default();
     let mut args = Args {
         command: None,
         addr: DEFAULT_DAEMON_ADDR.to_string(),
         dir: None,
         gc_interval: 60,
-        workers: defaults.workers,
-        read_timeout: defaults.read_timeout.as_secs(),
+        read_timeout: ServerConfig::default().read_timeout.as_secs(),
     };
     let mut it = std::env::args().skip(1);
     let mut first = true;
@@ -135,13 +132,6 @@ fn parse_args() -> Args {
                 let v = value_of("--gc-interval");
                 args.gc_interval = v.parse().unwrap_or_else(|_| {
                     eprintln!("error: --gc-interval expects seconds, got {v:?}");
-                    usage();
-                });
-            }
-            "--workers" => {
-                let v = value_of("--workers");
-                args.workers = v.parse().ok().filter(|n| *n > 0).unwrap_or_else(|| {
-                    eprintln!("error: --workers expects a positive count, got {v:?}");
                     usage();
                 });
             }
@@ -176,10 +166,9 @@ fn maintenance(command: &str, addr: &str) -> ExitCode {
                     s.live_records, s.namespaces, s.live_bytes, s.file_bytes,
                 );
                 println!(
-                    "load: {} active connections, pipeline depth hwm {}, \
-                     {} batched keys (max batch {}), claims {} granted / {} expired",
+                    "load: {} active connections, {} batched keys (max batch {}), \
+                     claims {} granted / {} expired",
                     s.active_connections,
-                    s.pipeline_hwm,
                     s.batched_keys,
                     s.max_batch,
                     s.claims_granted,
@@ -271,8 +260,8 @@ fn main() -> ExitCode {
     let config = ServerConfig {
         gc_policy: policy,
         gc_interval: (args.gc_interval > 0).then(|| Duration::from_secs(args.gc_interval)),
-        workers: args.workers,
         read_timeout: Duration::from_secs(args.read_timeout),
+        ..ServerConfig::default()
     };
     let server = match StoreServer::bind(Arc::clone(&store), &args.addr, config) {
         Ok(server) => server,
@@ -300,8 +289,7 @@ fn main() -> ExitCode {
             .map_or_else(|| "disabled".into(), |d| format!("every {}s", d.as_secs())),
     );
     println!(
-        "workers: {} multiplexing all connections, read timeout {}s",
-        config.workers,
+        "connections: one thread each, read timeout {}s",
         config.read_timeout.as_secs(),
     );
     use std::io::Write;

@@ -444,12 +444,6 @@ impl StoreBackend for ChaosBackend {
         items.iter().map(|(ns, key)| self.load(ns, key)).collect()
     }
 
-    fn save_many(&self, items: &[(String, String, String)]) {
-        for (ns, key, value) in items {
-            self.save(ns, key, value);
-        }
-    }
-
     fn claim(&self, ns: &str, key: &str, lease: Duration) -> ClaimOutcome {
         match self.next_fault() {
             // A faulted claim degrades exactly like a coordinator-less

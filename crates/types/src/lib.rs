@@ -22,6 +22,8 @@
 //! assert_eq!(pa.raw(), 0x0009_9345);
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod addr;
 pub mod chaos;
 pub mod net;

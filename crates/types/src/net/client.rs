@@ -1,5 +1,5 @@
 //! The store clients: [`RemoteStore`] (TCP, reconnect-with-backoff,
-//! pipelined batches, claim/wait) and [`LayeredStore`] (remote over a
+//! one-frame batches, claim/wait) and [`LayeredStore`] (remote over a
 //! machine-local fallback).
 
 use std::io::{self, Write};
@@ -29,36 +29,6 @@ const BACKOFF_BASE: Duration = Duration::from_millis(50);
 /// Longest reconnect delay.
 const BACKOFF_MAX: Duration = Duration::from_secs(2);
 
-/// Keys per `MGET`/`MPUT` frame. Batches larger than this are split
-/// into several frames — still **pipelined into one exchange** (one
-/// round trip), but each frame stays comfortably under the frame-size
-/// guard even with multi-KB record values.
-const BATCH_CHUNK: usize = 128;
-
-/// Splits `items` into chunks of alternating [`BATCH_CHUNK`] /
-/// [`BATCH_CHUNK`]` - 1` length, so two adjacent chunks never share a
-/// length. The protocol has no request IDs; if a duplicated frame ever
-/// desynchronized the reply stream by one, a shifted `MGOT` reply
-/// would carry its *neighbour's* slot count — which then fails the
-/// per-chunk length check instead of silently filling the wrong keys.
-fn alternating_chunks<T>(items: &[T]) -> Vec<&[T]> {
-    let mut out = Vec::new();
-    let mut rest = items;
-    let mut size = BATCH_CHUNK;
-    while !rest.is_empty() {
-        let take = size.min(rest.len());
-        let (head, tail) = rest.split_at(take);
-        out.push(head);
-        rest = tail;
-        size = if size == BATCH_CHUNK {
-            BATCH_CHUNK - 1
-        } else {
-            BATCH_CHUNK
-        };
-    }
-    out
-}
-
 /// Whether `resp` is a reply kind `req` can legally draw. An `err`
 /// reply is always legal (any request may fail server-side); anything
 /// else must match the request's verb, so a desynchronized reply
@@ -69,12 +39,8 @@ fn reply_matches(req: &Request, resp: &Response) -> bool {
         return true;
     }
     match req {
-        Request::Get { .. } | Request::Wait { .. } => {
-            matches!(resp, Response::Hit { .. } | Response::Miss)
-        }
-        Request::Put { .. } | Request::MPut { .. } | Request::Shutdown => {
-            matches!(resp, Response::Done)
-        }
+        Request::Wait { .. } => matches!(resp, Response::Hit { .. } | Response::Miss),
+        Request::Put { .. } | Request::Shutdown => matches!(resp, Response::Done),
         Request::MGet { .. } => matches!(resp, Response::MGot { .. }),
         Request::Claim { .. } => {
             matches!(
@@ -93,10 +59,7 @@ fn reply_matches(req: &Request, resp: &Response) -> bool {
 /// `CLAIM`, `GC`, `SHUTDOWN`) or parks (`WAIT`) is not — a lost ack
 /// does not prove the daemon never acted on the frame.
 fn idempotent(req: &Request) -> bool {
-    matches!(
-        req,
-        Request::Get { .. } | Request::MGet { .. } | Request::Stats | Request::Health
-    )
+    matches!(req, Request::MGet { .. } | Request::Stats | Request::Health)
 }
 
 #[derive(Debug)]
@@ -128,10 +91,9 @@ struct ClientState {
 ///   window reconnects transparently.
 ///
 /// One connection is shared (mutex-serialized) by all threads of the
-/// process. Batched operations ([`RemoteStore::load_many`],
-/// [`RemoteStore::save_many`]) pipeline all their frames into a single
-/// exchange — one round trip for an entire plan's keys — which is why
-/// serialization is not the bottleneck. The exception is
+/// process. [`RemoteStore::load_many`] sends its whole batch as one
+/// `MGET` frame — one round trip for an entire plan's keys — which is
+/// why serialization is not the bottleneck. The exception is
 /// [`RemoteStore::wait_for`], which parks server-side: it uses a
 /// dedicated throwaway connection so a parked wait never blocks the
 /// shared one.
@@ -143,7 +105,6 @@ pub struct RemoteStore {
     misses: AtomicU64,
     put_errors: AtomicU64,
     round_trips: AtomicU64,
-    requests_sent: AtomicU64,
 }
 
 impl RemoteStore {
@@ -158,7 +119,6 @@ impl RemoteStore {
             misses: AtomicU64::new(0),
             put_errors: AtomicU64::new(0),
             round_trips: AtomicU64::new(0),
-            requests_sent: AtomicU64::new(0),
         }
     }
 
@@ -182,17 +142,10 @@ impl RemoteStore {
     }
 
     /// Completed request/reply exchanges — network round trips. A
-    /// pipelined batch of any size counts **one**; this against
-    /// [`RemoteStore::requests_sent`] is the batching win.
+    /// batch of any size counts **one**.
     #[must_use]
     pub fn round_trips(&self) -> u64 {
         self.round_trips.load(Ordering::Relaxed)
-    }
-
-    /// Request frames written (each `MGET`/`MPUT` chunk counts one).
-    #[must_use]
-    pub fn requests_sent(&self) -> u64 {
-        self.requests_sent.load(Ordering::Relaxed)
     }
 
     fn connect(addr: &str, read_timeout: Duration) -> io::Result<TcpStream> {
@@ -223,67 +176,40 @@ impl RemoteStore {
         state.retry_at = Some(Instant::now() + delay);
     }
 
-    /// Writes every request frame in one blob, then reads exactly one
-    /// reply per request, in order, validating each reply's kind
-    /// against its request. The whole exchange shares one deadline:
-    /// the read timeout shrinks as replies arrive, so a daemon that
-    /// trickles one frame per timeout window cannot stretch a batched
-    /// exchange to `N x CLIENT_IO_TIMEOUT`.
-    fn run_exchange(conn: &mut Conn, reqs: &[Request]) -> io::Result<Vec<Response>> {
-        let deadline = Instant::now() + CLIENT_IO_TIMEOUT;
-        // Pipelining: all requests go out in one write; the replies
-        // stream back in order. One round trip regardless of batch
-        // size.
-        let mut blob = Vec::new();
-        for req in reqs {
-            blob.extend_from_slice(&req.to_frame());
+    /// Writes the request's frame, then reads one reply and validates
+    /// its kind against the request. Each read of the reply times out
+    /// after [`CLIENT_IO_TIMEOUT`].
+    fn run_exchange(conn: &mut Conn, req: &Request) -> io::Result<Response> {
+        conn.stream.write_all(&req.to_frame())?;
+        let payload = conn.reader.read_frame(&mut conn.stream)?.ok_or_else(|| {
+            io::Error::new(io::ErrorKind::UnexpectedEof, "daemon closed the connection")
+        })?;
+        let response = Response::decode(&payload)
+            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
+        if !reply_matches(req, &response) {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                "reply kind does not match the request",
+            ));
         }
-        conn.stream.write_all(&blob)?;
-        let mut replies = Vec::with_capacity(reqs.len());
-        for req in reqs {
-            let remaining = deadline
-                .checked_duration_since(Instant::now())
-                .filter(|d| !d.is_zero())
-                .ok_or_else(|| {
-                    io::Error::new(io::ErrorKind::TimedOut, "exchange deadline exhausted")
-                })?;
-            conn.stream.set_read_timeout(Some(remaining))?;
-            let payload = conn.reader.read_frame(&mut conn.stream)?.ok_or_else(|| {
-                io::Error::new(io::ErrorKind::UnexpectedEof, "daemon closed the connection")
-            })?;
-            let response = Response::decode(&payload)
-                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-            if !reply_matches(req, &response) {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    "reply kind does not match the request",
-                ));
-            }
-            replies.push(response);
-        }
-        Ok(replies)
+        Ok(response)
     }
 
-    /// One pipelined exchange: writes every request frame, then reads
-    /// exactly one reply per request, in order. `None` covers every
-    /// failure: not connected and inside the backoff window,
-    /// connect/write/read failure, an undecodable reply, or a reply
-    /// whose kind does not match its request.
+    /// One request/reply exchange. `None` covers every failure: not
+    /// connected and inside the backoff window, connect/write/read
+    /// failure, an undecodable reply, or a reply whose kind does not
+    /// match the request.
     ///
-    /// A batch made up entirely of idempotent requests (reads and
-    /// probes) is retried once on a fresh connection before the
-    /// failure counts against the backoff; a batch containing any
-    /// mutation or park is never replayed — a lost ack does not prove
+    /// An idempotent request (a read or a probe) is retried once on a
+    /// fresh connection before the failure counts against the backoff;
+    /// a mutation or park is never replayed — a lost ack does not prove
     /// the daemon never applied the frame.
     #[must_use]
-    pub fn exchange_many(&self, reqs: &[Request]) -> Option<Vec<Response>> {
-        if reqs.is_empty() {
-            return Some(Vec::new());
-        }
+    pub fn request(&self, req: &Request) -> Option<Response> {
         let mut state = self.state.lock().expect("remote store poisoned");
         // A reply stream that over-delivered (more frames than the last
         // exchange requested) leaves bytes parked in the frame buffer;
-        // pairing them with *this* exchange's requests would misfile
+        // pairing them with *this* exchange's request would misfile
         // every reply by one. Poisoned — reconnect.
         if state
             .conn
@@ -292,7 +218,7 @@ impl RemoteStore {
         {
             state.conn = None;
         }
-        let mut attempts = if reqs.iter().all(idempotent) { 2 } else { 1 };
+        let mut attempts = if idempotent(req) { 2 } else { 1 };
         loop {
             if state.conn.is_none() {
                 if let Some(at) = state.retry_at {
@@ -314,8 +240,8 @@ impl RemoteStore {
                 }
             }
             let conn = state.conn.as_mut().expect("connected above");
-            match Self::run_exchange(conn, reqs) {
-                Ok(replies) => {
+            match Self::run_exchange(conn, req) {
+                Ok(reply) => {
                     // Only a completed exchange proves the daemon healthy.
                     // Resetting on connect alone would pin the backoff at its
                     // base against a daemon that accepts (the kernel
@@ -325,9 +251,7 @@ impl RemoteStore {
                     state.consecutive_failures = 0;
                     state.retry_at = None;
                     self.round_trips.fetch_add(1, Ordering::Relaxed);
-                    self.requests_sent
-                        .fetch_add(reqs.len() as u64, Ordering::Relaxed);
-                    return Some(replies);
+                    return Some(reply);
                 }
                 Err(_) => {
                     // The connection is indeterminate either way: drop it.
@@ -342,13 +266,6 @@ impl RemoteStore {
         }
     }
 
-    /// One request/reply exchange; `None` on any failure.
-    #[must_use]
-    pub fn request(&self, req: &Request) -> Option<Response> {
-        self.exchange_many(std::slice::from_ref(req))
-            .and_then(|mut replies| replies.pop())
-    }
-
     /// Saves over the wire; `true` iff the daemon acknowledged.
     pub fn try_save(&self, ns: &str, key: &str, value: &str) -> bool {
         let acked = matches!(
@@ -359,26 +276,6 @@ impl RemoteStore {
             }),
             Some(Response::Done)
         );
-        if !acked {
-            self.put_errors.fetch_add(1, Ordering::Relaxed);
-        }
-        acked
-    }
-
-    /// Batched save; `true` iff the daemon acknowledged every chunk.
-    pub fn try_save_many(&self, items: &[(String, String, String)]) -> bool {
-        if items.is_empty() {
-            return true;
-        }
-        let reqs: Vec<Request> = alternating_chunks(items)
-            .into_iter()
-            .map(|chunk| Request::MPut {
-                items: chunk.to_vec(),
-            })
-            .collect();
-        let acked = self
-            .exchange_many(&reqs)
-            .is_some_and(|replies| replies.iter().all(|r| matches!(r, Response::Done)));
         if !acked {
             self.put_errors.fetch_add(1, Ordering::Relaxed);
         }
@@ -421,18 +318,9 @@ impl RemoteStore {
 
 impl StoreBackend for RemoteStore {
     fn load(&self, ns: &str, key: &str) -> Option<String> {
-        let got = match self.request(&Request::Get {
-            ns: ns.to_string(),
-            key: key.to_string(),
-        }) {
-            Some(Response::Hit { value }) => Some(value),
-            _ => None, // miss, error reply, or daemon unreachable
-        };
-        match &got {
-            Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
-            None => self.misses.fetch_add(1, Ordering::Relaxed),
-        };
-        got
+        self.load_many(&[(ns.to_string(), key.to_string())])
+            .pop()
+            .flatten()
     }
 
     fn save(&self, ns: &str, key: &str, value: &str) {
@@ -443,38 +331,20 @@ impl StoreBackend for RemoteStore {
         if items.is_empty() {
             return Vec::new();
         }
-        // Several MGET chunks, one pipelined exchange: still one round
-        // trip for the whole plan.
-        let chunks = alternating_chunks(items);
-        let reqs: Vec<Request> = chunks
-            .iter()
-            .map(|chunk| Request::MGet {
-                items: chunk.to_vec(),
-            })
-            .collect();
-        let mut out = Vec::with_capacity(items.len());
-        if let Some(replies) = self.exchange_many(&reqs) {
-            for (reply, chunk) in replies.into_iter().zip(&chunks) {
-                match reply {
-                    Response::MGot { values } if values.len() == chunk.len() => {
-                        out.extend(values);
-                    }
-                    _ => out.extend(std::iter::repeat_with(|| None).take(chunk.len())),
-                }
-            }
-        }
-        // A lost exchange (or short reply list) degrades the remainder
-        // to misses.
-        out.resize_with(items.len(), || None);
+        // One MGET frame for the whole batch: one round trip. A lost
+        // exchange, an error reply or a reply with the wrong slot count
+        // degrades the batch to misses.
+        let out = match self.request(&Request::MGet {
+            items: items.to_vec(),
+        }) {
+            Some(Response::MGot { values }) if values.len() == items.len() => values,
+            _ => vec![None; items.len()],
+        };
         let hit_count = out.iter().filter(|v| v.is_some()).count() as u64;
         self.hits.fetch_add(hit_count, Ordering::Relaxed);
         self.misses
             .fetch_add(items.len() as u64 - hit_count, Ordering::Relaxed);
         out
-    }
-
-    fn save_many(&self, items: &[(String, String, String)]) {
-        let _ = self.try_save_many(items);
     }
 
     fn claim(&self, ns: &str, key: &str, lease: Duration) -> ClaimOutcome {
@@ -604,17 +474,6 @@ impl StoreBackend for LayeredStore {
             }
         }
         out
-    }
-
-    fn save_many(&self, items: &[(String, String, String)]) {
-        if self.remote.try_save_many(items) {
-            return;
-        }
-        if let Some(local) = &self.local {
-            for (ns, key, value) in items {
-                local.save(ns, key, value);
-            }
-        }
     }
 
     fn claim(&self, ns: &str, key: &str, lease: Duration) -> ClaimOutcome {

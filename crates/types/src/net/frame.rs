@@ -142,9 +142,12 @@ impl FrameReader {
     pub fn read_frame(&mut self, stream: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
         loop {
             match decode_frame(&self.buf) {
-                FrameDecode::Frame { payload, consumed } => {
-                    let payload = payload.to_vec();
-                    self.buf.drain(..consumed);
+                FrameDecode::Frame { consumed, .. } => {
+                    // Hand the buffer out as the payload instead of
+                    // copying it: multi-MB frames are common.
+                    let rest = self.buf.split_off(consumed);
+                    let mut payload = std::mem::replace(&mut self.buf, rest);
+                    payload.drain(..FRAME_HEADER_BYTES);
                     return Ok(Some(payload));
                 }
                 FrameDecode::Invalid => {

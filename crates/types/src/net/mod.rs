@@ -5,16 +5,13 @@
 //! of the shards** behind a small request/reply protocol:
 //!
 //! - [`StoreServer`] — a std-only TCP daemon that exclusively owns an
-//!   [`ArtifactStore`] and serves it from a **fixed worker pool over a
-//!   readiness loop** (no thread per client): each worker multiplexes
-//!   many nonblocking connections through per-connection state machines,
-//!   so thousands of clients cost a handful of threads. Requests are
-//!   **pipelined** — a client may send many frames before reading any
-//!   reply; responses come back in request order per connection.
+//!   [`ArtifactStore`] and serves each connection from its own thread
+//!   over blocking sockets: read a frame, serve it, write the reply, so
+//!   replies come back in request order.
 //! - [`RemoteStore`] — the client: the namespaced load/save surface
 //!   ([`StoreBackend`]) over TCP with reconnect-with-backoff, plus the
-//!   batch surface (`load_many`/`save_many` → one `MGET`/`MPUT` round
-//!   trip instead of a round trip per key) and the global-dedup surface
+//!   batch surface (`load_many` → one `MGET` frame, one round trip
+//!   instead of a round trip per key) and the global-dedup surface
 //!   (`claim`/`wait_for`). Every I/O failure degrades to a **miss**.
 //! - [`LayeredStore`] — remote over local: a remote miss falls back to
 //!   the machine-local store, saves go to the daemon — falling back to
@@ -42,15 +39,16 @@
 //!
 //! # Verbs
 //!
-//! - `GET`/`PUT` — one record.
-//! - `MGET`/`MPUT` — batch lookups/saves: an entire plan's keys in one
-//!   round trip (the engine's batched warm probe).
+//! - `PUT` — save one record.
+//! - `MGET` — look a batch of keys up: an entire plan's keys in one
+//!   frame and one round trip (the engine's batched warm probe; a single
+//!   `load` is a one-key `MGET`).
 //! - `CLAIM`/`WAIT` — **global cold-key dedup**: `CLAIM` asks for the
 //!   exclusive right to compute a missing key (lease-bounded; the reply
 //!   is the stored value if someone already published it, `granted` if
 //!   the claim is yours, `busy` if another client holds it); `WAIT`
-//!   parks the connection until the value is published or the claim
-//!   lease expires. A dead client's claim expires — or is released the
+//!   parks the connection's thread until the value is published or the
+//!   claim lease expires. A dead client's claim expires — or is released the
 //!   moment its connection drops — and waiters degrade to computing
 //!   locally, preserving the store's every-failure-is-a-miss contract.
 //! - `STATS` — occupancy (live records and bytes, per-namespace counts)

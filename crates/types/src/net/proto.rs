@@ -23,13 +23,6 @@ fn valid_value(value: &str) -> bool {
 /// One client request. The daemon's whole command surface.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Request {
-    /// Look `(ns, key)` up.
-    Get {
-        /// Namespace (single whitespace-free token).
-        ns: String,
-        /// Single-line record-string key.
-        key: String,
-    },
     /// Persist `(ns, key) → value`.
     Put {
         /// Namespace (single whitespace-free token).
@@ -43,11 +36,6 @@ pub enum Request {
     MGet {
         /// The probed `(ns, key)` pairs, in reply order.
         items: Vec<(String, String)>,
-    },
-    /// Persist a whole batch of `(ns, key, value)` records.
-    MPut {
-        /// The records to store.
-        items: Vec<(String, String, String)>,
     },
     /// Ask for the exclusive right to compute a missing `(ns, key)`:
     /// the stored value if someone already published it, `granted` if
@@ -88,13 +76,11 @@ pub enum Request {
 }
 
 // Tags. A tag outside this table decodes to a descriptive error.
-const TAG_GET: u8 = 1;
 const TAG_PUT: u8 = 2;
 const TAG_STATS: u8 = 3;
 const TAG_GC: u8 = 4;
 const TAG_SHUTDOWN: u8 = 5;
 const TAG_MGET: u8 = 6;
-const TAG_MPUT: u8 = 7;
 const TAG_CLAIM: u8 = 8;
 const TAG_WAIT: u8 = 9;
 const TAG_HEALTH: u8 = 11;
@@ -188,11 +174,6 @@ impl Request {
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
         match self {
-            Self::Get { ns, key } => {
-                out.push(TAG_GET);
-                push_str(&mut out, ns);
-                push_str(&mut out, key);
-            }
             Self::Put { ns, key, value } => {
                 out.push(TAG_PUT);
                 push_str(&mut out, ns);
@@ -209,19 +190,6 @@ impl Request {
                 for (ns, key) in items {
                     push_str(&mut out, ns);
                     push_str(&mut out, key);
-                }
-            }
-            Self::MPut { items } => {
-                out.push(TAG_MPUT);
-                out.extend_from_slice(
-                    &u32::try_from(items.len())
-                        .expect("batch over u32::MAX items")
-                        .to_le_bytes(),
-                );
-                for (ns, key, value) in items {
-                    push_str(&mut out, ns);
-                    push_str(&mut out, key);
-                    push_str(&mut out, value);
                 }
             }
             Self::Claim { ns, key, lease_ms } => {
@@ -265,14 +233,6 @@ impl Request {
         let mut r = PayloadReader::new(payload);
         let tag = r.u8("request tag")?;
         let req = match tag {
-            TAG_GET => {
-                let ns = r.str_field("get namespace")?;
-                let key = r.str_field("get key")?;
-                if !valid_ns(&ns) || !valid_key(&key) {
-                    return Err("get: malformed namespace or key".into());
-                }
-                Self::Get { ns, key }
-            }
             TAG_PUT => {
                 let ns = r.str_field("put namespace")?;
                 let key = r.str_field("put key")?;
@@ -294,20 +254,6 @@ impl Request {
                     items.push((ns, key));
                 }
                 Self::MGet { items }
-            }
-            TAG_MPUT => {
-                let n = r.u32("mput count")?;
-                let mut items = Vec::new();
-                for _ in 0..n {
-                    let ns = r.str_field("mput namespace")?;
-                    let key = r.str_field("mput key")?;
-                    let value = r.str_field("mput value")?;
-                    if !valid_ns(&ns) || !valid_key(&key) || !valid_value(&value) {
-                        return Err("mput: malformed namespace, key, or value".into());
-                    }
-                    items.push((ns, key, value));
-                }
-                Self::MPut { items }
             }
             TAG_CLAIM | TAG_WAIT => {
                 let ns = r.str_field("claim/wait namespace")?;
@@ -354,10 +300,7 @@ pub struct StoreStats {
     pub namespaces: NamespaceCounts,
     /// Connections currently open.
     pub active_connections: u64,
-    /// High-water mark of requests queued on one connection — how deep
-    /// clients actually pipeline.
-    pub pipeline_hwm: u64,
-    /// Keys carried by `MGET`/`MPUT` batches (total).
+    /// Keys carried by `MGET` batches (total).
     pub batched_keys: u64,
     /// Largest single batch served.
     pub max_batch: u64,
@@ -389,16 +332,14 @@ pub struct HealthReport {
 /// One server reply.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Response {
-    /// `GET` found the record (also `CLAIM`/`WAIT`: the value is
-    /// published).
+    /// `CLAIM`/`WAIT`: the value is published.
     Hit {
         /// The stored single-line record-string value.
         value: String,
     },
-    /// `GET` found nothing (also `WAIT`: the claim lapsed unpublished —
-    /// the client recomputes).
+    /// `WAIT`: the claim lapsed unpublished — the client recomputes.
     Miss,
-    /// `PUT` / `MPUT` / `SHUTDOWN` acknowledged.
+    /// `PUT` / `SHUTDOWN` acknowledged.
     Done,
     /// `MGET` reply: one slot per requested key, in request order.
     MGot {
@@ -462,7 +403,6 @@ impl Response {
                     .chain(s.namespaces.0)
                     .chain([
                         s.active_connections,
-                        s.pipeline_hwm,
                         s.batched_keys,
                         s.max_batch,
                         s.claims_granted,
@@ -563,7 +503,6 @@ impl Response {
                     file_bytes,
                     namespaces,
                     active_connections: next("stats field")?,
-                    pipeline_hwm: next("stats field")?,
                     batched_keys: next("stats field")?,
                     max_batch: next("stats field")?,
                     claims_granted: next("stats field")?,
@@ -622,10 +561,6 @@ mod tests {
 
     fn sample_requests() -> Vec<Request> {
         vec![
-            Request::Get {
-                ns: "runs".into(),
-                key: "runkey 177.mesa scale 1000 7".into(),
-            },
             Request::Put {
                 ns: "walks".into(),
                 key: "k with spaces".into(),
@@ -641,12 +576,6 @@ mod tests {
                 items: vec![
                     ("runs".into(), "key one with spaces".into()),
                     ("traces".into(), "key two".into()),
-                ],
-            },
-            Request::MPut {
-                items: vec![
-                    ("runs".into(), "k1".into(), "value one".into()),
-                    ("walks".into(), "k2".into(), String::new()),
                 ],
             },
             Request::Claim {
@@ -693,7 +622,6 @@ mod tests {
                 file_bytes: 3,
                 namespaces: NamespaceCounts([4, 5, 6, 7, 8]),
                 active_connections: 9,
-                pipeline_hwm: 10,
                 batched_keys: 11,
                 max_batch: 12,
                 claims_granted: 13,
@@ -769,22 +697,23 @@ mod tests {
         assert!(Request::decode(&trailing).is_err());
         // A corrupt string length larger than the payload must not
         // allocate or panic.
-        let mut huge = vec![TAG_GET];
+        let mut huge = vec![TAG_PUT];
         huge.extend_from_slice(&u32::MAX.to_le_bytes());
         assert!(Request::decode(&huge).is_err());
         // The store's record shapes are enforced: namespace one token,
         // keys non-empty and single-line, values single-line.
-        let get = |ns: &str, key: &str| Request::Get {
-            ns: ns.into(),
-            key: key.into(),
+        let get = |ns: &str, key: &str| Request::MGet {
+            items: vec![(ns.into(), key.into())],
         };
         for bad in [
             get("r\u{a0}ns", "k"),
             get("", "k"),
             get("runs", ""),
             get("runs", "two\nlines"),
-            Request::MPut {
-                items: vec![("runs".into(), "k".into(), "two\nlines".into())],
+            Request::Put {
+                ns: "runs".into(),
+                key: "k".into(),
+                value: "two\nlines".into(),
             },
         ] {
             assert!(Request::decode(&bad.encode()).is_err(), "{bad:?}");

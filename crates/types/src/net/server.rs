@@ -1,64 +1,55 @@
-//! The store daemon: a fixed worker pool multiplexing many nonblocking
-//! connections over a readiness loop.
+//! The store daemon: one blocking thread per connection.
 //!
-//! One acceptor thread hands each new connection to a worker
-//! (round-robin); each worker owns a set of connections and drives them
-//! through per-connection state machines — read bytes, decode frames,
-//! serve requests, queue replies, flush — so a thousand clients cost
-//! `workers` threads, not a thousand. Requests are served as they
-//! decode (**pipelining**): a client may write its whole batch before
-//! reading anything, and replies come back in request order because the
-//! out-queue is FIFO and a parked `WAIT` blocks the replies behind it
-//! (never other connections).
-//!
-//! Readiness comes from `poll(2)` on Linux (declared directly — no
-//! external crates); elsewhere a short sleep substitutes, which stays
-//! correct (merely less efficient) because every socket operation is
-//! nonblocking. Cross-worker wakeups (a `PUT` publishing a value some
-//! other worker's connection is parked on) are a byte written to a
-//! per-worker loopback socket pair.
+//! One acceptor thread starts a thread for each accepted connection.
+//! That thread reads a frame, serves it and writes the reply, so replies
+//! keep request order. Clients send each batch as one frame (`MGET`), so
+//! the daemon has read a whole request before it writes the reply, and a
+//! reply never waits on a client that is still writing. A parked `WAIT`
+//! blocks only its own connection's thread. One housekeeping thread
+//! sweeps lapsed claim leases and runs the background GC.
 
-use std::collections::{HashMap, VecDeque};
-use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::collections::HashMap;
+use std::io::{self, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use crate::store::{ArtifactStore, GcPolicy, SHARD_COUNT};
 
-use super::frame::{decode_frame, FrameDecode};
+use super::frame::FrameReader;
 use super::proto::{HealthReport, Request, Response, StoreStats};
 
 /// Longest lease/park a client may ask for; larger requests clamp here
 /// so one bad client cannot park resources for hours.
 const MAX_LEASE: Duration = Duration::from_secs(600);
 
-/// Worker poll-loop tick: the upper bound on how stale a shutdown
-/// check, claim-expiry sweep, or read-timeout check can be.
-const WORKER_TICK: Duration = Duration::from_millis(100);
+/// Longest housekeeping tick: the upper bound on how late a lapsed
+/// claim lease frees its waiters.
+const HOUSEKEEPING_TICK: Duration = Duration::from_millis(100);
 
-/// How long a draining worker keeps flushing replies to connections
-/// that will not read them before giving up and closing anyway. The
-/// normal case — responsive clients — drains in one or two ticks.
+/// How long a drain waits for connections to answer what they already
+/// received before it cuts off those still blocked writing to a peer
+/// that will not read. Responsive clients drain at once.
 const DRAIN_GRACE: Duration = Duration::from_secs(2);
 
 /// How the daemon runs its store.
 #[derive(Clone, Copy, Debug)]
 pub struct ServerConfig {
-    /// Age/size policy applied by the background GC thread and the `GC`
-    /// command — **not** by saves (the daemon's store is opened
+    /// Age/size policy applied by the housekeeping thread's GC and the
+    /// `GC` command — **not** by saves (the daemon's store is opened
     /// unbounded, which is what moves GC off the save path).
     pub gc_policy: GcPolicy,
     /// Background GC cadence (`None` = only on explicit `GC` commands).
     pub gc_interval: Option<Duration>,
-    /// Worker threads multiplexing the connections.
+    /// Ignored: the daemon runs one thread per connection. The field
+    /// stays until the repo benchmark, which still sets it, next changes.
     pub workers: usize,
-    /// Per-connection progress timeout: a connection stalled mid-frame
-    /// (or with replies it will not read) longer than this is closed so
-    /// it cannot pin worker resources. Idle connections at a frame
-    /// boundary are never timed out.
+    /// Socket read and write timeout. A connection stalled mid-frame, or
+    /// not reading its replies, longer than this is closed. Idle
+    /// connections at a frame boundary are never timed out. Must be
+    /// positive.
     pub read_timeout: Duration,
 }
 
@@ -74,84 +65,12 @@ impl Default for ServerConfig {
 }
 
 // ---------------------------------------------------------------------------
-// Readiness
-// ---------------------------------------------------------------------------
-
-#[cfg(target_os = "linux")]
-mod readiness {
-    use std::os::fd::RawFd;
-
-    #[repr(C)]
-    struct PollFd {
-        fd: i32,
-        events: i16,
-        revents: i16,
-    }
-
-    const POLLIN: i16 = 0x001;
-    const POLLOUT: i16 = 0x004;
-    // POLLERR/POLLHUP/POLLNVAL are reported regardless of `events`; a
-    // closed peer surfaces as readable (read returns 0) so folding them
-    // into "ready" is sufficient.
-    const POLLERR: i16 = 0x008;
-    const POLLHUP: i16 = 0x010;
-
-    extern "C" {
-        fn poll(fds: *mut PollFd, nfds: u64, timeout: i32) -> i32;
-    }
-
-    /// Blocks until a registered fd is ready or `timeout` elapses.
-    /// Returns per-fd `(readable, writable)`, in registration order.
-    pub(super) fn wait(fds: &[(RawFd, bool)], timeout: std::time::Duration) -> Vec<(bool, bool)> {
-        let mut pollfds: Vec<PollFd> = fds
-            .iter()
-            .map(|&(fd, want_write)| PollFd {
-                fd,
-                events: POLLIN | if want_write { POLLOUT } else { 0 },
-                revents: 0,
-            })
-            .collect();
-        let timeout_ms = i32::try_from(timeout.as_millis()).unwrap_or(i32::MAX);
-        let rc = unsafe { poll(pollfds.as_mut_ptr(), pollfds.len() as u64, timeout_ms) };
-        if rc < 0 {
-            // EINTR or similar: claim nothing ready; the caller's next
-            // loop iteration retries.
-            return vec![(false, false); fds.len()];
-        }
-        pollfds
-            .iter()
-            .map(|p| {
-                let err = p.revents & (POLLERR | POLLHUP) != 0;
-                (
-                    p.revents & POLLIN != 0 || err,
-                    p.revents & POLLOUT != 0 || err,
-                )
-            })
-            .collect()
-    }
-}
-
-#[cfg(not(target_os = "linux"))]
-mod readiness {
-    use std::os::fd::RawFd;
-
-    /// Portability fallback: sleep briefly and claim everything ready.
-    /// Correct (all socket ops are nonblocking and tolerate spurious
-    /// readiness) at the cost of a 1 ms duty cycle.
-    pub(super) fn wait(fds: &[(RawFd, bool)], _timeout: std::time::Duration) -> Vec<(bool, bool)> {
-        std::thread::sleep(std::time::Duration::from_millis(1));
-        vec![(true, true); fds.len()]
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Service counters
 // ---------------------------------------------------------------------------
 
 #[derive(Debug, Default)]
 struct ServerCounters {
     active_connections: AtomicU64,
-    pipeline_hwm: AtomicU64,
     batched_keys: AtomicU64,
     max_batch: AtomicU64,
     claims_granted: AtomicU64,
@@ -159,13 +78,9 @@ struct ServerCounters {
 }
 
 impl ServerCounters {
-    fn raise(cell: &AtomicU64, sample: u64) {
-        cell.fetch_max(sample, Ordering::Relaxed);
-    }
-
     fn note_batch(&self, keys: usize) {
         self.batched_keys.fetch_add(keys as u64, Ordering::Relaxed);
-        Self::raise(&self.max_batch, keys as u64);
+        self.max_batch.fetch_max(keys as u64, Ordering::Relaxed);
     }
 }
 
@@ -173,24 +88,38 @@ impl ServerCounters {
 // Claims
 // ---------------------------------------------------------------------------
 
-/// Where a parked `WAIT` learns its fate. `None` in the slot = still
-/// parked; `Some(None)` = the claim lapsed unpublished (reply `miss`);
-/// `Some(Some(v))` = published (reply `hit`).
+/// Where a parked `WAIT` learns its reply: `hit` when the value is
+/// published, `miss` when the claim lapses or is released unpublished,
+/// `err` when the daemon drains.
 #[derive(Debug, Default)]
 struct WaitCell {
-    outcome: Mutex<Option<Option<String>>>,
+    outcome: Mutex<Option<Response>>,
+    resolved: Condvar,
 }
 
 impl WaitCell {
-    fn resolve(&self, outcome: Option<String>) {
-        let mut slot = self.outcome.lock().expect("wait cell poisoned");
+    fn resolve(&self, outcome: Response) {
+        let mut slot = self.outcome.lock().unwrap_or_else(PoisonError::into_inner);
         if slot.is_none() {
             *slot = Some(outcome);
+            self.resolved.notify_all();
         }
     }
 
-    fn peek(&self) -> Option<Option<String>> {
-        self.outcome.lock().expect("wait cell poisoned").clone()
+    /// Blocks until the cell resolves; `miss` once `timeout` passes.
+    fn wait(&self, timeout: Duration) -> Response {
+        let slot = self.outcome.lock().unwrap_or_else(PoisonError::into_inner);
+        let (slot, _) = self
+            .resolved
+            .wait_timeout_while(slot, timeout, |slot| slot.is_none())
+            .unwrap_or_else(PoisonError::into_inner);
+        slot.clone().unwrap_or(Response::Miss)
+    }
+}
+
+fn draining_error() -> Response {
+    Response::Error {
+        message: "daemon draining".to_string(),
     }
 }
 
@@ -201,20 +130,37 @@ struct ClaimEntry {
     waiters: Vec<Arc<WaitCell>>,
 }
 
+impl ClaimEntry {
+    /// Resolves every waiter with its own `outcome()`: a published value
+    /// is copied per waiter, not once per claim.
+    fn resolve_waiters(&mut self, outcome: impl Fn() -> Response) {
+        for w in self.waiters.drain(..) {
+            w.resolve(outcome());
+        }
+    }
+}
+
 /// The daemon-global claim table: `(ns, key) → exclusive computer`.
 /// Lifted from the engine's in-process in-flight map so N *processes*
 /// racing one cold key simulate it once globally.
 #[derive(Debug, Default)]
 struct ClaimTable {
-    entries: Mutex<HashMap<(String, String), ClaimEntry>>,
+    state: Mutex<ClaimState>,
 }
 
-enum WaitDisposition {
-    Immediate(Response),
-    Park(Arc<WaitCell>),
+#[derive(Debug, Default)]
+struct ClaimState {
+    entries: HashMap<(String, String), ClaimEntry>,
+    /// Set by the drain, which failed every parked waiter: no `WAIT`
+    /// parks after it.
+    closed: bool,
 }
 
 impl ClaimTable {
+    fn lock(&self) -> MutexGuard<'_, ClaimState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Serves a `CLAIM`: hit if published, granted if the claim is now
     /// (or already was) `owner`'s, busy if another live claim holds it.
     /// An expired claim is taken over — its waiters degrade to `miss`.
@@ -231,8 +177,8 @@ impl ClaimTable {
             return Response::Hit { value };
         }
         let now = Instant::now();
-        let mut entries = self.entries.lock().expect("claim table poisoned");
-        match entries.get_mut(&(ns.to_string(), key.to_string())) {
+        let mut state = self.lock();
+        match state.entries.get_mut(&(ns.to_string(), key.to_string())) {
             Some(entry) if entry.owner == owner => {
                 entry.deadline = now + lease; // re-claim extends the lease
                 Response::Granted
@@ -242,16 +188,14 @@ impl ClaimTable {
                 // Expired: the holder died or stalled. Its waiters
                 // compute locally; the key changes hands.
                 counters.claims_expired.fetch_add(1, Ordering::Relaxed);
-                for w in entry.waiters.drain(..) {
-                    w.resolve(None);
-                }
+                entry.resolve_waiters(|| Response::Miss);
                 entry.owner = owner;
                 entry.deadline = now + lease;
                 counters.claims_granted.fetch_add(1, Ordering::Relaxed);
                 Response::Granted
             }
             None => {
-                entries.insert(
+                state.entries.insert(
                     (ns.to_string(), key.to_string()),
                     ClaimEntry {
                         owner,
@@ -266,176 +210,89 @@ impl ClaimTable {
     }
 
     /// Serves a `WAIT`: immediate hit if published, immediate miss if no
-    /// live claim is active (nothing to wait for — compute), else parks.
+    /// live claim is active (nothing to wait for — compute), else parks
+    /// the calling thread until the cell resolves or `timeout` passes.
     fn wait(
         &self,
         store: &ArtifactStore,
         counters: &ServerCounters,
         ns: &str,
         key: &str,
-    ) -> WaitDisposition {
+        timeout: Duration,
+    ) -> Response {
         if let Some(value) = store.load(ns, key) {
-            return WaitDisposition::Immediate(Response::Hit { value });
+            return Response::Hit { value };
         }
         let now = Instant::now();
-        let mut entries = self.entries.lock().expect("claim table poisoned");
-        let slot = (ns.to_string(), key.to_string());
-        match entries.get_mut(&slot) {
-            None => WaitDisposition::Immediate(Response::Miss),
-            Some(entry) if entry.deadline <= now => {
-                counters.claims_expired.fetch_add(1, Ordering::Relaxed);
-                for w in entry.waiters.drain(..) {
-                    w.resolve(None);
+        let cell = {
+            let mut state = self.lock();
+            if state.closed {
+                return draining_error();
+            }
+            let slot = (ns.to_string(), key.to_string());
+            match state.entries.get_mut(&slot) {
+                None => return Response::Miss,
+                Some(entry) if entry.deadline <= now => {
+                    counters.claims_expired.fetch_add(1, Ordering::Relaxed);
+                    entry.resolve_waiters(|| Response::Miss);
+                    state.entries.remove(&slot);
+                    return Response::Miss;
                 }
-                entries.remove(&slot);
-                WaitDisposition::Immediate(Response::Miss)
+                Some(entry) => {
+                    let cell = Arc::new(WaitCell::default());
+                    entry.waiters.push(Arc::clone(&cell));
+                    cell
+                }
             }
-            Some(entry) => {
-                let cell = Arc::new(WaitCell::default());
-                entry.waiters.push(Arc::clone(&cell));
-                WaitDisposition::Park(cell)
-            }
-        }
+        };
+        cell.wait(timeout)
     }
 
     /// A value landed: the claim (if any) is fulfilled, every waiter
     /// gets the value.
     fn publish(&self, ns: &str, key: &str, value: &str) {
-        let mut entries = self.entries.lock().expect("claim table poisoned");
-        if let Some(entry) = entries.remove(&(ns.to_string(), key.to_string())) {
-            for w in entry.waiters {
-                w.resolve(Some(value.to_string()));
-            }
+        let mut state = self.lock();
+        if let Some(mut entry) = state.entries.remove(&(ns.to_string(), key.to_string())) {
+            entry.resolve_waiters(|| Response::Hit {
+                value: value.to_string(),
+            });
         }
     }
 
-    /// A connection died: its unpublished claims are released so other
+    /// Drops every claim `lapsed` selects: counted as expired, its
+    /// waiters degrade to `miss` and compute locally.
+    fn expire(&self, counters: &ServerCounters, lapsed: impl Fn(&ClaimEntry) -> bool) {
+        self.lock().entries.retain(|_, entry| {
+            if !lapsed(entry) {
+                return true;
+            }
+            counters.claims_expired.fetch_add(1, Ordering::Relaxed);
+            entry.resolve_waiters(|| Response::Miss);
+            false
+        });
+    }
+
+    /// A connection ended: its unpublished claims are released so other
     /// clients stop waiting and compute locally.
     fn release_owner(&self, counters: &ServerCounters, owner: u64) {
-        let mut entries = self.entries.lock().expect("claim table poisoned");
-        entries.retain(|_, entry| {
-            if entry.owner != owner {
-                return true;
-            }
-            counters.claims_expired.fetch_add(1, Ordering::Relaxed);
-            for w in entry.waiters.drain(..) {
-                w.resolve(None);
-            }
-            false
-        });
+        self.expire(counters, |entry| entry.owner == owner);
     }
 
-    /// Lazy expiry for claims nobody touches: overdue entries resolve
-    /// their waiters to `miss` and vanish.
+    /// Expiry for claims nobody touches: the housekeeping tick runs it,
+    /// so a dead holder's lease lapses even under zero traffic.
     fn sweep(&self, counters: &ServerCounters) {
         let now = Instant::now();
-        let mut entries = self.entries.lock().expect("claim table poisoned");
-        entries.retain(|_, entry| {
-            if entry.deadline > now {
-                return true;
-            }
-            counters.claims_expired.fetch_add(1, Ordering::Relaxed);
-            for w in entry.waiters.drain(..) {
-                w.resolve(None);
-            }
-            false
-        });
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Wakeups
-// ---------------------------------------------------------------------------
-
-/// A connected loopback socket pair: `TcpListener` bind + connect +
-/// accept. The read side sits in a worker's poll set; a byte written to
-/// the write side wakes that worker out of `poll`.
-fn socket_pair() -> io::Result<(TcpStream, TcpStream)> {
-    let listener = TcpListener::bind("127.0.0.1:0")?;
-    let write_side = TcpStream::connect(listener.local_addr()?)?;
-    let (read_side, _) = listener.accept()?;
-    read_side.set_nonblocking(true)?;
-    // Nonblocking writes: a full wake buffer means unread wake bytes are
-    // already pending, so a dropped extra byte loses nothing.
-    write_side.set_nonblocking(true)?;
-    Ok((write_side, read_side))
-}
-
-#[derive(Debug)]
-struct Wakers {
-    write_sides: Vec<TcpStream>,
-}
-
-impl Wakers {
-    fn wake(&self, worker: usize) {
-        let _ = (&self.write_sides[worker]).write(&[1]);
+        self.expire(counters, |entry| entry.deadline <= now);
     }
 
-    fn wake_all(&self) {
-        for i in 0..self.write_sides.len() {
-            self.wake(i);
+    /// The drain: fails every parked waiter with `err` and refuses new
+    /// parks.
+    fn close(&self) {
+        let mut state = self.lock();
+        state.closed = true;
+        for entry in state.entries.values_mut() {
+            entry.resolve_waiters(draining_error);
         }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Per-connection state machine
-// ---------------------------------------------------------------------------
-
-/// One queued reply slot. The out-queue is FIFO, so pipelined replies
-/// keep request order; a `Waiting` head blocks only its own connection.
-enum OutSlot {
-    /// Encoded reply bytes, ready to flush.
-    Ready(Vec<u8>),
-    /// A parked `WAIT`: resolves to a reply when its cell is published,
-    /// released, or `deadline` passes (client-requested timeout).
-    Waiting {
-        cell: Arc<WaitCell>,
-        deadline: Instant,
-    },
-}
-
-struct ConnState {
-    stream: TcpStream,
-    rbuf: Vec<u8>,
-    out: VecDeque<OutSlot>,
-    /// Bytes of the head `Ready` slot already written.
-    written: usize,
-    owner: u64,
-    last_progress: Instant,
-    /// Flush what is queued, then drop the connection (protocol error
-    /// or shutdown handshake).
-    close_after_flush: bool,
-}
-
-impl ConnState {
-    /// Whether the head of the out-queue is flushable right now
-    /// (resolving a due `Waiting` head on the way).
-    fn flushable(&mut self) -> bool {
-        loop {
-            match self.out.front() {
-                None => return false,
-                Some(OutSlot::Ready(_)) => return true,
-                Some(OutSlot::Waiting { cell, deadline }) => {
-                    let outcome = match cell.peek() {
-                        Some(outcome) => outcome,
-                        None if Instant::now() >= *deadline => None, // timed out: miss
-                        None => return false,                        // still parked
-                    };
-                    let response = match outcome {
-                        Some(value) => Response::Hit { value },
-                        None => Response::Miss,
-                    };
-                    self.out[0] = OutSlot::Ready(response.to_frame());
-                }
-            }
-        }
-    }
-
-    /// True while the peer owes us bytes (mid-frame) or we owe the peer
-    /// bytes — the states the progress timeout applies to.
-    fn awaiting_progress(&self) -> bool {
-        !self.rbuf.is_empty() || !self.out.is_empty()
     }
 }
 
@@ -444,136 +301,110 @@ impl ConnState {
 // ---------------------------------------------------------------------------
 
 /// The store daemon: exclusively owns an [`ArtifactStore`] and serves it
-/// over TCP from a fixed worker pool. See the module docs for the
+/// over TCP, one thread per connection. See the module docs for the
 /// protocol; see `cfr-store-serve` for the CLI wrapper.
 #[derive(Debug)]
 pub struct StoreServer {
-    addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
     accept: Option<JoinHandle<()>>,
-    gc_thread: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
-    wakers: Arc<Wakers>,
-    store: Arc<ArtifactStore>,
+    housekeeping: Option<JoinHandle<()>>,
     shared: Arc<Shared>,
 }
 
 struct Shared {
     store: Arc<ArtifactStore>,
     config: ServerConfig,
-    shutdown: Arc<AtomicBool>,
-    /// The graceful half of teardown: set first, it stops the acceptor
-    /// and puts every worker into drain mode — answer what is already
-    /// in flight, fail parked waiters with `err`, flush, close. The
-    /// hard `shutdown` flag is only set once draining finished.
+    /// Set once, under the `conns` lock, when the drain begins: stop
+    /// accepting, answer what is already received, fail parked waiters
+    /// with `err`, close.
     draining: AtomicBool,
     started: Instant,
     counters: ServerCounters,
     claims: ClaimTable,
     server_addr: SocketAddr,
+    /// Claim owner id of the next connection.
+    next_owner: AtomicU64,
+    conns: Mutex<Connections>,
+    /// Signalled whenever a connection thread exits.
+    conn_exited: Condvar,
 }
 
-/// Flips the daemon into drain mode (idempotent) and unblocks the
-/// acceptor and every worker so they notice immediately.
-fn begin_drain(shared: &Shared, wakers: &Wakers) {
+impl Shared {
+    /// Every lock in the daemon guards data that each update leaves
+    /// valid (a map entry added or removed, a slot set once), so a lock
+    /// poisoned by a panicking connection thread is recovered: the
+    /// teardown, which also runs in `Drop`, must not panic.
+    fn conns(&self) -> MutexGuard<'_, Connections> {
+        self.conns.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+/// The live connections and the threads serving them.
+#[derive(Default)]
+struct Connections {
+    /// A handle on each live connection's socket, by owner id, so the
+    /// drain can shut it down under its thread.
+    live: HashMap<u64, TcpStream>,
+    threads: Vec<JoinHandle<()>>,
+}
+
+/// Flips the daemon into drain mode (idempotent): fails every parked
+/// waiter, shuts the read half of every live connection — its thread
+/// answers the frames it already received, then sees EOF — and
+/// unblocks the acceptor.
+fn begin_drain(shared: &Shared) {
+    let conns = shared.conns();
     if shared.draining.swap(true, Ordering::SeqCst) {
         return;
     }
+    shared.claims.close();
+    for stream in conns.live.values() {
+        let _ = stream.shutdown(Shutdown::Read);
+    }
+    drop(conns);
     let _ = TcpStream::connect(shared.server_addr); // unblock accept()
-    wakers.wake_all();
 }
 
 impl StoreServer {
     /// Binds `addr` (use port `0` for an ephemeral port; read the real
     /// one back from [`StoreServer::addr`]) and starts serving `store`:
-    /// one acceptor thread, `config.workers` connection workers, and —
-    /// when `config.gc_interval` is set — one GC thread.
+    /// one acceptor thread, one housekeeping thread, and one thread per
+    /// connection.
     ///
     /// # Errors
     ///
-    /// Errors if the listener cannot bind or the worker wake channels
-    /// cannot be set up.
+    /// `InvalidInput` if `config.read_timeout` is zero (sockets cannot
+    /// take it), or the error binding the listener.
     pub fn bind(store: Arc<ArtifactStore>, addr: &str, config: ServerConfig) -> io::Result<Self> {
+        if config.read_timeout.is_zero() {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "the daemon's read timeout must be positive",
+            ));
+        }
         let listener = TcpListener::bind(addr)?;
-        let local_addr = listener.local_addr()?;
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let worker_count = config.workers.max(1);
-
         let shared = Arc::new(Shared {
-            store: Arc::clone(&store),
+            store,
             config,
-            shutdown: Arc::clone(&shutdown),
             draining: AtomicBool::new(false),
             started: Instant::now(),
             counters: ServerCounters::default(),
             claims: ClaimTable::default(),
-            server_addr: local_addr,
+            server_addr: listener.local_addr()?,
+            next_owner: AtomicU64::new(1),
+            conns: Mutex::new(Connections::default()),
+            conn_exited: Condvar::new(),
         });
-
-        let mut write_sides = Vec::with_capacity(worker_count);
-        let mut inboxes = Vec::with_capacity(worker_count);
-        let mut workers = Vec::with_capacity(worker_count);
-        let mut pairs = Vec::with_capacity(worker_count);
-        for _ in 0..worker_count {
-            let (write_side, read_side) = socket_pair()?;
-            write_sides.push(write_side);
-            pairs.push(read_side);
-        }
-        let wakers = Arc::new(Wakers { write_sides });
-        for read_side in pairs {
-            let (tx, rx) = mpsc::channel::<TcpStream>();
-            inboxes.push(tx);
-            let shared = Arc::clone(&shared);
-            let wakers = Arc::clone(&wakers);
-            workers.push(thread::spawn(move || {
-                worker_loop(&shared, &wakers, read_side, &rx);
-            }));
-        }
-
         let accept = {
             let shared = Arc::clone(&shared);
-            let shutdown = Arc::clone(&shutdown);
-            let wakers = Arc::clone(&wakers);
-            thread::spawn(move || {
-                let stopping = |shared: &Shared| {
-                    shared.draining.load(Ordering::SeqCst) || shutdown.load(Ordering::SeqCst)
-                };
-                let mut next = 0usize;
-                loop {
-                    let Ok((stream, _)) = listener.accept() else {
-                        if stopping(&shared) {
-                            return;
-                        }
-                        // Transient accept error — e.g. EMFILE, which
-                        // returns immediately and repeatedly. Throttle
-                        // instead of spinning a core.
-                        thread::sleep(Duration::from_millis(20));
-                        continue;
-                    };
-                    if stopping(&shared) {
-                        return; // the wake-up connection, or a racer
-                    }
-                    let worker = next % inboxes.len();
-                    next = next.wrapping_add(1);
-                    if inboxes[worker].send(stream).is_ok() {
-                        wakers.wake(worker);
-                    }
-                }
-            })
+            thread::spawn(move || accept_loop(&shared, &listener))
         };
-        let gc_thread = config.gc_interval.map(|interval| {
-            let store = Arc::clone(&store);
-            let shutdown = Arc::clone(&shutdown);
-            thread::spawn(move || gc_loop(&store, config.gc_policy, interval, &shutdown))
-        });
+        let housekeeping = {
+            let shared = Arc::clone(&shared);
+            thread::spawn(move || housekeeping(&shared))
+        };
         Ok(Self {
-            addr: local_addr,
-            shutdown,
             accept: Some(accept),
-            gc_thread,
-            workers,
-            wakers,
-            store,
+            housekeeping: Some(housekeeping),
             shared,
         })
     }
@@ -581,13 +412,13 @@ impl StoreServer {
     /// The address the daemon is actually listening on.
     #[must_use]
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.shared.server_addr
     }
 
     /// The store this daemon owns.
     #[must_use]
     pub fn store(&self) -> &Arc<ArtifactStore> {
-        &self.store
+        &self.shared.store
     }
 
     /// Blocks until a client sends `SHUTDOWN`, then tears down cleanly.
@@ -600,18 +431,18 @@ impl StoreServer {
 
     /// Stops the daemon from this process — via the same graceful drain
     /// the `SHUTDOWN` verb takes: stop accepting, answer in-flight
-    /// frames, fail parked waiters with `err`, flush, then tear down.
-    /// After this returns no thread serves the store — a client's next
-    /// request definitively fails (and degrades to a miss on its side).
+    /// frames, fail parked waiters with `err`, then tear down. After
+    /// this returns no thread serves the store — a client's next request
+    /// definitively fails (and degrades to a miss on its side).
     pub fn shutdown(mut self) {
         self.stop();
     }
 
-    /// Begins draining without blocking: the acceptor stops, workers
-    /// answer what is in flight and fail parked waiters fast. Call
+    /// Begins draining without blocking: the acceptor stops, connections
+    /// answer what is in flight and parked waiters fail fast. Call
     /// [`StoreServer::shutdown`] (or drop) to join the teardown.
     pub fn drain(&self) {
-        begin_drain(&self.shared, &self.wakers);
+        begin_drain(&self.shared);
     }
 
     /// Whether the daemon is draining (or already stopped).
@@ -621,20 +452,28 @@ impl StoreServer {
     }
 
     fn stop(&mut self) {
-        // Graceful first: drain answers in-flight frames and resolves
-        // parked waiters instead of abandoning them mid-queue.
-        begin_drain(&self.shared, &self.wakers);
+        begin_drain(&self.shared);
         if let Some(accept) = self.accept.take() {
             let _ = accept.join();
         }
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
+        let (mut conns, _) = self
+            .shared
+            .conn_exited
+            .wait_timeout_while(self.shared.conns(), DRAIN_GRACE, |c| !c.live.is_empty())
+            .unwrap_or_else(PoisonError::into_inner);
+        // Past the grace: whoever is left is blocked writing to a peer
+        // that will not read.
+        for stream in conns.live.values() {
+            let _ = stream.shutdown(Shutdown::Both);
         }
-        // Only now flip the hard flag (stops the GC thread; also the
-        // terminal state `draining` paired with no served socket).
-        self.shutdown.store(true, Ordering::SeqCst);
-        if let Some(gc) = self.gc_thread.take() {
-            let _ = gc.join();
+        let threads = std::mem::take(&mut conns.threads);
+        drop(conns);
+        for conn in threads {
+            let _ = conn.join();
+        }
+        if let Some(housekeeping) = self.housekeeping.take() {
+            housekeeping.thread().unpark();
+            let _ = housekeeping.join();
         }
     }
 }
@@ -653,19 +492,75 @@ impl std::fmt::Debug for Shared {
     }
 }
 
-fn gc_loop(
-    store: &Arc<ArtifactStore>,
-    policy: GcPolicy,
-    interval: Duration,
-    shutdown: &Arc<AtomicBool>,
-) {
-    let tick = interval.min(Duration::from_millis(20));
-    let mut last = Instant::now();
-    while !shutdown.load(Ordering::SeqCst) {
-        thread::sleep(tick);
-        if last.elapsed() >= interval {
-            let _ = store.gc_with(policy);
-            last = Instant::now();
+fn accept_loop(shared: &Arc<Shared>, listener: &TcpListener) {
+    loop {
+        let accepted = listener.accept();
+        if shared.draining.load(Ordering::SeqCst) {
+            return; // the drain's wake-up connection, or a racer
+        }
+        match accepted {
+            Ok((stream, _)) => adopt(shared, stream),
+            // Transient accept error — e.g. EMFILE, which returns
+            // immediately and repeatedly. Throttle instead of spinning
+            // a core.
+            Err(_) => thread::sleep(Duration::from_millis(20)),
+        }
+    }
+}
+
+/// Starts the thread serving `stream`, unless the daemon is draining.
+/// That check runs under the lock the drain takes, so no connection
+/// escapes the drain.
+fn adopt(shared: &Arc<Shared>, stream: TcpStream) {
+    let timeout = Some(shared.config.read_timeout);
+    if stream.set_read_timeout(timeout).is_err() || stream.set_write_timeout(timeout).is_err() {
+        return;
+    }
+    let _ = stream.set_nodelay(true);
+    let Ok(handle) = stream.try_clone() else {
+        return;
+    };
+    let owner = shared.next_owner.fetch_add(1, Ordering::Relaxed);
+    let mut conns = shared.conns();
+    if shared.draining.load(Ordering::SeqCst) {
+        return; // dropping the stream closes it
+    }
+    // A long run opens thousands of short connections one after
+    // another: join the threads that already finished.
+    let (finished, running): (Vec<_>, Vec<_>) = std::mem::take(&mut conns.threads)
+        .into_iter()
+        .partition(JoinHandle::is_finished);
+    conns.threads = running;
+    for conn in finished {
+        let _ = conn.join();
+    }
+    // A failed spawn drops the stream with its closure: the peer sees EOF.
+    let worker = Arc::clone(shared);
+    if let Ok(thread) =
+        thread::Builder::new().spawn(move || serve_connection(&worker, stream, owner))
+    {
+        conns.live.insert(owner, handle);
+        conns.threads.push(thread);
+        shared
+            .counters
+            .active_connections
+            .fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+/// The housekeeping thread: every tick (the shorter of
+/// [`HOUSEKEEPING_TICK`] and the GC interval) it sweeps lapsed claims,
+/// and every GC interval it runs GC, until the drain begins.
+fn housekeeping(shared: &Shared) {
+    let interval = shared.config.gc_interval;
+    let tick = interval.map_or(HOUSEKEEPING_TICK, |i| i.min(HOUSEKEEPING_TICK));
+    let mut last_gc = Instant::now();
+    while !shared.draining.load(Ordering::SeqCst) {
+        thread::park_timeout(tick);
+        shared.claims.sweep(&shared.counters);
+        if interval.is_some_and(|i| last_gc.elapsed() >= i) {
+            let _ = shared.store.gc_with(shared.config.gc_policy);
+            last_gc = Instant::now();
         }
     }
 }
@@ -679,7 +574,6 @@ fn stats_of(shared: &Shared) -> StoreStats {
         file_bytes: store.file_bytes(),
         namespaces: store.namespace_counts(),
         active_connections: c.active_connections.load(Ordering::Relaxed),
-        pipeline_hwm: c.pipeline_hwm.load(Ordering::Relaxed),
         batched_keys: c.batched_keys.load(Ordering::Relaxed),
         max_batch: c.max_batch.load(Ordering::Relaxed),
         claims_granted: c.claims_granted.load(Ordering::Relaxed),
@@ -704,21 +598,16 @@ fn health_of(shared: &Shared) -> HealthReport {
     }
 }
 
-/// Serves one decoded request (`Shutdown` is intercepted by the caller,
-/// which owns teardown). Returns the reply slot to queue; the caller
-/// owns write-out.
-fn serve(shared: &Shared, wakers: &Wakers, conn_owner: u64, req: Request) -> OutSlot {
-    let response = match req {
-        Request::Get { ns, key } => match shared.store.load(&ns, &key) {
-            Some(value) => Response::Hit { value },
-            None => Response::Miss,
-        },
+/// Serves one decoded request for the connection whose claims `owner`
+/// identifies. A `WAIT` blocks here while it is parked. `SHUTDOWN` is
+/// acknowledged; the caller begins the drain.
+fn serve(shared: &Shared, owner: u64, req: Request) -> Response {
+    match req {
         Request::Put { ns, key, value } => {
             // Request decoding enforced the store's input shapes, so
             // this cannot trip the store's assertions.
             shared.store.save(&ns, &key, &value);
             shared.claims.publish(&ns, &key, &value);
-            wakers.wake_all(); // parked WAITs may live on any worker
             Response::Done
         }
         Request::MGet { items } => {
@@ -727,31 +616,11 @@ fn serve(shared: &Shared, wakers: &Wakers, conn_owner: u64, req: Request) -> Out
                 values: shared.store.load_many(&items),
             }
         }
-        Request::MPut { items } => {
-            shared.counters.note_batch(items.len());
-            for (ns, key, value) in &items {
-                shared.store.save(ns, key, value);
-                shared.claims.publish(ns, key, value);
-            }
-            // A served batch is a durability commit point: under
-            // `CFR_STORE_FSYNC=commit` the whole batch hits stable
-            // storage before the client sees `ok`.
-            shared.store.commit_batch();
-            if !items.is_empty() {
-                wakers.wake_all();
-            }
-            Response::Done
-        }
         Request::Claim { ns, key, lease_ms } => {
             let lease = Duration::from_millis(lease_ms).min(MAX_LEASE);
-            shared.claims.claim(
-                &shared.store,
-                &shared.counters,
-                &ns,
-                &key,
-                conn_owner,
-                lease,
-            )
+            shared
+                .claims
+                .claim(&shared.store, &shared.counters, &ns, &key, owner, lease)
         }
         Request::Wait {
             ns,
@@ -759,263 +628,75 @@ fn serve(shared: &Shared, wakers: &Wakers, conn_owner: u64, req: Request) -> Out
             timeout_ms,
         } => {
             let timeout = Duration::from_millis(timeout_ms).min(MAX_LEASE);
-            match shared
+            shared
                 .claims
-                .wait(&shared.store, &shared.counters, &ns, &key)
-            {
-                WaitDisposition::Immediate(response) => response,
-                WaitDisposition::Park(cell) => {
-                    return OutSlot::Waiting {
-                        cell,
-                        deadline: Instant::now() + timeout,
-                    }
-                }
-            }
+                .wait(&shared.store, &shared.counters, &ns, &key, timeout)
         }
         Request::Stats => Response::Stats(stats_of(shared)),
         Request::Health => Response::Health(health_of(shared)),
         Request::Gc => Response::Gc(shared.store.gc_with(shared.config.gc_policy)),
-        Request::Shutdown => Response::Done, // caller handles teardown
-    };
-    OutSlot::Ready(response.to_frame())
+        Request::Shutdown => Response::Done,
+    }
 }
 
-fn worker_loop(
-    shared: &Shared,
-    wakers: &Wakers,
-    mut wake_rx: TcpStream,
-    inbox: &mpsc::Receiver<TcpStream>,
-) {
-    use std::os::fd::AsRawFd;
-    let mut conns: Vec<ConnState> = Vec::new();
-    let mut owner_seq = u64::from(wake_rx.local_addr().map_or(0, |a| a.port())) << 32;
-    let mut drain_since: Option<Instant> = None;
+/// One connection's thread: read a frame, serve it, write the reply,
+/// until EOF, an error or a timeout ends the connection. Its claims are
+/// released on the way out.
+fn serve_connection(shared: &Shared, mut stream: TcpStream, owner: u64) {
+    let mut reader = FrameReader::new();
     loop {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-        let draining = shared.draining.load(Ordering::SeqCst);
-        if draining {
-            if drain_since.is_none() {
-                drain_since = Some(Instant::now());
-            }
-            // Refuse connections that raced into the inbox after the
-            // drain began — dropping the stream closes them.
-            while inbox.try_recv().is_ok() {}
-        } else {
-            // Adopt newly accepted connections.
-            while let Ok(stream) = inbox.try_recv() {
-                if stream.set_nonblocking(true).is_err() {
-                    continue;
-                }
-                let _ = stream.set_nodelay(true);
-                owner_seq += 1;
-                shared
-                    .counters
-                    .active_connections
-                    .fetch_add(1, Ordering::Relaxed);
-                conns.push(ConnState {
-                    stream,
-                    rbuf: Vec::new(),
-                    out: VecDeque::new(),
-                    written: 0,
-                    owner: owner_seq,
-                    last_progress: Instant::now(),
-                    close_after_flush: false,
-                });
-            }
-        }
-
-        // Expire overdue claims so their waiters unpark. Running here —
-        // on every poll tick, not on request arrival — is what lets a
-        // dead holder's lease lapse even when the daemon receives zero
-        // traffic: waiters parked on other connections unblock within
-        // one WORKER_TICK of the deadline.
-        shared.claims.sweep(&shared.counters);
-
-        // Readiness: the wake socket plus every connection (write
-        // interest only while something is flushable).
-        let mut fds = Vec::with_capacity(conns.len() + 1);
-        fds.push((wake_rx.as_raw_fd(), false));
-        for conn in &mut conns {
-            let want_write = conn.flushable();
-            fds.push((conn.stream.as_raw_fd(), want_write));
-        }
-        let ready = readiness::wait(&fds, WORKER_TICK);
-        if ready[0].0 {
-            let mut drain = [0u8; 64];
-            while matches!(wake_rx.read(&mut drain), Ok(n) if n > 0) {}
-        }
-
-        let mut drain_requested = false;
-        for (i, conn) in conns.iter_mut().enumerate() {
-            let (readable, writable) = ready[i + 1];
-            let mut dead = false;
-            if readable && !conn.close_after_flush {
-                dead = pump_reads(shared, wakers, conn, &mut drain_requested);
-            }
-            if draining && !dead {
-                // Drain mode: every frame already received got its
-                // reply above; parked waiters fail fast with `err`
-                // instead of hanging until the client-side timeout,
-                // and the connection closes once its queue flushes.
-                for slot in &mut conn.out {
-                    if let OutSlot::Waiting { .. } = slot {
-                        let reply = Response::Error {
-                            message: "daemon draining".to_string(),
-                        };
-                        *slot = OutSlot::Ready(reply.to_frame());
-                    }
-                }
-                conn.close_after_flush = true;
-            }
-            // Opportunistic flush: freshly queued replies usually fit
-            // the socket buffer without waiting for a POLLOUT round.
-            if !dead && (writable || conn.flushable()) {
-                dead = pump_writes(conn);
-            }
-            if !dead && draining && conn.out.is_empty() {
-                dead = true; // nothing left to answer: close now
-            }
-            if !dead
-                && conn.awaiting_progress()
-                && conn.last_progress.elapsed() > shared.config.read_timeout
-                && !conn
-                    .out
-                    .iter()
-                    .any(|s| matches!(s, OutSlot::Waiting { .. }))
+        let request = match reader.read_frame(&mut stream) {
+            // Decoding copies what the request needs, so the frame (MBs
+            // for a trace `PUT`) is freed before the request is served.
+            Ok(Some(payload)) => Request::decode(&payload),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            // A read timeout while idle at a frame boundary: keep
+            // waiting. Inside a frame it ends the connection below.
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+                ) && reader.buffered_bytes() == 0 =>
             {
-                // Stalled mid-frame or not reading its replies: drop it.
-                // (A parked WAIT is progress pending on *us*, not the
-                // peer — exempt.)
-                dead = true;
+                continue
             }
-            if dead {
-                shared.claims.release_owner(&shared.counters, conn.owner);
-                shared
-                    .counters
-                    .active_connections
-                    .fetch_sub(1, Ordering::Relaxed);
-                conn.close_after_flush = true;
-                conn.owner = 0; // released
-                conn.out.clear();
-                conn.rbuf.clear();
-                conn.written = usize::MAX; // marker: remove below
+            Err(e) if e.kind() == io::ErrorKind::InvalidData => {
+                // Bytes that can never become a frame (garbage, a
+                // foreign protocol, or an oversized length header):
+                // error-reply, then disconnect.
+                let reply = Response::Error {
+                    message: "malformed frame".to_string(),
+                };
+                let _ = stream.write_all(&reply.to_frame());
+                break;
             }
+            // EOF, a peer stalled mid-frame, or a reset.
+            Ok(None) | Err(_) => break,
+        };
+        let shutdown = matches!(request, Ok(Request::Shutdown));
+        // A well-framed but malformed request gets a clean error reply;
+        // the connection survives.
+        let response = match request {
+            Ok(req) => serve(shared, owner, req),
+            Err(message) => Response::Error { message },
+        };
+        // A write timeout closes a peer that stops reading its replies.
+        let sent = stream.write_all(&response.to_frame());
+        if shutdown {
+            begin_drain(shared); // nothing after a shutdown ack is served
         }
-        conns.retain(|c| c.written != usize::MAX);
-
-        if drain_requested {
-            // A client sent `SHUTDOWN`: its `ok` is queued; the daemon
-            // now drains instead of dropping everyone mid-queue.
-            begin_drain(shared, wakers);
-        }
-        if draining
-            && (conns.is_empty() || drain_since.is_some_and(|since| since.elapsed() > DRAIN_GRACE))
-        {
+        if shutdown || sent.is_err() {
             break;
         }
     }
-    // Teardown: release every connection's claims so cross-process
-    // waiters parked on other workers degrade to misses promptly.
-    for conn in &conns {
-        if conn.owner != 0 {
-            shared.claims.release_owner(&shared.counters, conn.owner);
-            shared
-                .counters
-                .active_connections
-                .fetch_sub(1, Ordering::Relaxed);
-        }
-    }
-}
-
-/// Reads until `WouldBlock`, decoding and serving every complete frame.
-/// Returns `true` when the connection is finished (EOF or fatal error).
-fn pump_reads(
-    shared: &Shared,
-    wakers: &Wakers,
-    conn: &mut ConnState,
-    drain_requested: &mut bool,
-) -> bool {
-    let mut chunk = [0u8; 16 * 1024];
-    loop {
-        match conn.stream.read(&mut chunk) {
-            Ok(0) => return true, // EOF
-            Ok(n) => {
-                conn.rbuf.extend_from_slice(&chunk[..n]);
-                conn.last_progress = Instant::now();
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(_) => return true,
-        }
-        // Serve every complete frame already buffered before reading
-        // more: pipelined requests drain without waiting for the socket.
-        loop {
-            let (request, consumed) = match decode_frame(&conn.rbuf) {
-                FrameDecode::Incomplete => break,
-                FrameDecode::Invalid => {
-                    // Bytes that can never become a frame (garbage, a
-                    // foreign protocol, or an oversized length header):
-                    // error-reply, then disconnect after flushing.
-                    let reply = Response::Error {
-                        message: "malformed frame".to_string(),
-                    };
-                    conn.out.push_back(OutSlot::Ready(reply.to_frame()));
-                    conn.rbuf.clear();
-                    conn.close_after_flush = true;
-                    return false;
-                }
-                FrameDecode::Frame { payload, consumed } => (Request::decode(payload), consumed),
-            };
-            conn.rbuf.drain(..consumed);
-            let slot = match request {
-                // A well-framed but malformed request gets a clean error
-                // reply; the connection survives.
-                Err(message) => OutSlot::Ready(Response::Error { message }.to_frame()),
-                Ok(Request::Shutdown) => {
-                    *drain_requested = true;
-                    conn.close_after_flush = true;
-                    OutSlot::Ready(Response::Done.to_frame())
-                }
-                Ok(req) => serve(shared, wakers, conn.owner, req),
-            };
-            conn.out.push_back(slot);
-            ServerCounters::raise(&shared.counters.pipeline_hwm, conn.out.len() as u64);
-            if conn.close_after_flush {
-                // Nothing after a shutdown ack is served.
-                conn.rbuf.clear();
-                return false;
-            }
-        }
-    }
-    false
-}
-
-/// Flushes ready replies until `WouldBlock` or the queue blocks on a
-/// parked `WAIT`. Returns `true` when the connection is finished.
-fn pump_writes(conn: &mut ConnState) -> bool {
-    while conn.flushable() {
-        let Some(OutSlot::Ready(bytes)) = conn.out.front() else {
-            unreachable!("flushable() leaves a Ready head");
-        };
-        match conn.stream.write(&bytes[conn.written..]) {
-            Ok(0) => return true,
-            Ok(n) => {
-                conn.written += n;
-                conn.last_progress = Instant::now();
-                if conn.written == bytes.len() {
-                    conn.out.pop_front();
-                    conn.written = 0;
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return false,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(_) => return true,
-        }
-    }
-    // Fully flushed: a connection marked close-after-flush ends here.
-    conn.out.is_empty() && conn.close_after_flush
+    shared.claims.release_owner(&shared.counters, owner);
+    let mut conns = shared.conns();
+    conns.live.remove(&owner);
+    shared
+        .counters
+        .active_connections
+        .fetch_sub(1, Ordering::Relaxed);
+    shared.conn_exited.notify_all();
 }
 
 #[cfg(test)]
@@ -1025,6 +706,7 @@ mod tests {
     use super::*;
     use crate::store::{StoreBackend, NS_RUNS};
     use std::fs;
+    use std::io::Read;
     use std::path::PathBuf;
 
     /// Reads and decodes one reply frame from a hand-rolled connection.
@@ -1077,14 +759,13 @@ mod tests {
     }
 
     #[test]
-    fn batched_mget_mput_round_trip_and_count() {
+    fn batched_mget_round_trip_and_count() {
         let dir = temp_dir("batch");
         let server = serve_dir(&dir, no_gc());
         let client = RemoteStore::new(server.addr().to_string());
-        let items: Vec<(String, String, String)> = (0..20)
-            .map(|i| ("runs".to_string(), format!("key {i}"), format!("value {i}")))
-            .collect();
-        client.save_many(&items);
+        for i in 0..20 {
+            client.save("runs", &format!("key {i}"), &format!("value {i}"));
+        }
         let probes: Vec<(String, String)> = (0..25)
             .map(|i| ("runs".to_string(), format!("key {i}")))
             .collect();
@@ -1098,17 +779,16 @@ mod tests {
             }
         }
         let stats = client.stats().unwrap();
-        assert_eq!(stats.batched_keys, 45, "20 MPUT keys + 25 MGET keys");
+        assert_eq!(stats.batched_keys, 25, "one 25-key MGET");
         assert_eq!(stats.max_batch, 25);
-        // A 300-key probe from a fresh client is three MGET frames
-        // (128/127/45 keys) pipelined into a single round trip.
+        // A 300-key probe from a fresh client is one MGET frame: a
+        // single round trip.
         let fresh = RemoteStore::new(server.addr().to_string());
         let probes: Vec<(String, String)> = (0..300)
             .map(|i| ("runs".to_string(), format!("key {i}")))
             .collect();
         assert_eq!(fresh.load_many(&probes).len(), 300);
         assert_eq!(fresh.round_trips(), 1);
-        assert_eq!(fresh.requests_sent(), 3);
         server.shutdown();
         let _ = fs::remove_dir_all(&dir);
     }
@@ -1129,9 +809,8 @@ mod tests {
             blob.extend_from_slice(&encode_frame(&req.encode()));
         }
         for i in 0..50 {
-            let req = Request::Get {
-                ns: "runs".into(),
-                key: format!("k{i}"),
+            let req = Request::MGet {
+                items: vec![("runs".into(), format!("k{i}"))],
             };
             blob.extend_from_slice(&encode_frame(&req.encode()));
         }
@@ -1143,14 +822,12 @@ mod tests {
         for i in 0..50 {
             assert_eq!(
                 read_reply(&mut reader, &mut stream),
-                Ok(Response::Hit {
-                    value: format!("v{i}")
+                Ok(Response::MGot {
+                    values: vec![Some(format!("v{i}"))]
                 }),
                 "pipelined replies must arrive in request order"
             );
         }
-        let client = RemoteStore::new(server.addr().to_string());
-        assert!(client.stats().unwrap().pipeline_hwm >= 1);
         server.shutdown();
         let _ = fs::remove_dir_all(&dir);
     }
@@ -1494,8 +1171,8 @@ mod tests {
             })
         };
         thread::sleep(Duration::from_millis(150)); // waiter is parked
-                                                   // In-flight work: a pipelined PUT + GET written right before the
-                                                   // drain begins must still be answered.
+                                                   // In-flight work: a pipelined PUT + MGET written right before
+                                                   // the drain begins must still be answered.
         let mut stream = TcpStream::connect(server.addr()).unwrap();
         let mut blob = Request::Put {
             ns: "runs".into(),
@@ -1504,14 +1181,13 @@ mod tests {
         }
         .to_frame();
         blob.extend_from_slice(
-            &Request::Get {
-                ns: "runs".into(),
-                key: "inflight".into(),
+            &Request::MGet {
+                items: vec![("runs".into(), "inflight".into())],
             }
             .to_frame(),
         );
         stream.write_all(&blob).unwrap();
-        thread::sleep(Duration::from_millis(100)); // conn adopted, frames queued
+        thread::sleep(Duration::from_millis(100)); // conn adopted, frames sent
         server.drain();
         assert!(server.draining());
         // The in-flight frames drew real replies, not a slammed door.
@@ -1522,8 +1198,8 @@ mod tests {
         assert_eq!(read_reply(&mut reader, &mut stream), Ok(Response::Done));
         assert_eq!(
             read_reply(&mut reader, &mut stream),
-            Ok(Response::Hit {
-                value: "survives the drain".into()
+            Ok(Response::MGot {
+                values: vec![Some("survives the drain".into())]
             })
         );
         // The parked waiter was failed fast with an err reply — it did
@@ -1554,8 +1230,8 @@ mod tests {
             holder.claim("runs", "cold", Duration::from_millis(150)),
             crate::store::ClaimOutcome::Granted
         );
-        // Zero traffic while the lease lapses: only the worker's idle
-        // poll tick can expire it. The holder stays connected, so the
+        // Zero traffic while the lease lapses: only the housekeeping
+        // tick can expire it. The holder stays connected, so the
         // disconnect path cannot release the claim either.
         thread::sleep(Duration::from_millis(500));
         let probe = RemoteStore::new(server.addr().to_string());
@@ -1575,16 +1251,15 @@ mod tests {
     }
 
     #[test]
-    fn large_batches_round_trip_across_alternating_chunks() {
-        let dir = temp_dir("alt-chunks");
+    fn large_batches_round_trip_in_one_frame() {
+        let dir = temp_dir("one-frame");
         let server = serve_dir(&dir, no_gc());
         let client = RemoteStore::new(server.addr().to_string());
-        // 300 items span three chunks (128/127/45) — no two adjacent
-        // chunks share a length, and every value must round trip.
-        let items: Vec<(String, String, String)> = (0..300)
-            .map(|i| ("runs".to_string(), format!("key {i}"), format!("value {i}")))
-            .collect();
-        assert!(client.try_save_many(&items));
+        // 300 keys in one MGET frame: every value must round trip.
+        for i in 0..300 {
+            client.save("runs", &format!("key {i}"), &format!("value {i}"));
+        }
+        assert_eq!(client.write_errors(), 0);
         let probes: Vec<(String, String)> = (0..300)
             .map(|i| ("runs".to_string(), format!("key {i}")))
             .collect();
@@ -1594,7 +1269,7 @@ mod tests {
             assert_eq!(
                 slot.as_deref(),
                 Some(format!("value {i}").as_str()),
-                "key {i} must survive the chunked round trip"
+                "key {i} must survive the one-frame round trip"
             );
         }
         server.shutdown();
@@ -1614,6 +1289,71 @@ mod tests {
         assert_eq!(health.shard_count, SHARD_COUNT);
         assert!(health.file_bytes > 0);
         server.shutdown();
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_peer_that_stops_reading_is_closed_and_its_claims_released() {
+        let dir = temp_dir("no-reader");
+        let server = serve_dir(
+            &dir,
+            ServerConfig {
+                read_timeout: Duration::from_millis(200),
+                ..no_gc()
+            },
+        );
+        // Each MGET of this 1 MiB record draws a 1 MiB reply.
+        let client = RemoteStore::new(server.addr().to_string());
+        client.save("runs", "big", &"x".repeat(1 << 20));
+        let mut idle = TcpStream::connect(server.addr()).unwrap();
+        let mut peer = TcpStream::connect(server.addr()).unwrap();
+        let claim = Request::Claim {
+            ns: "runs".into(),
+            key: "cold".into(),
+            lease_ms: 600_000,
+        };
+        peer.write_all(&claim.to_frame()).unwrap();
+        let mut reader = FrameReader::new();
+        assert_eq!(read_reply(&mut reader, &mut peer), Ok(Response::Granted));
+        // 64 MiB of replies outgrow both socket buffers; the peer never
+        // reads them, so the daemon's write times out.
+        let probe = Request::MGet {
+            items: vec![("runs".into(), "big".into())],
+        };
+        peer.write_all(&probe.to_frame().repeat(64)).unwrap();
+        let other = RemoteStore::new(server.addr().to_string());
+        let t0 = Instant::now();
+        while other.claim("runs", "cold", Duration::from_secs(5))
+            != crate::store::ClaimOutcome::Granted
+        {
+            assert!(
+                t0.elapsed() < Duration::from_secs(5),
+                "a peer that stops reading must be closed and its claim released"
+            );
+            thread::sleep(Duration::from_millis(50));
+        }
+        assert_eq!(other.stats().unwrap().claims_expired, 1);
+        idle.write_all(&Request::Stats.to_frame()).unwrap();
+        let mut reader = FrameReader::new();
+        assert!(
+            matches!(read_reply(&mut reader, &mut idle), Ok(Response::Stats(_))),
+            "an idle connection must survive beside it"
+        );
+        drop(peer);
+        server.shutdown();
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn bind_rejects_a_zero_read_timeout() {
+        let dir = temp_dir("zero-timeout");
+        let store = Arc::new(ArtifactStore::open(&dir, GcPolicy::unbounded()).unwrap());
+        let config = ServerConfig {
+            read_timeout: Duration::ZERO,
+            ..no_gc()
+        };
+        let err = StoreServer::bind(store, "127.0.0.1:0", config).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
         let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -221,8 +221,7 @@ pub trait StoreBackend: Send + Sync + std::fmt::Debug {
     }
 
     /// Persists a whole batch of `(ns, key, value)` records,
-    /// best-effort. Networked backends batch (`MPUT`); the default
-    /// delegates to [`Self::save`] one by one.
+    /// best-effort; delegates to [`Self::save`] one by one.
     fn save_many(&self, items: &[(String, String, String)]) {
         for (ns, key, value) in items {
             self.save(ns, key, value);
@@ -498,9 +497,8 @@ pub enum FsyncPolicy {
     /// tear the last appends (recovered as misses at next open).
     #[default]
     Never,
-    /// Fsync at batch commit points ([`ArtifactStore::commit_batch`],
-    /// called by the daemon after each `MPUT`) and before compaction
-    /// renames — single appends still ride the OS cache.
+    /// Fsync before compaction renames — appends still ride the OS
+    /// cache.
     Commit,
     /// Fsync after every append. Maximum durability, slowest saves.
     Always,
@@ -1090,16 +1088,6 @@ impl ArtifactStore {
             .lock()
             .expect("store index poisoned")
             .total_file_bytes()
-    }
-
-    /// A batch commit point: under [`FsyncPolicy::Commit`], fsyncs every
-    /// shard file so the batch that just landed survives a machine
-    /// crash. A no-op under the other policies (`Never` skips syncs
-    /// entirely; `Always` already synced each append).
-    pub fn commit_batch(&self) {
-        if self.fsync == FsyncPolicy::Commit {
-            self.sync_shards();
-        }
     }
 
     /// Fsyncs every shard file, unconditionally — the drain path's last
@@ -1714,7 +1702,7 @@ mod tests {
     #[test]
     fn fsync_policies_preserve_record_contents() {
         // Every policy must produce byte-identical records and survive
-        // the batch-commit and drain-sync entry points.
+        // the drain-sync entry point.
         for (tag, policy) in [
             ("fs-never", FsyncPolicy::Never),
             ("fs-commit", FsyncPolicy::Commit),
@@ -1725,7 +1713,6 @@ mod tests {
             assert_eq!(store.fsync_policy(), policy);
             store.save("runs", "k", "v 1");
             store.save("walks", "k2", "v 2");
-            store.commit_batch();
             store.sync_shards();
             assert_eq!(store.load("runs", "k").as_deref(), Some("v 1"));
             assert_eq!(store.load("walks", "k2").as_deref(), Some("v 2"));

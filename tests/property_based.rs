@@ -453,7 +453,7 @@ proptest! {
         ns_pick in 0u64..5,
         batch in 0usize..5,
         millis in 0u64..1_000_000,
-        counters in proptest::collection::vec(0u64..1_000_000, 14..15),
+        counters in proptest::collection::vec(0u64..1_000_000, 13..14),
     ) {
         let ns = ["runs", "walks", "programs", "traces", "scenarios"]
             [usize::try_from(ns_pick).unwrap()]
@@ -463,11 +463,8 @@ proptest! {
         let items: Vec<(String, String)> = (0..batch)
             .map(|i| (ns.clone(), format!("{key} {i}")))
             .collect();
-        let put_items: Vec<(String, String, String)> = (0..batch)
-            .map(|i| (ns.clone(), format!("{key} {i}"), format!("{value} {i}")))
-            .collect();
         let request = match which {
-            0 => Request::Get { ns: ns.clone(), key: key.clone() },
+            0 => Request::MGet { items: vec![(ns.clone(), key.clone())] },
             1 => Request::Put { ns: ns.clone(), key: key.clone(), value: value.clone() },
             2 => Request::Put {
                 ns: "runs".into(),
@@ -477,7 +474,7 @@ proptest! {
             3 => Request::Stats,
             4 => Request::Gc,
             5 => Request::MGet { items },
-            6 => Request::MPut { items: put_items },
+            6 => Request::Shutdown,
             7 => Request::Claim { ns: ns.clone(), key: key.clone(), lease_ms: millis },
             8 => Request::Wait { ns: ns.clone(), key: key.clone(), timeout_ms: millis },
             _ => Request::Health,
@@ -497,11 +494,10 @@ proptest! {
                 file_bytes: counters[2],
                 namespaces: NamespaceCounts(counters[3..8].try_into().unwrap()),
                 active_connections: counters[8],
-                pipeline_hwm: counters[9],
-                batched_keys: counters[10],
-                max_batch: counters[11],
-                claims_granted: counters[12],
-                claims_expired: counters[13],
+                batched_keys: counters[9],
+                max_batch: counters[10],
+                claims_granted: counters[11],
+                claims_expired: counters[12],
             }),
             4 => Response::Gc(GcReport {
                 live_records: counters[0],

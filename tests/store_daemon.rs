@@ -5,8 +5,9 @@
 //! for.
 //!
 //! The daemon runs **in-process** on an ephemeral port — the same
-//! accept/handler/GC threads the binary spawns, without the binary-path
-//! and orphaned-process fragility of forking a child.
+//! acceptor, connection and housekeeping threads the binary spawns,
+//! without the binary-path and orphaned-process fragility of forking a
+//! child.
 
 use std::fs;
 use std::path::PathBuf;
