@@ -7,14 +7,12 @@
 //! benchmark, for example). Run serially and independently, the full
 //! evaluation pays for the same simulations many times over.
 //!
-//! The [`Engine`] replaces that with keyed jobs. There are five kinds —
+//! The [`Engine`] replaces that with keyed jobs. There are three kinds —
 //! pipeline runs ([`RunKey`] → [`RunReport`]), multiprogrammed scenarios
-//! ([`ScenarioConfig`] → [`ScenarioReport`]), Table 4's functional walks
-//! (→ [`WalkMeasurement`]), and the artifacts those three execute:
-//! generated programs (→ [`Program`]) and pre-decoded traces (→
-//! [`CompiledTrace`]). Every kind goes through the same pipeline,
-//! `Engine::resolve`, which is the only code that reads or writes a
-//! store record:
+//! ([`ScenarioConfig`] → [`ScenarioReport`]) and Table 4's functional
+//! walks (→ [`WalkMeasurement`]). Every kind goes through the same
+//! pipeline, `Engine::resolve`, which is the only code that reads or
+//! writes a store record:
 //!
 //! 1. **claim** the requested keys that are neither done nor being
 //!    computed by a concurrent batch, so each unique key is computed at
@@ -23,13 +21,13 @@
 //! 2. **probe** the optional persistent [`Store`] ([`Engine::with_store`])
 //!    for the claimed keys in one batched load, extending the dedup
 //!    across processes;
-//! 3. **prepare** each cold key's binaries: their programs resolve as one
-//!    nested job batch. Under the compiled backend, the binaries' traces
-//!    resolve as a second nested batch, each trace job laying its binary
-//!    out and dropping the layout once the trace exists; under the
-//!    interpreter, the layouts are what runs, and compile once per
-//!    compilation class. A walk gets the program and lays out its own
-//!    binary;
+//! 3. **prepare** the executables of each cold key's binaries. The engine
+//!    keeps one per binary, built once: it generates the program, lays
+//!    it out and, under the compiled backend, compiles the layout's
+//!    [`CompiledTrace`](cfr_workload::CompiledTrace), keeping only what
+//!    the backend runs. Programs and traces are cheaper to remake than to
+//!    store and load, so no store record holds one. A walk generates and
+//!    lays out its own program;
 //! 4. **compute** the cold keys in parallel (rayon), each first claimed
 //!    in the store — against the store daemon, racing processes compute
 //!    every key once globally — and saved as soon as it is computed.
@@ -52,16 +50,15 @@ use std::collections::{HashMap, HashSet};
 use std::fmt::Debug;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use cfr_types::net::claim_lease;
 use cfr_types::{
-    AddressingMode, ClaimOutcome, PageGeometry, RecordError, RecordReader, RecordWriter,
-    NS_PROGRAMS, NS_RUNS, NS_SCENARIOS, NS_TRACES, NS_WALKS,
+    AddressingMode, ClaimOutcome, PageGeometry, RecordError, RecordReader, RecordWriter, NS_RUNS,
+    NS_SCENARIOS, NS_WALKS,
 };
 use cfr_workload::{
-    compile_trace, measure_walk, program_store_key, trace_store_key, walk_store_key,
-    BenchmarkProfile, CompiledTrace, LaidProgram, Program, WalkMeasurement,
+    compile_trace, measure_walk, walk_store_key, BenchmarkProfile, Program, WalkMeasurement,
 };
 use rayon::prelude::*;
 
@@ -77,7 +74,7 @@ use crate::strategy::StrategyKind;
 /// in-page marking passes ran, which they do together (see
 /// [`compiler::compile_for`]). Strategies within a class — Base, OPT and
 /// HoA; SoCA, SoLA and IA — execute the *same* binary, so the engine
-/// compiles it once.
+/// builds its executable once.
 type LaidKey = (&'static str, u64, bool);
 
 /// What a run's pipeline depends on besides its translator: the binary
@@ -283,23 +280,6 @@ impl<T> Hash for Keyed<T> {
 /// A multiprogrammed scenario, keyed by its config record.
 type Scenario = Keyed<ScenarioConfig>;
 
-/// A profile's generated program, keyed by [`program_store_key`], which
-/// fingerprints the generator parameters.
-type Generation = Keyed<BenchmarkProfile>;
-
-impl Generation {
-    fn of(profile: &BenchmarkProfile) -> Self {
-        Self {
-            store_key: program_store_key(profile),
-            input: profile.clone(),
-        }
-    }
-}
-
-/// The pre-decoded trace of one compiled binary, keyed by
-/// [`trace_store_key`]: the binary, and the program it is laid out from.
-type TraceCompile = Keyed<(Binary, Arc<Program>)>;
-
 /// One functional walk of a profile's plain (uninstrumented) 4 KB layout
 /// at one scale: Table 4's input, persisted in the `walks` namespace.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
@@ -332,26 +312,10 @@ struct Binary {
 }
 
 impl Binary {
-    fn instrumented(&self) -> bool {
-        compiler::wants_instrumented(self.strategy)
-    }
-
     fn class(&self) -> LaidKey {
-        (self.profile, self.geom.page_bytes(), self.instrumented())
+        let instrumented = compiler::wants_instrumented(self.strategy);
+        (self.profile, self.geom.page_bytes(), instrumented)
     }
-
-    /// Lays out `program`, this binary's profile's program, as this binary.
-    fn compile(&self, program: &Program) -> LaidProgram {
-        compiler::compile_for(program, self.geom, self.strategy)
-    }
-}
-
-/// A cold key's binaries as the prepare step hands them to
-/// [`Job::compute`]: their programs, and — for a kind that executes its
-/// binaries — what each runs on.
-struct Prepared {
-    programs: Vec<Arc<Program>>,
-    exes: Vec<Executable>,
 }
 
 /// One kind of keyed engine job. [`Engine::resolve`] drives every kind
@@ -367,9 +331,6 @@ trait Job: Clone + Eq + Hash + Debug + Send + Sync {
     const WRITE: fn(&Self::Value, &mut RecordWriter);
     /// Parses a [`Job::WRITE`] record.
     const READ: fn(&mut RecordReader<'_>) -> Result<Self::Value, RecordError>;
-    /// Whether a cold key executes its binaries — and so needs their
-    /// executables — rather than only walking a layout of its own.
-    const EXECUTES: bool = false;
 
     /// This kind's memo table on `engine`.
     fn table(engine: &Engine) -> &JobTable<Self>;
@@ -378,18 +339,23 @@ trait Job: Clone + Eq + Hash + Debug + Send + Sync {
     /// the store verifies a loaded record's key byte-for-byte.
     fn key_record(&self) -> String;
 
-    /// The compiled binaries a cold key needs. The prepare step resolves
-    /// them in this order — memoized, so strategies sharing a
-    /// compilation class share one binary — and hands them to
-    /// [`Job::compute`]. Programs and traces need none.
+    /// The compiled binaries a cold key executes. The prepare step gets
+    /// their executables in this order from the engine's memo, so
+    /// strategies sharing a compilation class share one, and hands them
+    /// to [`Job::compute`]. Walks execute none.
     fn binaries(&self) -> Vec<Binary> {
         Vec::new()
     }
 
-    /// Computes the key's value from its prepared binaries. When
-    /// `record`, a kind that shares pipelines also returns the run for
-    /// later keys of its pipeline to [`Job::follow`].
-    fn compute(&self, bins: &Prepared, record: bool) -> (Self::Value, Option<Recorded>);
+    /// Computes the key's value on `engine` from its binaries'
+    /// executables. When `record`, a kind that shares pipelines also
+    /// returns the run for later keys of its pipeline to [`Job::follow`].
+    fn compute(
+        &self,
+        engine: &Engine,
+        exes: &[Executable],
+        record: bool,
+    ) -> (Self::Value, Option<Recorded>);
 
     /// The pipeline a cold key drives, for a kind whose keys can replay a
     /// recorded run of it; `None` — every kind but runs — computes the
@@ -404,16 +370,10 @@ trait Job: Clone + Eq + Hash + Debug + Send + Sync {
         let _ = recorded;
         None
     }
-
-    /// Parses a stored value for this key. Anything but exactly one
-    /// current-codec record — torn, corrupt, written by another codec —
-    /// is a miss, and so is a value the kind's own checks reject.
-    fn decode(&self, text: &str) -> Option<Self::Value> {
-        parse(text, Self::READ)
-    }
 }
 
-/// Exactly one `read` record in `text`, or `None`.
+/// Exactly one `read` record in `text`, or `None`: anything else — torn,
+/// corrupt, written by another codec — is a miss.
 fn parse<V>(text: &str, read: fn(&mut RecordReader<'_>) -> Result<V, RecordError>) -> Option<V> {
     let mut r = RecordReader::new(text);
     let value = read(&mut r).ok()?;
@@ -427,7 +387,6 @@ impl Job for RunKey {
     const WRITE: fn(&RunReport, &mut RecordWriter) = RunReport::to_record;
     const READ: fn(&mut RecordReader<'_>) -> Result<RunReport, RecordError> =
         RunReport::from_record;
-    const EXECUTES: bool = true;
 
     fn table(engine: &Engine) -> &JobTable<Self> {
         &engine.runs
@@ -445,9 +404,13 @@ impl Job for RunKey {
         }]
     }
 
-    fn compute(&self, bins: &Prepared, record: bool) -> (RunReport, Option<Recorded>) {
-        let exe = &bins.exes[0];
-        Simulator::run_binary(exe, &self.config(), self.strategy, self.mode, record)
+    fn compute(
+        &self,
+        _: &Engine,
+        exes: &[Executable],
+        record: bool,
+    ) -> (RunReport, Option<Recorded>) {
+        Simulator::run_binary(&exes[0], &self.config(), self.strategy, self.mode, record)
     }
 
     fn pipeline(&self) -> Option<PipelineId> {
@@ -470,7 +433,6 @@ impl Job for Scenario {
     const WRITE: fn(&ScenarioReport, &mut RecordWriter) = ScenarioReport::to_record;
     const READ: fn(&mut RecordReader<'_>) -> Result<ScenarioReport, RecordError> =
         ScenarioReport::from_record;
-    const EXECUTES: bool = true;
 
     fn table(engine: &Engine) -> &JobTable<Self> {
         &engine.scenarios
@@ -491,8 +453,13 @@ impl Job for Scenario {
             .collect()
     }
 
-    fn compute(&self, bins: &Prepared, _: bool) -> (ScenarioReport, Option<Recorded>) {
-        (scenario::run(&self.input, &bins.exes), None)
+    fn compute(
+        &self,
+        _: &Engine,
+        exes: &[Executable],
+        _: bool,
+    ) -> (ScenarioReport, Option<Recorded>) {
+        (scenario::run(&self.input, exes), None)
     }
 }
 
@@ -511,80 +478,21 @@ impl Job for Walk {
         self.store_key.clone()
     }
 
-    fn binaries(&self) -> Vec<Binary> {
-        vec![Binary {
-            profile: self.profile,
-            geom: PageGeometry::default_4k(),
-            strategy: StrategyKind::Base,
-        }]
-    }
-
-    /// Walks a plain layout it builds from the program and drops, so a
-    /// walk batch holds at most one layout per worker.
-    fn compute(&self, bins: &Prepared, _: bool) -> (WalkMeasurement, Option<Recorded>) {
-        let laid = self.binaries()[0].compile(&bins.programs[0]);
+    /// Generates the program and lays out the plain binary it walks,
+    /// dropping the program before the walk and the layout after it, so
+    /// a walk batch holds at most one of each per worker.
+    fn compute(
+        &self,
+        engine: &Engine,
+        _: &[Executable],
+        _: bool,
+    ) -> (WalkMeasurement, Option<Recorded>) {
+        let program = engine.generate(engine.profile(self.profile));
+        let geom = PageGeometry::default_4k();
+        let laid = compiler::compile_for(&program, geom, StrategyKind::Base);
+        drop(program);
         let walk = measure_walk(&laid, self.scale.max_commits, self.scale.seed);
         (walk, None)
-    }
-}
-
-impl Job for Generation {
-    type Value = Program;
-    const NS: &'static str = NS_PROGRAMS;
-    const WRITE: fn(&Program, &mut RecordWriter) = Program::to_record;
-    const READ: fn(&mut RecordReader<'_>) -> Result<Program, RecordError> = Program::from_record;
-
-    fn table(engine: &Engine) -> &JobTable<Self> {
-        &engine.programs
-    }
-
-    fn key_record(&self) -> String {
-        self.store_key.clone()
-    }
-
-    fn compute(&self, _: &Prepared, _: bool) -> (Program, Option<Recorded>) {
-        (self.input.generate(), None)
-    }
-
-    /// A stored program must also pass [`Program::validate`].
-    fn decode(&self, text: &str) -> Option<Program> {
-        parse(text, Self::READ).filter(|program| program.validate().is_ok())
-    }
-}
-
-impl Job for TraceCompile {
-    type Value = CompiledTrace;
-    const NS: &'static str = NS_TRACES;
-    const WRITE: fn(&CompiledTrace, &mut RecordWriter) = CompiledTrace::to_record;
-    const READ: fn(&mut RecordReader<'_>) -> Result<CompiledTrace, RecordError> =
-        CompiledTrace::from_record;
-
-    fn table(engine: &Engine) -> &JobTable<Self> {
-        &engine.traces
-    }
-
-    fn key_record(&self) -> String {
-        self.store_key.clone()
-    }
-
-    fn compute(&self, _: &Prepared, _: bool) -> (CompiledTrace, Option<Recorded>) {
-        let (bin, program) = &self.input;
-        (compile_trace(&bin.compile(program)), None)
-    }
-
-    /// A stored trace must also pass [`CompiledTrace::validate`] and
-    /// match the shape of the binary's layout, which is laid out to check
-    /// and dropped: geometry, base, instrumentation and slot count.
-    fn decode(&self, text: &str) -> Option<CompiledTrace> {
-        let (bin, program) = &self.input;
-        parse(text, Self::READ).filter(|trace| {
-            let laid = bin.compile(program);
-            trace.validate().is_ok()
-                && trace.geom == laid.geom
-                && trace.base == laid.base
-                && trace.instrumented == laid.instrumented
-                && trace.len() == laid.slots.len()
-        })
     }
 }
 
@@ -716,7 +624,7 @@ pub struct RetainedLogs {
 /// into the claimed keys and their binaries, in batch order, and for keys
 /// that drive one pipeline, its identity and retained runs.
 struct Partition<'a> {
-    jobs: Vec<&'a (usize, Prepared)>,
+    jobs: Vec<&'a (usize, Vec<Executable>)>,
     pipeline: Option<PipelineId>,
     retained: Vec<Arc<Recorded>>,
 }
@@ -733,8 +641,7 @@ struct Unretained {
 }
 
 /// A deduplicating, memoizing, parallel executor of simulation runs,
-/// multiprogrammed scenarios and functional walks, and of the programs
-/// and traces they execute.
+/// multiprogrammed scenarios and functional walks.
 ///
 /// One engine should be shared across every experiment of a session (the
 /// `all_experiments` binary shares a single engine across all ten
@@ -743,22 +650,23 @@ struct Unretained {
 #[derive(Debug)]
 pub struct Engine {
     profiles: Vec<BenchmarkProfile>,
-    /// Memoized compiled binaries (layout + instrumentation + marking),
-    /// which are what the interpreter runs: one compilation per
-    /// [`LaidKey`] no matter how many jobs execute it. Empty under the
-    /// compiled backend, which runs traces. The lock covers layout
-    /// compilation only; no nested job batch runs under it.
-    laid: Mutex<HashMap<LaidKey, Arc<LaidProgram>>>,
+    /// The backend every job executes on, read once, so the executable
+    /// memo holds only what this backend runs.
+    backend: ExecBackend,
+    /// One executable per binary: its pre-decoded trace under the
+    /// compiled backend, its layout under the interpreter. The lock only
+    /// finds or inserts a binary's cell; whichever batch reaches an empty
+    /// cell first builds it outside the lock, and concurrent batches
+    /// wait on the cell.
+    exes: Mutex<HashMap<LaidKey, Arc<OnceLock<Executable>>>>,
     runs: JobTable<RunKey>,
     scenarios: JobTable<Scenario>,
     walks: JobTable<Walk>,
-    /// Generated programs, the input of every layout.
-    programs: JobTable<Generation>,
-    /// Pre-decoded traces, which only the compiled backend executes:
-    /// beside its program, all the engine keeps of a binary there. Each
-    /// trace job lays its binary out and drops the layout once the trace
-    /// exists.
-    traces: JobTable<TraceCompile>,
+    /// Programs generated: one per executable built, one per walk.
+    generated: AtomicU64,
+    /// Traces compiled: one per executable built under the compiled
+    /// backend.
+    compiled: AtomicU64,
     /// Simulated runs kept for later batches' replays.
     logs: Mutex<Logs>,
     /// Persistent cross-process result store, consulted before computing
@@ -776,18 +684,20 @@ pub struct NamespaceTraffic {
     pub cold: u64,
 }
 
-/// Per-namespace warm/cold accounting for every persisted layer (see
-/// [`Engine::store_summary`]).
+/// Per-namespace warm/cold accounting (see [`Engine::store_summary`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StoreSummary {
     /// Pipeline run reports (`runs` namespace).
     pub runs: NamespaceTraffic,
     /// Functional walk measurements (`walks`).
     pub walks: NamespaceTraffic,
-    /// Generated programs (`programs`).
+    /// Programs generated in this process (cold): one per executable
+    /// built and one per walk computed. No program is stored, so warm is
+    /// always 0.
     pub programs: NamespaceTraffic,
-    /// Pre-decoded execution traces (`traces`). Cold = compiled in this
-    /// process; all zero under the interpreter backend.
+    /// Pre-decoded traces compiled in this process (cold): one per
+    /// executable built under the compiled backend, none under the
+    /// interpreter. No trace is stored, so warm is always 0.
     pub traces: NamespaceTraffic,
     /// Multiprogrammed scenario reports (`scenarios`); all zero unless
     /// [`Engine::run_scenarios`] was used.
@@ -814,12 +724,13 @@ impl Engine {
         }
         Self {
             profiles,
-            laid: Mutex::new(HashMap::new()),
+            backend: ExecBackend::from_env(),
+            exes: Mutex::new(HashMap::new()),
             runs: JobTable::default(),
             scenarios: JobTable::default(),
             walks: JobTable::default(),
-            programs: JobTable::default(),
-            traces: JobTable::default(),
+            generated: AtomicU64::new(0),
+            compiled: AtomicU64::new(0),
             logs: Mutex::new(Logs::new(LOG_BUDGET)),
             store: None,
         }
@@ -827,8 +738,8 @@ impl Engine {
 
     /// Attaches a persistent [`Store`]: every job key is looked up in it
     /// before computing, and every fresh value is written back, so a key
-    /// computes once *per machine* rather than once per process. Programs
-    /// and traces are jobs too, so a fully-warm invocation generates,
+    /// computes once *per machine* rather than once per process. Only cold
+    /// keys need executables, so a fully-warm invocation generates,
     /// compiles and walks nothing either.
     #[must_use]
     pub fn with_store(mut self, store: Store) -> Self {
@@ -864,7 +775,7 @@ impl Engine {
     /// program: the non-pipeline path behind Table 4 and the calibration
     /// tooling. Walks are jobs like runs: memoized, probed in one batched
     /// store exchange, and — when cold — measured on a plain layout each
-    /// walk builds from the memoized program and drops, and written back.
+    /// walk builds from a program it generates, and written back.
     ///
     /// # Panics
     ///
@@ -882,16 +793,21 @@ impl Engine {
         self.resolve(&keys).iter().map(|m| **m).collect()
     }
 
-    /// Warm/cold traffic per persisted namespace. "Warm" = served from
-    /// the store; "cold" = computed this process (every request, when no
-    /// store is attached).
+    /// Warm/cold traffic per namespace. "Warm" = served from the store;
+    /// "cold" = computed this process (every request, when no store is
+    /// attached). Programs and traces are never stored: their cold counts
+    /// are the programs generated and traces compiled.
     #[must_use]
     pub fn store_summary(&self) -> StoreSummary {
+        let made = |count: &AtomicU64| NamespaceTraffic {
+            warm: 0,
+            cold: count.load(Ordering::Relaxed),
+        };
         StoreSummary {
             runs: self.runs.traffic(),
             walks: self.walks.traffic(),
-            programs: self.programs.traffic(),
-            traces: self.traces.traffic(),
+            programs: made(&self.generated),
+            traces: made(&self.compiled),
             scenarios: self.scenarios.traffic(),
         }
     }
@@ -956,20 +872,6 @@ impl Engine {
             .iter()
             .find(|p| p.name == name)
             .unwrap_or_else(|| panic!("unknown benchmark profile {name:?}"))
-    }
-
-    /// The generated program for a registered profile: a one-key job
-    /// batch, memoized and persisted like any other.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `name` is not a registered profile.
-    #[must_use]
-    pub fn program(&self, name: &str) -> Arc<Program> {
-        let job = Generation::of(self.profile(name));
-        self.resolve(&[job])
-            .pop()
-            .expect("one key in, one program out")
     }
 
     /// How many simulations have actually executed. Without a store,
@@ -1055,8 +957,7 @@ impl Engine {
     /// deduplicate in-process (within and across batches and threads)
     /// and across processes through the `scenarios` store namespace,
     /// exactly like plain runs, and warm replays are byte-identical.
-    /// Per-process binaries resolve through the same program and trace
-    /// jobs and layout memo runs use.
+    /// Per-process binaries come from the same executable memo runs use.
     ///
     /// # Panics
     ///
@@ -1152,8 +1053,7 @@ impl Engine {
             Some(store) => store
                 .load_many(&items)
                 .into_iter()
-                .zip(claimed)
-                .map(|(value, key)| value.and_then(|text| key.decode(&text)))
+                .map(|value| value.and_then(|text| parse(&text, J::READ)))
                 .collect(),
             None => Vec::new(),
         };
@@ -1170,14 +1070,10 @@ impl Engine {
             return values.into_iter().flatten().map(Arc::new).collect();
         }
 
-        // 3. Prepare the cold keys' binaries.
-        let backend = ExecBackend::from_env();
+        // 3. Prepare the cold keys' executables.
         let cold_keys: Vec<&J> = cold.iter().map(|&i| claimed[i]).collect();
-        let jobs: Vec<(usize, Prepared)> = cold
-            .iter()
-            .copied()
-            .zip(self.prepare(&cold_keys, backend))
-            .collect();
+        let jobs: Vec<(usize, Vec<Executable>)> =
+            cold.iter().copied().zip(self.prepare(&cold_keys)).collect();
 
         // 4. Compute the cold keys in parallel, one partition per worker:
         // the cold keys that drive one pipeline ([`Job::pipeline`]), in
@@ -1267,7 +1163,7 @@ impl Engine {
                 let (key, record) = (claimed[job.0], &items[job.0].1);
                 match leaders.iter().find_map(|leader| key.follow(leader)) {
                     Some(value) => {
-                        let value = self.settle(key, record, || {
+                        let value = self.settle::<J>(record, || {
                             table.replayed.fetch_add(1, Ordering::Relaxed);
                             value
                         });
@@ -1276,13 +1172,13 @@ impl Engine {
                     None => rejected.push(job),
                 }
             }
-            let Some((&&(i, ref bins), rest)) = rejected.split_first() else {
+            let Some((&&(i, ref exes), rest)) = rejected.split_first() else {
                 break;
             };
             let record = !rest.is_empty() || record_all;
             let mut leader = None;
-            let value = self.settle(claimed[i], &items[i].1, || {
-                let (value, run) = claimed[i].compute(bins, record);
+            let value = self.settle::<J>(&items[i].1, || {
+                let (value, run) = claimed[i].compute(self, exes, record);
                 leader = run.map(Arc::new);
                 value
             });
@@ -1329,12 +1225,7 @@ impl Engine {
     /// concurrent binaries sharing the store resync past torn bytes and
     /// read them as misses), which also wakes the daemon's waiters on
     /// that key.
-    fn settle<J: Job>(
-        &self,
-        key: &J,
-        record: &str,
-        compute: impl FnOnce() -> J::Value,
-    ) -> J::Value {
+    fn settle<J: Job>(&self, record: &str, compute: impl FnOnce() -> J::Value) -> J::Value {
         let table = J::table(self);
         let store = self.store.as_ref().map(Store::backend);
         if let Some(store) = &store {
@@ -1344,7 +1235,7 @@ impl Engine {
                 ClaimOutcome::Granted | ClaimOutcome::Unsupported => None,
                 ClaimOutcome::Busy => store.wait_for(J::NS, record, lease),
             };
-            if let Some(value) = elsewhere.and_then(|text| key.decode(&text)) {
+            if let Some(value) = elsewhere.and_then(|text| parse(&text, J::READ)) {
                 table.warm.fetch_add(1, Ordering::Relaxed);
                 return value;
             }
@@ -1359,18 +1250,14 @@ impl Engine {
         value
     }
 
-    /// Step 3 of [`Engine::resolve`]: each cold key's binaries. Their
-    /// programs resolve as one job batch. A kind that executes its
-    /// binaries also gets one immutable executable per compilation class
-    /// for the parallel workers to share: under the compiled backend its
-    /// trace, from a second job batch whose jobs lay the binaries out
-    /// themselves; under the interpreter its layout, compiled under the
-    /// `laid` lock. No lock is held across either batch, and neither kind
-    /// depends on a claimed key, so nested claims never wait on each
-    /// other.
-    fn prepare<J: Job>(&self, cold: &[&J], backend: ExecBackend) -> Vec<Prepared> {
-        // Resolve profiles first, so an unknown name panics before the
-        // layout lock is taken and poisoned for every later batch.
+    /// Step 3 of [`Engine::resolve`]: the executables of each cold key's
+    /// binaries, from the memo. A binary new to the memo gets an empty
+    /// cell under the lock; the batch then builds its distinct empty
+    /// cells in parallel outside the lock, and waits on any cell a
+    /// concurrent batch is building instead of building it again.
+    fn prepare<J: Job>(&self, cold: &[&J]) -> Vec<Vec<Executable>> {
+        // Resolve profiles first, so an unknown name panics before any
+        // cell is inserted.
         let wanted: Vec<Vec<(Binary, &BenchmarkProfile)>> = cold
             .iter()
             .map(|key| {
@@ -1378,55 +1265,49 @@ impl Engine {
                 bins.map(|bin| (bin, self.profile(bin.profile))).collect()
             })
             .collect();
-        let generations: Vec<Generation> = {
-            let mut names = HashSet::new();
-            wanted
-                .iter()
-                .flatten()
-                .filter(|(bin, _)| names.insert(bin.profile))
-                .map(|(_, profile)| Generation::of(profile))
+        let cells: Vec<Arc<OnceLock<Executable>>> = {
+            let mut memo = self.exes.lock().expect("executable memo poisoned");
+            let bins = wanted.iter().flatten();
+            bins.map(|(bin, _)| Arc::clone(memo.entry(bin.class()).or_default()))
                 .collect()
         };
-        let programs: HashMap<&str, Arc<Program>> = generations
+        let mut classes = HashSet::new();
+        let builds: Vec<_> = wanted
             .iter()
-            .map(|job| job.input.name)
-            .zip(self.resolve(&generations))
+            .flatten()
+            .zip(&cells)
+            .filter(|((bin, _), cell)| cell.get().is_none() && classes.insert(bin.class()))
             .collect();
-        let program = |bin: &Binary| Arc::clone(&programs[bin.profile]);
-        let exes: Vec<Executable> = match backend {
-            _ if !J::EXECUTES => Vec::new(),
-            ExecBackend::Compiled => {
-                let traces: Vec<TraceCompile> = wanted
-                    .iter()
-                    .flatten()
-                    .map(|&(bin, profile)| TraceCompile {
-                        store_key: trace_store_key(profile, bin.geom, bin.instrumented()),
-                        input: (bin, program(&bin)),
-                    })
-                    .collect();
-                let traces = self.resolve(&traces).into_iter();
-                traces.map(Executable::Traced).collect()
-            }
-            ExecBackend::Interp => {
-                let mut laid = self.laid.lock().expect("layout cache poisoned");
-                let bins = wanted.iter().flatten();
-                bins.map(|(bin, _)| {
-                    let layout = laid
-                        .entry(bin.class())
-                        .or_insert_with(|| Arc::new(bin.compile(&programs[bin.profile])));
-                    Executable::Laid(Arc::clone(layout))
-                })
-                .collect()
-            }
-        };
-        let mut exes = exes.into_iter();
+        builds.into_par_iter().for_each(|(&(bin, profile), cell)| {
+            cell.get_or_init(|| self.build(bin, profile));
+        });
+        let mut exes = cells
+            .iter()
+            .map(|cell| cell.get().expect("every cell is built").clone());
         wanted
             .iter()
-            .map(|bins| Prepared {
-                programs: bins.iter().map(|(bin, _)| program(bin)).collect(),
-                exes: exes.by_ref().take(bins.len()).collect(),
-            })
+            .map(|bins| exes.by_ref().take(bins.len()).collect())
             .collect()
+    }
+
+    /// Builds `bin`'s executable: generates the program, lays it out and,
+    /// under the compiled backend, compiles the layout's trace, keeping
+    /// only what the backend runs.
+    fn build(&self, bin: Binary, profile: &BenchmarkProfile) -> Executable {
+        let laid = compiler::compile_for(&self.generate(profile), bin.geom, bin.strategy);
+        match self.backend {
+            ExecBackend::Interp => Executable::Laid(Arc::new(laid)),
+            ExecBackend::Compiled => {
+                self.compiled.fetch_add(1, Ordering::Relaxed);
+                Executable::Traced(Arc::new(compile_trace(&laid)))
+            }
+        }
+    }
+
+    /// `profile`'s program, generated afresh and counted.
+    fn generate(&self, profile: &BenchmarkProfile) -> Program {
+        self.generated.fetch_add(1, Ordering::Relaxed);
+        profile.generate()
     }
 }
 
@@ -1461,12 +1342,12 @@ mod tests {
         let again = engine.run(a);
         assert_eq!(engine.simulated_runs(), 2);
         assert!(Arc::ptr_eq(&again, &reports[0]));
-        // Each benchmark's program was generated once, and each
-        // compilation class's trace — Base's plain binary and IA's
-        // instrumented one — compiled once, under the compiled backend.
+        // Each compilation class's executable — Base's plain binary and
+        // IA's instrumented one — was built once, from a program generated
+        // for it, and is a compiled trace under the compiled backend.
         let s = engine.store_summary();
-        assert_eq!(s.programs.cold, 1);
-        let traced = ExecBackend::from_env() == ExecBackend::Compiled;
+        assert_eq!(s.programs.cold, 2);
+        let traced = engine.backend == ExecBackend::Compiled;
         assert_eq!(s.traces.cold, if traced { 2 } else { 0 });
     }
 
@@ -1478,17 +1359,25 @@ mod tests {
             .map(|kind| RunKey::new("177.mesa", &scale, kind, AddressingMode::ViPt));
         let reports = engine.run_many(&keys);
         let walks = engine.walk_measurements(&["177.mesa"], &scale);
-        // Each binary's trace is all the engine keeps of it, and the walk
-        // lays out its own binary. Under the interpreter the layouts are
-        // what runs, one per compilation class.
-        let traced = ExecBackend::from_env() == ExecBackend::Compiled;
-        let layouts = engine.laid.lock().unwrap().len();
-        assert_eq!(layouts, if traced { 0 } else { 2 });
-        assert_eq!(
-            engine.store_summary().traces.cold,
-            if traced { 2 } else { 0 }
-        );
-        let program = engine.program("177.mesa");
+        // The engine keeps one executable per binary and no program: each
+        // of the two binaries generated its own program and dropped it
+        // once built, and so did the walk, which also lays out its own
+        // binary. Under the compiled backend an executable is the trace,
+        // and its layout was dropped too; under the interpreter it is the
+        // layout.
+        let traced = engine.backend == ExecBackend::Compiled;
+        let memo = engine.exes.lock().unwrap();
+        assert_eq!(memo.len(), 2, "one executable per binary");
+        for cell in memo.values() {
+            let exe = cell.get().expect("every executable is built");
+            assert_eq!(matches!(exe, Executable::Traced(_)), traced);
+        }
+        drop(memo);
+        let s = engine.store_summary();
+        assert_eq!((s.programs.warm, s.programs.cold), (0, 3));
+        let compiled = if traced { 2 } else { 0 };
+        assert_eq!((s.traces.warm, s.traces.cold), (0, compiled));
+        let program = cfr_workload::profiles::mesa().generate();
         for (key, report) in keys.iter().zip(&reports) {
             let cfg = key.config();
             let laid = compiler::compile_for(&program, cfg.cpu.geometry, key.strategy);
@@ -1509,8 +1398,8 @@ mod tests {
             .map(|k| RunKey::new("254.gap", &scale, k, AddressingMode::ViPt))
             .collect();
         let parallel = engine.run_many(&keys);
+        let program = cfr_workload::profiles::gap().generate();
         for (key, report) in keys.iter().zip(&parallel) {
-            let program = engine.program(key.profile);
             let serial = Simulator::run_program(&program, &key.config(), key.strategy, key.mode);
             assert_eq!(**report, serial, "{key:?}");
         }
@@ -1579,8 +1468,8 @@ mod tests {
         let reports = engine.run_many(&keys);
         assert_eq!(engine.simulated_runs(), 3);
         assert_eq!(engine.replayed_runs(), 1, "OPT replayed against Base");
+        let program = cfr_workload::profiles::mesa().generate();
         for (key, report) in keys.iter().zip(&reports) {
-            let program = engine.program(key.profile);
             let solo = Simulator::run_program(&program, &key.config(), key.strategy, key.mode);
             assert_eq!(**report, solo, "{key:?}");
         }

@@ -17,8 +17,9 @@ use crate::simulator::{ItlbChoice, RunReport, SimConfig};
 use crate::strategy::StrategyKind;
 
 /// How big to run each experiment. The paper simulated 250 M committed
-/// instructions; rates are stationary so smaller runs reproduce the same
-/// normalized results (README, "Reproducing the paper").
+/// instructions; smaller runs are compared by their normalized results,
+/// which are not all stationary at 1 M (README, "Reproducing the paper",
+/// tables `254.gap`'s BOUNDARY share by run length and walker seed).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct ExperimentScale {
     /// Committed instructions per run.

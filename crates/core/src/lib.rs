@@ -27,19 +27,19 @@
 //! Experiments do not call the simulator directly: they describe the jobs
 //! they need as keys — [`RunKey`]s *(benchmark, scale, strategy, mode,
 //! iTLB)*, [`ScenarioConfig`]s, or Table 4's walks — and hand them to an
-//! [`Engine`]. Every job kind — those three, and the programs and traces
-//! they execute — goes through the engine's one pipeline:
+//! [`Engine`]. Every job kind goes through the engine's one pipeline:
 //!
 //! - **claim**: identical keys — within a batch, across batches and
 //!   threads, and across experiments sharing the engine — are computed
 //!   exactly once;
 //! - **probe**: with a persistent [`Store`] attached, keys any process
 //!   already computed are read back in one batched exchange;
-//! - **prepare**: the programs and traces the cold keys execute are jobs
-//!   too, resolved through the same pipeline in two nested batches, so
-//!   each benchmark's program is generated, laid out and pre-decoded
-//!   once per engine — and, with a store daemon, once globally — and
-//!   shared via `Arc`;
+//! - **prepare**: the cold keys' binaries come from one memo that keeps
+//!   each binary's executable, built once per engine — its pre-decoded
+//!   trace, or under the interpreter its layout — and shared via `Arc`.
+//!   A build generates the program, lays it out and compiles the trace,
+//!   then drops the rest. A program or trace is cheaper to remake than
+//!   to store and load, so none is stored;
 //! - **compute**: cold keys execute on all cores via rayon — claimed in
 //!   the store first, so processes racing one store daemon compute each
 //!   key once globally — and are saved as they finish; cold runs that

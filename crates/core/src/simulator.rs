@@ -135,8 +135,9 @@ pub struct SimConfig {
     /// iTLB miss (page-walk) penalty in cycles.
     pub itlb_miss_penalty: u32,
     /// Committed instructions to simulate. The paper ran 250 M; the default
-    /// here is 1/100 of that (rates are stationary, see the README's
-    /// "Reproducing the paper").
+    /// here is 1/100 of that. Rates are not all stationary that early:
+    /// the README's "Reproducing the paper" tables `254.gap`'s BOUNDARY
+    /// share at 1 M and 50 M instructions on four walker seeds.
     pub max_commits: u64,
     /// Walker seed (same seed ⇒ identical instruction stream).
     pub seed: u64,

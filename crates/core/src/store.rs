@@ -5,9 +5,10 @@
 //! store shared by every persisted layer. A [`Store`] opens the backend
 //! the environment asks for and hands it to the
 //! [`Engine`](crate::Engine), whose one job pipeline does all typed
-//! traffic. Each job kind — runs, scenarios, walks, programs, traces —
-//! names its namespace, its canonical key record and its value codec.
-//! The contract is the same in every namespace:
+//! traffic. Each job kind — runs, scenarios, walks — names its
+//! namespace, its canonical key record and its value codec. Programs and
+//! traces are remade in each process, never stored. The contract is the
+//! same in every namespace:
 //!
 //! - the store **key** is the job key's canonical record (for a run,
 //!   [`RunKey::store_key`](crate::RunKey::store_key)) — equal keys

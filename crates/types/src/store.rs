@@ -3,9 +3,9 @@
 //! PR 2's run store wrote **one file per key** — simple, but it scales to
 //! thousands of records, never evicts, and only ever held pipeline
 //! reports. This module replaces that layout with a generic, namespaced
-//! artifact store every expensive layer of the stack persists into:
-//! pipeline reports (`runs`), functional walk measurements (`walks`), and
-//! generated programs (`programs`). Typed codecs live with their types;
+//! artifact store the engine persists its results into: pipeline reports
+//! (`runs`), functional walk measurements (`walks`) and multiprogrammed
+//! scenario reports (`scenarios`). Typed codecs live with their types;
 //! this store only moves opaque `(namespace, key) → value` record strings.
 //!
 //! # Layout
@@ -142,10 +142,15 @@ pub const NS_RUNS: &str = "runs";
 /// Namespace holding functional walk measurements.
 pub const NS_WALKS: &str = "walks";
 
-/// Namespace holding generated benchmark programs.
+/// Namespace that held generated benchmark programs. Nothing writes it
+/// any more: the engine regenerates programs, which is cheaper than
+/// storing them. It stays because stores written by older builds still
+/// hold such records, which maintenance output counts and a GC cap ages
+/// out, and because the repo benchmark's store probe names it.
 pub const NS_PROGRAMS: &str = "programs";
 
-/// Namespace holding pre-decoded compiled traces.
+/// Namespace that held pre-decoded compiled traces. Nothing writes it
+/// any more, for the reasons [`NS_PROGRAMS`] gives.
 pub const NS_TRACES: &str = "traces";
 
 /// Namespace holding multiprogrammed scenario reports
@@ -191,8 +196,7 @@ fn now_secs() -> u64 {
 }
 
 /// The namespaced `(namespace, key) → value` surface every persisted
-/// layer (run reports, scenario reports, walk measurements, generated
-/// programs, pre-decoded traces) talks to.
+/// layer (run reports, scenario reports, walk measurements) talks to.
 ///
 /// Implemented by the on-disk [`ArtifactStore`], by the TCP
 /// [`RemoteStore`](crate::net::RemoteStore) client, and by the

@@ -1,22 +1,24 @@
-//! Persistent-store codecs for workload artifacts.
+//! Record codecs for workload artifacts.
 //!
 //! The sharded artifact store (`cfr_types::store`) moves opaque record
-//! strings; this module supplies the typed codecs that let the two
-//! expensive workload layers live in it:
+//! strings; this module supplies the typed codecs for the workload layers:
 //!
-//! - **generated programs** ([`Program`] and everything inside it —
-//!   blocks, functions, instructions, branch specs), under the
-//!   [`cfr_types::NS_PROGRAMS`] namespace, and
 //! - **functional walk measurements** ([`WalkMeasurement`], i.e.
-//!   [`FunctionalStats`] + [`StaticBranchStats`]), under
-//!   [`cfr_types::NS_WALKS`].
+//!   [`FunctionalStats`] + [`StaticBranchStats`]), which the engine
+//!   persists under the [`cfr_types::NS_WALKS`] namespace, and
+//! - **generated programs** ([`Program`] and everything inside it —
+//!   blocks, functions, instructions, branch specs). No namespace stores
+//!   programs any more: generating one is cheaper than encoding and
+//!   decoding its record, so the engine remakes them. The codec stays
+//!   total and exact, which the round-trip tests and the repo benchmark's
+//!   codec cell rely on.
 //!
-//! Store keys embed a FNV-1a fingerprint of the profile's full
+//! Walk store keys embed a FNV-1a fingerprint of the profile's full
 //! [`GeneratorParams`], so recalibrating a profile invalidates its cached
-//! program and walks instead of serving stale artifacts. Floats (branch
-//! taken biases, measured fractions) are stored as exact IEEE-754 bits,
-//! so a loaded program is `==` to a freshly generated one and warm walk
-//! output is byte-identical.
+//! walks instead of serving stale artifacts. Floats (branch taken biases,
+//! measured fractions) are stored as exact IEEE-754 bits, so a decoded
+//! program is `==` to a freshly generated one and warm walk output is
+//! byte-identical.
 
 use cfr_types::{fnv1a64, PageGeometry, RecordError, RecordReader, RecordWriter};
 
@@ -30,22 +32,12 @@ use crate::program::{Block, BlockId, Function, Program};
 
 /// FNV-1a fingerprint over every generator knob: two profiles produce the
 /// same fingerprint iff their parameters are identical, so the store key
-/// of a program (or a walk over it) changes whenever calibration does.
+/// of a walk over a profile's program changes whenever calibration does.
 #[must_use]
 pub fn params_fingerprint(params: &GeneratorParams) -> u64 {
     let mut w = RecordWriter::new();
     params.to_record(&mut w);
     fnv1a64(&w.finish())
-}
-
-/// The artifact-store key of `profile`'s generated program.
-#[must_use]
-pub fn program_store_key(profile: &BenchmarkProfile) -> String {
-    format!(
-        "program {} {:016x}",
-        profile.name,
-        params_fingerprint(&profile.params)
-    )
 }
 
 /// The artifact-store key of a functional walk of `profile`'s program:
@@ -66,30 +58,6 @@ pub fn walk_store_key(
         params_fingerprint(&profile.params),
         geom.page_bytes(),
         if instrumented { "instr" } else { "plain" },
-    )
-}
-
-/// The artifact-store key of a compiled trace of `profile`'s program:
-/// the program identity (name + params fingerprint) plus everything the
-/// trace depends on — page geometry and layout instrumentation. Every
-/// instrumented layout also carries SoLA's in-page marks, and its key
-/// says `marked`, so no trace of an unmarked layout can serve it.
-#[must_use]
-pub fn trace_store_key(
-    profile: &BenchmarkProfile,
-    geom: PageGeometry,
-    instrumented: bool,
-) -> String {
-    format!(
-        "trace {} {:016x} {} {}",
-        profile.name,
-        params_fingerprint(&profile.params),
-        geom.page_bytes(),
-        if instrumented {
-            "instr marked"
-        } else {
-            "plain unmarked"
-        },
     )
 }
 
@@ -349,8 +317,7 @@ impl Instruction {
 
 impl Program {
     /// Serializes the whole program — data-footprint scalars, the
-    /// function table, then every block's instructions (persistent
-    /// artifact store codec).
+    /// function table, then every block's instructions (record codec).
     pub fn to_record(&self, w: &mut RecordWriter) {
         w.token("program");
         w.u64(u64::from(self.global_pages));
@@ -373,8 +340,7 @@ impl Program {
     }
 
     /// Parses a [`Self::to_record`] stream. Callers loading untrusted
-    /// bytes (the engine's program jobs) should additionally run
-    /// [`Program::validate`] on the result.
+    /// bytes should additionally run [`Program::validate`] on the result.
     ///
     /// # Errors
     ///
@@ -629,8 +595,6 @@ mod tests {
     #[test]
     fn store_keys_identify_the_artifact() {
         let mesa = profiles::mesa();
-        let gap = profiles::gap();
-        assert_ne!(program_store_key(&mesa), program_store_key(&gap));
         let geom = PageGeometry::default_4k();
         let a = walk_store_key(&mesa, geom, false, 100_000, 1);
         assert_ne!(a, walk_store_key(&mesa, geom, false, 100_000, 2), "seed");

@@ -16,15 +16,12 @@
 //! The golden-output suite holds both backends to the same recorded
 //! reports, so the trace is an optimization, never a second model.
 //!
-//! The `cfr-core` engine persists traces as jobs in the artifact store's
-//! `traces` namespace, under [`trace_store_key`] (which fingerprints the
-//! generator params, page geometry and layout instrumentation, which
-//! implies SoLA's in-page marks), so a warm process skips the compile
-//! entirely. A loaded
-//! trace must pass [`CompiledTrace::validate`] and match its layout's
-//! shape; anything else degrades to a cold recompile.
-//!
-//! [`trace_store_key`]: crate::trace_store_key
+//! The `cfr-core` engine compiles each binary's trace once per process
+//! and keeps it as the binary's only executable: it drops the layout
+//! once the trace exists, and stores no trace, since compiling one is
+//! cheaper than encoding and decoding its record. The record codec
+//! ([`CompiledTrace::to_record`], checked by [`CompiledTrace::validate`])
+//! stays for the round-trip tests and the repo benchmark's codec cell.
 
 use cfr_types::{
     PageGeometry, RecordError, RecordReader, RecordWriter, VirtAddr, INSTRUCTION_BYTES,
@@ -303,10 +300,9 @@ impl CompiledTrace {
         0
     }
 
-    /// Structural validation for traces loaded from the store: every
-    /// target in bounds, every op consistent with its slot's class, every
-    /// pre-folded region index reduced. Any failure means the record is
-    /// corrupt or stale and the caller recompiles.
+    /// Structural validation for decoded traces: every target in bounds,
+    /// every op consistent with its slot's class, every pre-folded region
+    /// index reduced. Any failure means the record is corrupt or stale.
     ///
     /// # Errors
     ///
@@ -391,9 +387,8 @@ impl CompiledTrace {
         Ok(())
     }
 
-    /// Serializes the trace (persistent artifact store codec). Per-slot
-    /// latency, page number, and branch kind are derived on load rather
-    /// than stored.
+    /// Serializes the trace (record codec). Per-slot latency, page
+    /// number, and branch kind are derived on load rather than stored.
     pub fn to_record(&self, w: &mut RecordWriter) {
         w.token("trace");
         w.u64(self.geom.page_bytes());
@@ -466,8 +461,7 @@ impl CompiledTrace {
     }
 
     /// Parses a [`Self::to_record`] stream. Callers loading untrusted
-    /// bytes (the engine's trace jobs) should additionally run
-    /// [`Self::validate`] on the result.
+    /// bytes should additionally run [`Self::validate`] on the result.
     ///
     /// # Errors
     ///

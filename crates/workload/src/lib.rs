@@ -40,7 +40,7 @@ mod program;
 mod rng;
 mod walk;
 
-pub use codec::{params_fingerprint, program_store_key, trace_store_key, walk_store_key};
+pub use codec::{params_fingerprint, walk_store_key};
 pub use compile::{compile_trace, CompiledTrace, DecodedInstr, TraceOp, TraceWalker};
 pub use generate::{generate, GeneratorParams};
 pub use isa::{BranchKind, BranchSpec, BranchTarget, DataRegion, Instruction, OpClass, RegId};

@@ -49,8 +49,8 @@ fn sample_keys(scale: &ExperimentScale) -> Vec<RunKey> {
 }
 
 /// Parallel engine output must be bit-identical to serial simulation of
-/// freshly generated programs (also proving the engine's program jobs
-/// hand out unmodified programs).
+/// freshly generated programs (also proving the engine builds its
+/// executables from unmodified programs).
 #[test]
 fn parallel_reports_match_serial_runs() {
     four_workers();
@@ -98,9 +98,10 @@ fn duplicate_keys_simulate_once() {
     for (a, b) in first.iter().zip(second.iter().rev()) {
         assert!(Arc::ptr_eq(a, b));
     }
-    // Each profile's program was generated exactly once, however many
-    // runs shared it.
-    assert_eq!(engine.store_summary().programs.cold, 3);
+    // Each binary's executable was built exactly once, however many runs
+    // shared it, from a program generated for it: mesa and gap each run
+    // a plain and an instrumented binary, crafty a plain one.
+    assert_eq!(engine.store_summary().programs.cold, 5);
 }
 
 /// Concurrent `run_many` and `run_scenarios` callers with overlapping

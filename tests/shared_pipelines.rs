@@ -72,7 +72,8 @@ fn bits(report: &RunReport) -> String {
 
 /// `key` simulated on its own, on the engine's backend.
 fn solo(engine: &Engine, key: &RunKey) -> RunReport {
-    let program = engine.program(key.profile);
+    let profile = engine.profiles().iter().find(|p| p.name == key.profile);
+    let program = profile.expect("a registered profile").generate();
     let cfg = key.config();
     let laid = compiler::compile_for(&program, cfg.cpu.geometry, key.strategy);
     match ExecBackend::from_env() {

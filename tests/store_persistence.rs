@@ -8,14 +8,15 @@ use std::fs;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 use cfr_sim::core::{
-    fig4, fig6, table2, table3, table4, table5, table6, table7, table8, ArtifactStore, Engine,
-    ExecBackend, ExperimentScale, GcPolicy, RunKey, RunReport, Store, StoreBackend, StrategyKind,
-    NS_PROGRAMS, NS_TRACES, STORE_FORMAT_VERSION,
+    fig4, fig6, table2, table3, table4, table5, table6, table7, table8, ArtifactStore,
+    ClaimOutcome, Engine, ExecBackend, ExperimentScale, GcPolicy, RunKey, RunReport, Store,
+    StoreBackend, StrategyKind, NS_PROGRAMS, NS_TRACES, STORE_FORMAT_VERSION,
 };
-use cfr_sim::types::{AddressingMode, PageGeometry};
-use cfr_sim::workload::{profiles, program_store_key, trace_store_key};
+use cfr_sim::types::AddressingMode;
+use cfr_sim::workload::{params_fingerprint, profiles};
 
 fn temp_store(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("cfr-store-it-{tag}-{}", std::process::id()));
@@ -99,9 +100,10 @@ fn table2_is_warm_on_second_run() {
     let cold = Engine::new().with_store(Store::open(&dir).unwrap());
     let cold_rows = table2(&cold, &scale);
     assert!(cold.simulated_runs() > 0);
-    assert!(
-        cold.store_summary().programs.cold > 0,
-        "cold run generated (and persisted) programs"
+    assert_eq!(
+        cold.store_summary().programs.cold,
+        6,
+        "one program generated per binary run: each profile's plain one"
     );
 
     let warm = Engine::new().with_store(Store::open(&dir).unwrap());
@@ -117,10 +119,11 @@ fn table2_is_warm_on_second_run() {
     let _ = fs::remove_dir_all(&dir);
 }
 
-/// Table 4 exercises the two non-pipeline namespaces: a cold run
-/// persists programs and walk measurements — measured once per engine,
-/// however often the table is asked for; a warm run reads the walks
-/// back — 0 cold in *every* namespace, without touching the generator.
+/// Table 4 exercises the non-pipeline namespace: a cold run persists walk
+/// measurements — measured once per engine, however often the table is
+/// asked for, each walk on a program it generates; a warm run reads the
+/// walks back — 0 cold in *every* namespace, without touching the
+/// generator.
 #[test]
 fn table4_walks_are_warm_on_second_run() {
     let dir = temp_store("table4");
@@ -136,7 +139,7 @@ fn table4_walks_are_warm_on_second_run() {
         s.walks,
         cfr_sim::core::NamespaceTraffic { warm: 0, cold: 6 }
     );
-    assert_eq!(s.programs.cold, 6, "walking required the programs");
+    assert_eq!(s.programs.cold, 6, "each walk generated its program");
 
     let warm = Engine::new().with_store(Store::open(&dir).unwrap());
     let warm_rows = table4(&warm, &scale);
@@ -163,32 +166,49 @@ fn table4_walks_are_warm_on_second_run() {
     let _ = fs::remove_dir_all(&dir);
 }
 
-/// A store backend that counts the `programs` and `traces` values its
-/// batched loads return.
+/// A store backend that counts every request it sees in the `programs`
+/// and `traces` namespaces: loads, batched or not, claims, waits and
+/// saves.
 #[derive(Debug)]
 struct ArtifactCounter {
     inner: Arc<ArtifactStore>,
-    found: AtomicU64,
+    requests: AtomicU64,
+}
+
+impl ArtifactCounter {
+    fn see(&self, ns: &str) {
+        if ns == NS_PROGRAMS || ns == NS_TRACES {
+            self.requests.fetch_add(1, Ordering::Relaxed);
+        }
+    }
 }
 
 impl StoreBackend for ArtifactCounter {
     fn load(&self, ns: &str, key: &str) -> Option<String> {
+        self.see(ns);
         self.inner.load(ns, key)
     }
 
     fn save(&self, ns: &str, key: &str, value: &str) {
+        self.see(ns);
         self.inner.save(ns, key, value);
     }
 
     fn load_many(&self, items: &[(String, String)]) -> Vec<Option<String>> {
-        let values = StoreBackend::load_many(self.inner.as_ref(), items);
-        let found = items
-            .iter()
-            .zip(&values)
-            .filter(|((ns, _), value)| value.is_some() && (ns == NS_PROGRAMS || ns == NS_TRACES))
-            .count();
-        self.found.fetch_add(found as u64, Ordering::Relaxed);
-        values
+        for (ns, _) in items {
+            self.see(ns);
+        }
+        StoreBackend::load_many(self.inner.as_ref(), items)
+    }
+
+    fn claim(&self, ns: &str, key: &str, lease: Duration) -> ClaimOutcome {
+        self.see(ns);
+        self.inner.claim(ns, key, lease)
+    }
+
+    fn wait_for(&self, ns: &str, key: &str, timeout: Duration) -> Option<String> {
+        self.see(ns);
+        self.inner.wait_for(ns, key, timeout)
     }
 
     fn write_errors(&self) -> u64 {
@@ -204,101 +224,121 @@ impl StoreBackend for ArtifactCounter {
     }
 }
 
-/// The engine probes only programs and traces it does not already hold,
-/// so every program or trace record a batched load returns is one the
-/// engine then uses warm. Checked on a cold
-/// nine-experiment pass over an empty store (nothing to find, nothing
-/// used) and on a pass with a new seed over the filled store (new runs,
-/// reused artifacts).
+/// The nine `all_experiments` tables and figures (`fig5` is a panel of
+/// `fig4`), each rendered as its rows' debug text.
+fn nine_experiments(engine: &Engine, scale: &ExperimentScale) -> Vec<String> {
+    vec![
+        format!("{:?}", table2(engine, scale)),
+        format!("{:?}", fig4(engine, scale)),
+        format!("{:?}", table3(engine, scale)),
+        format!("{:?}", table4(engine, scale)),
+        format!("{:?}", table5(engine, scale)),
+        format!("{:?}", table6(engine, scale)),
+        format!("{:?}", table7(engine, scale)),
+        format!("{:?}", fig6(engine, scale)),
+        format!("{:?}", table8(engine, scale)),
+    ]
+}
+
+/// The engine's loads, batched or not, read only the namespaces whose
+/// records it uses: it remakes programs and traces in every process, so
+/// it never loads, claims or saves a `programs` or `traces` record and
+/// the store ends up holding none. Checked on a cold nine-experiment pass
+/// over an empty store and on a pass with a new seed over the store the
+/// first filled (new runs and walks, the same binaries). Each pass
+/// computes what an engine without a store computes.
 #[test]
 fn prefetch_reads_only_artifacts_the_engine_uses() {
     let dir = temp_store("prefetch");
     let store = Arc::new(ArtifactStore::open(&dir, GcPolicy::unbounded()).unwrap());
-    for (seed, filled) in [(0x5EED, false), (0xBEEF, true)] {
+    for seed in [0x5EED, 0xBEEF] {
         let scale = ExperimentScale {
             max_commits: 5_000,
             seed,
         };
         let counter = Arc::new(ArtifactCounter {
             inner: Arc::clone(&store),
-            found: AtomicU64::new(0),
+            requests: AtomicU64::new(0),
         });
         let engine = Engine::new().with_store(Store::over(counter.clone()));
-        let _ = table2(&engine, &scale);
-        let _ = fig4(&engine, &scale);
-        let _ = table3(&engine, &scale);
-        let _ = table4(&engine, &scale);
-        let _ = table5(&engine, &scale);
-        let _ = table6(&engine, &scale);
-        let _ = table7(&engine, &scale);
-        let _ = fig6(&engine, &scale);
-        let _ = table8(&engine, &scale);
+        let outputs = nine_experiments(&engine, &scale);
+        assert_eq!(
+            outputs,
+            nine_experiments(&Engine::new(), &scale),
+            "seed {seed:#x}: the store changes no output"
+        );
+        assert_eq!(
+            counter.requests.load(Ordering::Relaxed),
+            0,
+            "seed {seed:#x}: no program or trace request reached the store"
+        );
         let s = engine.store_summary();
         assert!(s.runs.cold > 0, "seed {seed:#x}: the runs are new");
+        assert!(s.programs.cold > 0, "seed {seed:#x}: programs remade");
         assert_eq!(
-            s.programs.warm > 0,
-            filled,
-            "seed {seed:#x}: programs reused"
-        );
-        assert_eq!(
-            s.traces.warm > 0,
-            filled && ExecBackend::from_env() == ExecBackend::Compiled,
-            "seed {seed:#x}: traces reused"
-        );
-        assert_eq!(
-            counter.found.load(Ordering::Relaxed),
-            s.programs.warm + s.traces.warm,
-            "seed {seed:#x}: every artifact record read is used"
+            (s.programs.warm, s.traces.warm),
+            (0, 0),
+            "seed {seed:#x}: no artifact served from the store"
         );
     }
+    assert_eq!(store.namespace_records(NS_PROGRAMS), 0);
+    assert_eq!(store.namespace_records(NS_TRACES), 0);
     let _ = fs::remove_dir_all(&dir);
 }
 
-/// A stored program or trace record that does not parse, or parses but
-/// fails validation — a function without a terminator, a trace whose
-/// shape does not match its layout — is a miss: the engine regenerates
-/// the program and recompiles the trace, and the overwrite serves the
-/// next engine warm.
+/// A `programs` or `traces` record an older build left in the store, here
+/// garbage under the keys those builds used, is never read: the engine
+/// regenerates the program and recompiles the trace of every binary it
+/// runs, computes what an engine without a store computes, and leaves
+/// the records as it found them.
 #[test]
 fn invalid_program_and_trace_records_are_recomputed() {
     let dir = temp_store("artifacts");
     let store = Arc::new(ArtifactStore::open(&dir, GcPolicy::unbounded()).unwrap());
     let mesa = profiles::mesa();
-    let program_key = program_store_key(&mesa);
-    // IA runs the instrumented binary, which carries SoLA's in-page marks.
-    let trace_key = trace_store_key(&mesa, PageGeometry::default_4k(), true);
-    let traced = u64::from(ExecBackend::from_env() == ExecBackend::Compiled);
-    let ia = |seed| {
-        let scale = ExperimentScale {
-            max_commits: 5_000,
-            seed,
-        };
-        RunKey::new("177.mesa", &scale, StrategyKind::Ia, AddressingMode::ViPt)
+    let id = format!("{} {:016x}", mesa.name, params_fingerprint(&mesa.params));
+    let program_key = format!("program {id}");
+    // Base runs the plain binary; IA runs the instrumented one, which
+    // carries SoLA's in-page marks.
+    let trace_keys = ["plain unmarked", "instr marked"].map(|c| format!("trace {id} 4096 {c}"));
+    store.save(NS_PROGRAMS, &program_key, "not a program");
+    for key in &trace_keys {
+        store.save(NS_TRACES, key, "not a trace");
+    }
+    let scale = ExperimentScale {
+        max_commits: 5_000,
+        seed: 0x5EED,
     };
-    // Each round runs at new seeds, so its runs are cold and need the
-    // artifacts.
-    for (round, program, trace) in [
-        (0, "not a program", "not a trace"),
-        (
-            1,
-            "program 1 1 1 functions 1 0 1 blocks 1 1 ialu - - -",
-            "trace 4096 4194304 0 1 1 1 itargets 0 slots 1 ialu - - -",
-        ),
-    ] {
-        store.save(NS_PROGRAMS, &program_key, program);
-        store.save(NS_TRACES, &trace_key, trace);
-        let engine = Engine::new().with_store(Store::over(store.clone()));
-        let _ = engine.run(ia(2 * round + 1));
-        let s = engine.store_summary();
-        assert_eq!((s.programs.warm, s.programs.cold), (0, 1), "{program}");
-        assert_eq!((s.traces.warm, s.traces.cold), (0, traced), "{trace}");
-        assert_eq!(*engine.program("177.mesa"), mesa.generate());
-
-        let repaired = Engine::new().with_store(Store::over(store.clone()));
-        let _ = repaired.run(ia(2 * round + 2));
-        let s = repaired.store_summary();
-        assert_eq!((s.programs.warm, s.programs.cold), (1, 0), "{program}");
-        assert_eq!((s.traces.warm, s.traces.cold), (traced, 0), "{trace}");
+    let keys = [StrategyKind::Base, StrategyKind::Ia]
+        .map(|s| RunKey::new("177.mesa", &scale, s, AddressingMode::ViPt));
+    let counter = Arc::new(ArtifactCounter {
+        inner: Arc::clone(&store),
+        requests: AtomicU64::new(0),
+    });
+    let engine = Engine::new().with_store(Store::over(counter.clone()));
+    let storeless = Engine::new();
+    for key in keys {
+        assert_eq!(*engine.run(key), *storeless.run(key), "{key:?}");
+    }
+    assert_eq!(counter.requests.load(Ordering::Relaxed), 0);
+    let traced = u64::from(ExecBackend::from_env() == ExecBackend::Compiled);
+    let s = engine.store_summary();
+    assert_eq!(
+        (s.programs.warm, s.programs.cold),
+        (0, 2),
+        "both regenerated"
+    );
+    assert_eq!(
+        (s.traces.warm, s.traces.cold),
+        (0, 2 * traced),
+        "recompiled"
+    );
+    assert_eq!(
+        store.load(NS_PROGRAMS, &program_key).as_deref(),
+        Some("not a program")
+    );
+    for key in &trace_keys {
+        assert_eq!(store.load(NS_TRACES, key).as_deref(), Some("not a trace"));
     }
     let _ = fs::remove_dir_all(&dir);
 }
