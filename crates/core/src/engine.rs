@@ -22,8 +22,9 @@
 //!    for the claimed keys in one batched load, extending the dedup
 //!    across processes;
 //! 3. **prepare** the executables of each cold key's binaries. The engine
-//!    keeps one per binary, built once: it generates the program, lays
-//!    it out and, under the compiled backend, compiles the layout's
+//!    keeps one per binary, built once: one worker per profile generates
+//!    the program, lays out each of the batch's binaries of that profile
+//!    and, under the compiled backend, compiles each layout's
 //!    [`CompiledTrace`](cfr_workload::CompiledTrace), keeping only what
 //!    the backend runs. Programs and traces are cheaper to remake than to
 //!    store and load, so no store record holds one. A walk generates and
@@ -662,7 +663,8 @@ pub struct Engine {
     runs: JobTable<RunKey>,
     scenarios: JobTable<Scenario>,
     walks: JobTable<Walk>,
-    /// Programs generated: one per executable built, one per walk.
+    /// Programs generated: one per profile per batch that builds that
+    /// profile's executables, one per walk.
     generated: AtomicU64,
     /// Traces compiled: one per executable built under the compiled
     /// backend.
@@ -691,9 +693,9 @@ pub struct StoreSummary {
     pub runs: NamespaceTraffic,
     /// Functional walk measurements (`walks`).
     pub walks: NamespaceTraffic,
-    /// Programs generated in this process (cold): one per executable
-    /// built and one per walk computed. No program is stored, so warm is
-    /// always 0.
+    /// Programs generated in this process (cold): one per profile per
+    /// batch that builds that profile's executables, and one per walk
+    /// computed. No program is stored, so warm is always 0.
     pub programs: NamespaceTraffic,
     /// Pre-decoded traces compiled in this process (cold): one per
     /// executable built under the compiled backend, none under the
@@ -1253,8 +1255,10 @@ impl Engine {
     /// Step 3 of [`Engine::resolve`]: the executables of each cold key's
     /// binaries, from the memo. A binary new to the memo gets an empty
     /// cell under the lock; the batch then builds its distinct empty
-    /// cells in parallel outside the lock, and waits on any cell a
-    /// concurrent batch is building instead of building it again.
+    /// cells outside the lock, one worker per profile, and waits on any
+    /// cell a concurrent batch is building instead of building it again.
+    /// A worker generates its profile's program once, when it first finds
+    /// a cell still empty, and drops it after the profile's last layout.
     fn prepare<J: Job>(&self, cold: &[&J]) -> Vec<Vec<Executable>> {
         // Resolve profiles first, so an unknown name panics before any
         // cell is inserted.
@@ -1272,14 +1276,23 @@ impl Engine {
                 .collect()
         };
         let mut classes = HashSet::new();
-        let builds: Vec<_> = wanted
-            .iter()
-            .flatten()
-            .zip(&cells)
-            .filter(|((bin, _), cell)| cell.get().is_none() && classes.insert(bin.class()))
-            .collect();
-        builds.into_par_iter().for_each(|(&(bin, profile), cell)| {
-            cell.get_or_init(|| self.build(bin, profile));
+        let mut groups: Vec<(&BenchmarkProfile, Vec<_>)> = Vec::new();
+        for (&(bin, profile), cell) in wanted.iter().flatten().zip(&cells) {
+            if cell.get().is_some() || !classes.insert(bin.class()) {
+                continue;
+            }
+            match groups.iter_mut().find(|(p, _)| p.name == profile.name) {
+                Some((_, group)) => group.push((bin, cell)),
+                None => groups.push((profile, vec![(bin, cell)])),
+            }
+        }
+        groups.into_par_iter().for_each(|(profile, group)| {
+            let mut program = None;
+            for (bin, cell) in group {
+                cell.get_or_init(|| {
+                    self.build(program.get_or_insert_with(|| self.generate(profile)), bin)
+                });
+            }
         });
         let mut exes = cells
             .iter()
@@ -1290,11 +1303,11 @@ impl Engine {
             .collect()
     }
 
-    /// Builds `bin`'s executable: generates the program, lays it out and,
-    /// under the compiled backend, compiles the layout's trace, keeping
-    /// only what the backend runs.
-    fn build(&self, bin: Binary, profile: &BenchmarkProfile) -> Executable {
-        let laid = compiler::compile_for(&self.generate(profile), bin.geom, bin.strategy);
+    /// Builds `bin`'s executable from its profile's `program`: lays it out
+    /// and, under the compiled backend, compiles the layout's trace,
+    /// keeping only what the backend runs.
+    fn build(&self, program: &Program, bin: Binary) -> Executable {
+        let laid = compiler::compile_for(program, bin.geom, bin.strategy);
         match self.backend {
             ExecBackend::Interp => Executable::Laid(Arc::new(laid)),
             ExecBackend::Compiled => {
@@ -1343,10 +1356,11 @@ mod tests {
         assert_eq!(engine.simulated_runs(), 2);
         assert!(Arc::ptr_eq(&again, &reports[0]));
         // Each compilation class's executable — Base's plain binary and
-        // IA's instrumented one — was built once, from a program generated
-        // for it, and is a compiled trace under the compiled backend.
+        // IA's instrumented one — was built once, both from one program
+        // generated for the batch, and is a compiled trace under the
+        // compiled backend.
         let s = engine.store_summary();
-        assert_eq!(s.programs.cold, 2);
+        assert_eq!(s.programs.cold, 1);
         let traced = engine.backend == ExecBackend::Compiled;
         assert_eq!(s.traces.cold, if traced { 2 } else { 0 });
     }
@@ -1359,11 +1373,11 @@ mod tests {
             .map(|kind| RunKey::new("177.mesa", &scale, kind, AddressingMode::ViPt));
         let reports = engine.run_many(&keys);
         let walks = engine.walk_measurements(&["177.mesa"], &scale);
-        // The engine keeps one executable per binary and no program: each
-        // of the two binaries generated its own program and dropped it
-        // once built, and so did the walk, which also lays out its own
-        // binary. Under the compiled backend an executable is the trace,
-        // and its layout was dropped too; under the interpreter it is the
+        // The engine keeps one executable per binary and no program: the
+        // two binaries were built from one program, dropped once both
+        // were built, and the walk generated its own, which it also lays
+        // out. Under the compiled backend an executable is the trace, and
+        // its layout was dropped too; under the interpreter it is the
         // layout.
         let traced = engine.backend == ExecBackend::Compiled;
         let memo = engine.exes.lock().unwrap();
@@ -1374,7 +1388,7 @@ mod tests {
         }
         drop(memo);
         let s = engine.store_summary();
-        assert_eq!((s.programs.warm, s.programs.cold), (0, 3));
+        assert_eq!((s.programs.warm, s.programs.cold), (0, 2));
         let compiled = if traced { 2 } else { 0 };
         assert_eq!((s.traces.warm, s.traces.cold), (0, compiled));
         let program = cfr_workload::profiles::mesa().generate();
@@ -1387,6 +1401,26 @@ mod tests {
         let plain = compiler::compile_for(&program, PageGeometry::default_4k(), StrategyKind::Base);
         let walk = measure_walk(&plain, scale.max_commits, scale.seed);
         assert_eq!(walks, [walk]);
+    }
+
+    #[test]
+    fn a_batch_generates_each_profile_once() {
+        let engine = Engine::new();
+        let scale = tiny();
+        let keys: Vec<RunKey> = [4096, 8192]
+            .into_iter()
+            .flat_map(|bytes| {
+                [StrategyKind::Base, StrategyKind::Ia].map(|kind| {
+                    RunKey::new("177.mesa", &scale, kind, AddressingMode::ViPt)
+                        .with_page_bytes(bytes)
+                })
+            })
+            .collect();
+        let _ = engine.run_many(&keys);
+        // Two page sizes × both compilation classes: four binaries, all
+        // built from one program.
+        assert_eq!(engine.exes.lock().unwrap().len(), 4);
+        assert_eq!(engine.store_summary().programs.cold, 1);
     }
 
     #[test]

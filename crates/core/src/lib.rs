@@ -37,9 +37,10 @@
 //! - **prepare**: the cold keys' binaries come from one memo that keeps
 //!   each binary's executable, built once per engine — its pre-decoded
 //!   trace, or under the interpreter its layout — and shared via `Arc`.
-//!   A build generates the program, lays it out and compiles the trace,
-//!   then drops the rest. A program or trace is cheaper to remake than
-//!   to store and load, so none is stored;
+//!   A batch's builds of one profile generate its program once, lay out
+//!   each binary and compile its trace, then drop the rest. A program or
+//!   trace is cheaper to remake than to store and load, so none is
+//!   stored;
 //! - **compute**: cold keys execute on all cores via rayon — claimed in
 //!   the store first, so processes racing one store daemon compute each
 //!   key once globally — and are saved as they finish; cold runs that

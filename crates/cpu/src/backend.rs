@@ -7,8 +7,8 @@
 //!
 //! - [`InterpBackend`] — the reference model: reads each [`LaidProgram`]
 //!   slot's `Instruction` on every fetch and steps the original
-//!   [`Walker`]. Decode metadata (class, operands, branch kind, page
-//!   number) is re-derived per fetch.
+//!   [`Walker`]. Decode metadata (class, operands, branch kind) is
+//!   re-derived per fetch.
 //! - [`CompiledBackend`] — the fast path: runs a [`CompiledTrace`] whose
 //!   per-slot metadata was pre-decoded once at compile time, stepping the
 //!   trace's own [`TraceWalker`].
@@ -97,18 +97,7 @@ impl ExecutionBackend for InterpBackend<'_> {
 
     #[inline]
     fn decoded(&self, slot: usize) -> DecodedInstr {
-        let instr = &self.prog.slots[slot].instr;
-        let spec = instr.branch.as_ref();
-        DecodedInstr {
-            class: instr.class,
-            srcs: instr.srcs,
-            dst: instr.dst,
-            latency: instr.latency(),
-            branch: spec.map(|s| s.kind),
-            in_page_hint: spec.is_some_and(|s| s.in_page_hint),
-            boundary: spec.is_some_and(|s| s.boundary),
-            page: self.page_of(slot),
-        }
+        DecodedInstr::new(&self.prog.slots[slot].instr)
     }
 
     #[inline]
@@ -164,7 +153,7 @@ impl ExecutionBackend for CompiledBackend<'_> {
 
     #[inline]
     fn page_of(&self, slot: usize) -> u64 {
-        self.trace.decoded[slot].page
+        self.trace.page_of(slot)
     }
 
     #[inline]

@@ -226,7 +226,7 @@ impl BranchPredictor {
     #[inline]
     pub fn predict(&mut self, pc: VirtAddr, kind: BranchKind, fallthrough: VirtAddr) -> Prediction {
         match kind {
-            BranchKind::Conditional { .. } => {
+            BranchKind::Conditional => {
                 let taken = self.bimodal.predict(pc);
                 let target = self.btb.lookup(pc);
                 Prediction {
@@ -298,7 +298,7 @@ mod tests {
     use super::*;
 
     fn cond_kind() -> BranchKind {
-        BranchKind::Conditional { taken_bias: 0.9 }
+        BranchKind::Conditional
     }
 
     #[test]

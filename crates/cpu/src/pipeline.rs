@@ -18,11 +18,19 @@
 //!   per architectural register); memory dependencies are not modeled.
 //! - Two memory ports (sim-outorder's default; the paper's Table 1 lists
 //!   only the ALU mix).
+//!
+//! The RUU is one window of [`WINDOW`] entries: the instruction decoded
+//! `seq`-th lives at slot `seq % 64` until it commits or is flushed. Two
+//! `u64` masks hold one bit per slot, `pending` for the entries still to
+//! issue and `inflight` for the issued ones still executing; the issue and
+//! completion passes walk their mask oldest-first by rotating it so the
+//! head's slot is bit 0. A pass costs one step per set bit, and most
+//! cycles skip both passes behind their wake-time gates.
 
 use cfr_mem::{AccessKind, Cache, Dram, PageTable, Tlb};
 
 use cfr_types::{PageGeometry, Protection, VirtAddr, INSTRUCTION_BYTES};
-use cfr_workload::{BranchKind, CompiledTrace, LaidProgram, OpClass, RegId};
+use cfr_workload::{BranchKind, CompiledTrace, DecodedInstr, LaidProgram, OpClass, RegId};
 
 use crate::backend::{CompiledBackend, ExecutionBackend, InterpBackend};
 use crate::bpred::BranchPredictor;
@@ -38,6 +46,10 @@ const MEM_PORTS: u32 = 2;
 /// instruction before the pipeline declares itself wedged.
 const MAX_CPI: u64 = 1000;
 
+/// Capacity of the instruction window, one bit of a `u64` mask per slot:
+/// [`Pipeline::with_backend`] rejects a larger `ruu_size`.
+const WINDOW: usize = 64;
+
 /// Why a [`Pipeline::run_slice`] call returned.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SliceEnd {
@@ -48,126 +60,126 @@ pub enum SliceEnd {
     Quantum,
 }
 
+/// What a right-path branch carries from fetch to its resolution, so
+/// predictor training never re-reads the instruction slot.
 #[derive(Clone, Copy, Debug)]
 struct FetchedBranch {
-    mispredicted: bool,
-    recovery_slot: usize,
-    taken: bool,
+    pc: VirtAddr,
     target: VirtAddr,
-    /// Branch kind, carried from fetch so predictor training at
-    /// resolution never re-reads the instruction slot.
+    recovery_slot: usize,
+    mispredicted: bool,
+    taken: bool,
     kind: BranchKind,
 }
 
-/// Sentinel for [`FetchedInstr::mem_addr`] / [`RuuEntry::mem_addr`]: no
-/// data address travels with this instruction. Real addresses stay below
-/// the region bases (`< 2^60`), so the all-ones value never collides —
-/// and the raw `u64` keeps the record 8 bytes slimmer than an
-/// `Option<VirtAddr>`.
+/// Sentinel for [`FetchedInstr::mem_addr`]: no data address travels with
+/// this instruction. Real addresses stay below the region bases
+/// (`< 2^60`), so the all-ones value never collides — and the raw `u64`
+/// keeps the record 8 bytes slimmer than an `Option<VirtAddr>`.
 const NO_MEM_ADDR: u64 = u64::MAX;
 
-/// One fetched instruction, carrying the decode-time metadata (class,
-/// operands, latency) read from the instruction slot *at fetch* — the
-/// fetch engine touches the slot anyway for the branch spec, so decode
-/// and issue never have to index the slot array again. The fat
-/// [`FetchedBranch`] payload of a right-path branch rides in a parallel
-/// side ring ([`Pipeline::fq_branches`]) instead of padding every
-/// record: ~80% of instructions are not branches, and the per-cycle
-/// queue traffic only needs the flag.
+/// One fetched instruction: the slot's decode metadata, read at fetch,
+/// plus what the architectural step added. The [`FetchedBranch`] payload
+/// of a right-path branch rides in a parallel side ring
+/// ([`Pipeline::fq_branches`]): ~80% of instructions are not branches.
 #[derive(Clone, Copy, Debug)]
 struct FetchedInstr {
-    pc: VirtAddr,
-    class: OpClass,
-    srcs: [Option<RegId>; 2],
-    dst: Option<RegId>,
-    latency: u32,
+    d: DecodedInstr,
     wrong_path: bool,
-    /// Data address of a right-path load/store, or [`NO_MEM_ADDR`].
-    mem_addr: u64,
     /// Right-path branch: a [`FetchedBranch`] record travels in lockstep
     /// through [`Pipeline::fq_branches`]. (Wrong-path branches are
     /// predicted but never recorded — they can never resolve.)
     has_branch: bool,
-    is_boundary: bool,
+    /// Data address of a right-path load/store, or [`NO_MEM_ADDR`].
+    mem_addr: u64,
 }
 
-/// [`Ring`] fill placeholder for the fetch queue (and, field-wise, the
-/// RUU rings) — an arbitrary dead value, never observable through the
-/// ring API.
+/// [`Ring`] and window fill placeholder — an arbitrary dead value, never
+/// read.
 const NO_INSTR: FetchedInstr = FetchedInstr {
-    pc: VirtAddr::new(0),
-    class: OpClass::IntAlu,
-    srcs: [None, None],
-    dst: None,
-    latency: 0,
+    d: DecodedInstr {
+        class: OpClass::IntAlu,
+        srcs: [DecodedInstr::NO_REG; 2],
+        dst: DecodedInstr::NO_REG,
+        latency: 0,
+        branch: None,
+        in_page_hint: false,
+        boundary: false,
+    },
     wrong_path: false,
-    mem_addr: NO_MEM_ADDR,
     has_branch: false,
-    is_boundary: false,
+    mem_addr: NO_MEM_ADDR,
 };
 
-/// [`Ring`] fill placeholder for the branch side rings.
+/// [`Ring`] and window fill placeholder for branch payloads.
 const NO_BRANCH: FetchedBranch = FetchedBranch {
-    mispredicted: false,
-    recovery_slot: 0,
-    taken: false,
+    pc: VirtAddr::new(0),
     target: VirtAddr::new(0),
+    recovery_slot: 0,
+    mispredicted: false,
+    taken: false,
     kind: BranchKind::Jump,
 };
 
-/// The commit/completion-facing slice of an RUU entry, kept in a compact
-/// parallel array (see [`Pipeline::ruu_hot`]) so the commit head check
-/// and the completion pass touch a few bytes per entry instead of
-/// dragging the whole [`RuuEntry`] through the cache.
+/// One RUU entry.
 #[derive(Clone, Copy, Debug)]
-struct RuuHot {
-    done_at: u64,
-    issued: bool,
-    done: bool,
-    /// Right-path branch whose completion must train the predictor (and
-    /// possibly trigger mispredict recovery).
-    resolves_branch: bool,
-}
-
-/// Packed source-operand index for [`PendingIssue`]: a register number,
-/// or [`NO_SRC`] for an absent operand. `NO_SRC` indexes the permanently
-/// zero sentinel slot of [`Pipeline::reg_ready`], so the readiness check
-/// is two unconditional loads and a `max` — no `Option` branching.
-const NO_SRC: u8 = RegId::COUNT as u8;
-
-#[inline]
-fn pack_src(r: Option<RegId>) -> u8 {
-    r.map_or(NO_SRC, |r| r.0)
-}
-
-/// One unissued entry in the issue pass's pending list — self-contained
-/// (operands and class travel with the wake time), so scanning candidates
-/// touches only this dense array until an entry actually issues.
-#[derive(Clone, Copy, Debug)]
-struct PendingIssue {
-    /// Provable earliest cycle this entry could issue.
+struct Entry {
+    instr: FetchedInstr,
+    /// While pending: a provable earliest cycle this entry could issue.
+    /// Operand ready times can only move it *earlier* when a
+    /// shorter-latency writer overwrites `reg_ready`; [`Pipeline::issue`]
+    /// detects that (rare) decrease and clamps every wake time, so a
+    /// sleeping entry is never checked later than an every-cycle scan
+    /// would have issued it.
     wake_at: u64,
-    /// Decode-order sequence number (see [`Pipeline::head_seq`]).
-    seq: u64,
-    /// Source operands as [`pack_src`] indices (readiness check).
-    srcs: [u8; 2],
-    /// Functional class (unit check).
-    class: OpClass,
+    /// The cycle the result is ready: set at issue (and at decode, for a
+    /// branch placeholder).
+    done_at: u64,
+    /// Complete: the result is ready at `done_at`.
+    done: bool,
+    /// The payload of a right-path branch (`instr.has_branch`), else
+    /// [`NO_BRANCH`].
+    branch: FetchedBranch,
 }
 
-/// The cold remainder of an RUU entry: read only when a specific entry is
-/// decoded, issued, resolved, or committed — never by the per-cycle scans.
-/// Branch payloads live in [`Pipeline::ruu_branches`], keyed by seq.
-#[derive(Clone, Copy, Debug)]
-struct RuuEntry {
-    pc: VirtAddr,
-    class: OpClass,
-    dst: Option<RegId>,
-    latency: u32,
-    /// Data address of a right-path load/store, or [`NO_MEM_ADDR`].
-    mem_addr: u64,
-    wrong_path: bool,
-    is_boundary: bool,
+/// [`Pipeline::window`] fill placeholder.
+const NO_ENTRY: Entry = Entry {
+    instr: NO_INSTR,
+    wake_at: 0,
+    done_at: 0,
+    done: false,
+    branch: NO_BRANCH,
+};
+
+/// The window slot of the entry decoded `seq`-th.
+#[inline(always)]
+fn slot(seq: u64) -> usize {
+    (seq % WINDOW as u64) as usize
+}
+
+/// `slot(seq)`'s bit in a window mask.
+#[inline(always)]
+fn bit(seq: u64) -> u64 {
+    1 << slot(seq)
+}
+
+/// The entries whose bits are set in `mask`, as sequence numbers, oldest
+/// first: rotating the mask by the head's slot puts the head at bit 0.
+#[inline(always)]
+fn oldest_first(mask: u64, head_seq: u64) -> impl Iterator<Item = u64> {
+    let mut ages = mask.rotate_right(slot(head_seq) as u32);
+    std::iter::from_fn(move || {
+        (ages != 0).then(|| {
+            let age = ages.trailing_zeros();
+            ages &= ages - 1;
+            head_seq + u64::from(age)
+        })
+    })
+}
+
+#[inline(always)]
+fn is_mem(class: OpClass) -> bool {
+    matches!(class, OpClass::Load | OpClass::Store)
 }
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -201,34 +213,22 @@ pub struct Pipeline<B: ExecutionBackend> {
     /// consumes the front record when it dequeues a branch-carrying
     /// instruction. Cleared together with `fetch_q` on flush.
     fq_branches: Ring<FetchedBranch>,
-    /// Cold per-entry data, in lockstep with [`Pipeline::ruu_hot`].
-    ruu: Ring<RuuEntry>,
-    /// Hot per-entry data the per-cycle scans stream over.
-    ruu_hot: Ring<RuuHot>,
-    /// Branch payloads of RUU entries whose [`RuuHot::resolves_branch`] is
-    /// set, tagged with the entry's seq, in seq order. Front records drain
-    /// at commit; back records are popped on mispredict flush.
-    ruu_branches: Ring<(u64, FetchedBranch)>,
-    /// `(done_at, seq)` of every issued-but-incomplete entry. Sequence
-    /// numbers are decode order: the RUU front holds `head_seq`, so an
-    /// entry's index is `seq - head_seq` — stable across front pops,
-    /// which is what lets the completion pass touch only the few entries
-    /// actually in flight instead of scanning the window.
-    inflight: Vec<(u64, u64)>,
-    /// Sequence number of the RUU front entry.
+    /// The RUU: entry `seq` at `slot(seq)`, for `head_seq <= seq <
+    /// tail_seq`.
+    window: Box<[Entry; WINDOW]>,
+    /// Sequence number of the oldest entry.
     head_seq: u64,
+    /// Sequence number the next decoded entry gets.
+    tail_seq: u64,
+    /// Slots of the entries that have not issued.
+    pending: u64,
+    /// Slots of the issued entries that have not completed.
+    inflight: u64,
     /// Earliest `done_at` among in-flight entries (`u64::MAX` when none):
     /// the completion pass runs only on cycles that can complete
     /// something, so quiet cycles are O(1). May be stale-low after a
     /// flush, which only costs one empty recheck.
     next_done_at: u64,
-    /// Every unissued entry, in seq (age) order. An entry sleeps until
-    /// its provable earliest-issue cycle: operand ready times can only
-    /// move it *earlier* when a shorter-latency writer overwrites
-    /// `reg_ready` — [`Pipeline::issue`] detects that (rare) decrease and
-    /// clamps every wake time, so a sleeping entry is never checked later
-    /// than the original every-cycle scan would have issued it.
-    pending: Vec<PendingIssue>,
     /// Issue gate: no cycle before this can issue anything, so the issue
     /// pass is skipped entirely. Sound because operand readiness
     /// (`reg_ready`) changes only inside [`Pipeline::issue`] itself, and
@@ -238,8 +238,8 @@ pub struct Pipeline<B: ExecutionBackend> {
     next_issue_at: u64,
     lsq_used: usize,
     /// Ready cycle per architectural register, plus one extra sentinel
-    /// slot (index [`NO_SRC`]) that stays 0 forever — absent operands
-    /// read it, keeping the issue scan's readiness check branchless.
+    /// slot (index [`DecodedInstr::NO_REG`]) that stays 0 forever —
+    /// absent operands read it, keeping the readiness check branchless.
     reg_ready: [u64; RegId::COUNT + 1],
 
     fetch_slot: usize,
@@ -258,6 +258,10 @@ impl<'p> Pipeline<InterpBackend<'p>> {
     /// interpreter backend). `seed` drives the architectural walker
     /// (branch outcomes, data addresses) — the same seed across
     /// strategies compares them on the identical instruction stream.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg.ruu_size` exceeds the 64-entry window.
     #[must_use]
     pub fn new(prog: &'p LaidProgram, cfg: CpuConfig, seed: u64) -> Self {
         Self::with_backend(InterpBackend::new(prog, seed), cfg)
@@ -268,6 +272,10 @@ impl<'t> Pipeline<CompiledBackend<'t>> {
     /// Builds a pipeline over a pre-decoded compiled trace. Byte-identical
     /// to [`Pipeline::new`] over the trace's source program with the same
     /// seed and config.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg.ruu_size` exceeds the 64-entry window.
     #[must_use]
     pub fn compiled(trace: &'t CompiledTrace, cfg: CpuConfig, seed: u64) -> Self {
         Self::with_backend(CompiledBackend::new(trace, seed), cfg)
@@ -276,8 +284,17 @@ impl<'t> Pipeline<CompiledBackend<'t>> {
 
 impl<B: ExecutionBackend> Pipeline<B> {
     /// Builds a pipeline over an arbitrary execution backend.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg.ruu_size` exceeds the 64-entry window.
     #[must_use]
     pub fn with_backend(backend: B, cfg: CpuConfig) -> Self {
+        assert!(
+            cfg.ruu_size <= WINDOW,
+            "ruu_size {} exceeds the {WINDOW}-entry instruction window",
+            cfg.ruu_size
+        );
         let entry = backend.entry_slot();
         let entry_page = backend.page_of(entry);
         Self {
@@ -292,32 +309,12 @@ impl<B: ExecutionBackend> Pipeline<B> {
             page_table: PageTable::new(),
             fetch_q: Ring::with_capacity(cfg.fetch_queue, NO_INSTR),
             fq_branches: Ring::with_capacity(cfg.fetch_queue, NO_BRANCH),
-            ruu: Ring::with_capacity(
-                cfg.ruu_size,
-                RuuEntry {
-                    pc: NO_INSTR.pc,
-                    class: NO_INSTR.class,
-                    dst: None,
-                    latency: 0,
-                    mem_addr: NO_MEM_ADDR,
-                    wrong_path: false,
-                    is_boundary: false,
-                },
-            ),
-            ruu_hot: Ring::with_capacity(
-                cfg.ruu_size,
-                RuuHot {
-                    done_at: 0,
-                    issued: false,
-                    done: false,
-                    resolves_branch: false,
-                },
-            ),
-            ruu_branches: Ring::with_capacity(cfg.ruu_size, (0, NO_BRANCH)),
-            inflight: Vec::with_capacity(cfg.ruu_size),
+            window: Box::new([NO_ENTRY; WINDOW]),
             head_seq: 0,
+            tail_seq: 0,
+            pending: 0,
+            inflight: 0,
             next_done_at: u64::MAX,
-            pending: Vec::with_capacity(cfg.ruu_size),
             next_issue_at: 0,
             lsq_used: 0,
             reg_ready: [0; RegId::COUNT + 1],
@@ -421,15 +418,14 @@ impl<B: ExecutionBackend> Pipeline<B> {
                 // runs (DRAM waits, 50-cycle TLB walks) skip the idle
                 // cycles entirely instead of re-checking five gates each.
                 let mut wake = u64::MAX;
-                if let Some(h) = self.ruu_hot.front() {
-                    if h.done {
-                        wake = wake.min(h.done_at);
-                    }
+                let head = &self.window[slot(self.head_seq)];
+                if self.head_seq != self.tail_seq && head.done {
+                    wake = wake.min(head.done_at);
                 }
-                if !self.inflight.is_empty() {
+                if self.inflight != 0 {
                     wake = wake.min(self.next_done_at);
                 }
-                if !self.pending.is_empty() {
+                if self.pending != 0 {
                     wake = wake.min(self.next_issue_at);
                 }
                 if self.fetch_q.len() < self.cfg.fetch_queue {
@@ -492,40 +488,25 @@ impl<B: ExecutionBackend> Pipeline<B> {
     fn commit(&mut self, max_commits: u64) -> bool {
         let before = self.stats.committed;
         for _ in 0..self.cfg.commit_width {
-            if self.stats.committed >= max_commits {
+            if self.stats.committed >= max_commits || self.head_seq == self.tail_seq {
                 break;
             }
-            let Some(&hot) = self.ruu_hot.front() else {
+            let seq = self.head_seq;
+            let e = &self.window[slot(seq)];
+            if !e.done || e.done_at > self.cycle {
                 break;
-            };
-            if !hot.done || hot.done_at > self.cycle {
-                break;
             }
-            self.ruu_hot.drop_front();
-            let entry = self.ruu.front().expect("hot and cold in lockstep");
-            let (class, is_boundary) = (entry.class, entry.is_boundary);
-            debug_assert!(!entry.wrong_path, "wrong-path instruction at commit");
-            self.ruu.drop_front();
-            if hot.resolves_branch {
-                // Retire this entry's branch payload from the side ring.
-                debug_assert_eq!(
-                    self.ruu_branches.front().map(|&(s, _)| s),
-                    Some(self.head_seq)
-                );
-                self.ruu_branches.drop_front();
-            }
-            if !hot.issued {
-                // A decode-complete branch placeholder committing before
-                // ever issuing: it is the oldest entry, hence the pending
-                // list's head.
-                debug_assert_eq!(self.pending.first().map(|p| p.seq), Some(self.head_seq));
-                self.pending.remove(0);
-            }
+            debug_assert!(!e.instr.wrong_path, "wrong-path instruction at commit");
+            debug_assert_eq!(self.inflight & bit(seq), 0, "in-flight entry at commit");
+            let d = e.instr.d;
+            // A branch placeholder is complete from decode on, so it may
+            // commit without ever having issued.
+            self.pending &= !bit(seq);
             self.head_seq += 1;
-            if matches!(class, OpClass::Load | OpClass::Store) {
+            if is_mem(d.class) {
                 self.lsq_used -= 1;
             }
-            if is_boundary {
+            if d.boundary {
                 self.stats.boundary_branches += 1;
             }
             self.stats.committed += 1;
@@ -541,59 +522,47 @@ impl<B: ExecutionBackend> Pipeline<B> {
     fn resolve_completions<T: FetchTranslator + ?Sized>(&mut self, translator: &mut T) -> bool {
         // Quiet-cycle gate: nothing in flight can complete before
         // `next_done_at`, so most cycles return here in O(1).
-        if self.next_done_at > self.cycle || self.inflight.is_empty() {
+        if self.next_done_at > self.cycle || self.inflight == 0 {
             return false;
         }
         let cycle = self.cycle;
         let mut next_done = u64::MAX;
-        let mut resolve_at: Option<(usize, usize)> = None;
-        // Process completions oldest-first (predictor training order is
-        // architectural state); the in-flight list is kept seq-sorted by
-        // the ordered insert in `issue`.
-        debug_assert!(self.inflight.windows(2).all(|w| w[0].1 < w[1].1));
-        let mut j = 0;
-        while j < self.inflight.len() {
-            let (done_at, seq) = self.inflight[j];
-            if done_at > cycle {
-                next_done = next_done.min(done_at);
-                j += 1;
+        let mut mispredicted = None;
+        // Process completions oldest-first: predictor training order is
+        // architectural state, and the oldest mispredict wins.
+        for seq in oldest_first(self.inflight, self.head_seq) {
+            let e = &mut self.window[slot(seq)];
+            if e.done_at > cycle {
+                next_done = next_done.min(e.done_at);
                 continue;
             }
-            self.inflight.remove(j);
-            let i = (seq - self.head_seq) as usize;
-            let h = &mut self.ruu_hot[i];
-            h.done = true;
-            if h.resolves_branch {
-                let pc = self.ruu[i].pc;
-                let b = self.branch_of(seq);
+            self.inflight &= !bit(seq);
+            e.done = true;
+            if e.instr.has_branch {
                 // Train the predictor at resolution.
-                self.predictor.update(pc, b.kind, b.taken, b.target);
-                if b.mispredicted && resolve_at.is_none() {
-                    resolve_at = Some((i, b.recovery_slot));
+                let b = e.branch;
+                self.predictor.update(b.pc, b.kind, b.taken, b.target);
+                if b.mispredicted && mispredicted.is_none() {
+                    mispredicted = Some(seq);
                 }
             }
         }
         self.next_done_at = next_done;
-        if let Some((i, recovery)) = resolve_at {
-            let done_at = self.ruu_hot[i].done_at;
-            // Flush everything younger: by construction it is wrong-path.
-            let keep_below = self.head_seq + i as u64 + 1;
-            self.inflight.retain(|&(_, seq)| seq < keep_below);
-            self.pending.retain(|p| p.seq < keep_below);
-            while self.ruu.len() > i + 1 {
-                self.ruu_hot.pop_back().expect("len checked");
-                let dropped = self.ruu.pop_back().expect("hot and cold in lockstep");
-                if matches!(dropped.class, OpClass::Load | OpClass::Store) {
+        if let Some(seq) = mispredicted {
+            let e = &self.window[slot(seq)];
+            let (done_at, recovery) = (e.done_at, e.branch.recovery_slot);
+            // Flush everything younger (by construction it is
+            // wrong-path), freeing its LSQ slots.
+            let mut flushed = 0;
+            for young in seq + 1..self.tail_seq {
+                flushed |= bit(young);
+                if is_mem(self.window[slot(young)].instr.d.class) {
                     self.lsq_used -= 1;
                 }
             }
-            while self
-                .ruu_branches
-                .back()
-                .is_some_and(|&(s, _)| s >= keep_below)
-            {
-                self.ruu_branches.pop_back();
-            }
+            self.pending &= !flushed;
+            self.inflight &= !flushed;
+            self.tail_seq = seq + 1;
             self.fetch_q.clear();
             self.fq_branches.clear();
             self.wrong_path = false;
@@ -605,20 +574,6 @@ impl<B: ExecutionBackend> Pipeline<B> {
             translator.on_mispredict();
         }
         true
-    }
-
-    /// Branch payload of the RUU entry with the given seq. The side ring
-    /// holds one record per un-committed resolving branch in seq order —
-    /// a handful of entries at most — so a front-to-back scan beats any
-    /// indexed structure.
-    fn branch_of(&self, seq: u64) -> FetchedBranch {
-        for i in 0..self.ruu_branches.len() {
-            let (s, b) = self.ruu_branches[i];
-            if s == seq {
-                return b;
-            }
-        }
-        unreachable!("resolving entry carries its branch (seq {seq})");
     }
 
     // ---- issue -------------------------------------------------------
@@ -641,41 +596,27 @@ impl<B: ExecutionBackend> Pipeline<B> {
         let mut ready_decreased = false;
         let mut fu = [0u32; 5]; // IntAlu, IntMul, FpAlu, FpMul, Mem
         let cycle = self.cycle;
-        // One in-place pass over the pending (unissued) entries in age
-        // order: sleeping entries cost a single compare; issued entries
-        // are dropped; the rest are retained with an updated wake time.
-        let mut j = 0; // read cursor
-        let mut k = 0; // write cursor (retained prefix)
-        while j < self.pending.len() {
+        // The pending entries in age order: sleeping entries cost a
+        // single compare, the rest keep an updated wake time.
+        for seq in oldest_first(self.pending, self.head_seq) {
             if issued >= self.cfg.issue_width {
                 hit_width_limit = true;
                 break;
             }
-            let p = self.pending[j];
-            j += 1;
-            if p.wake_at > cycle {
-                next_wake = next_wake.min(p.wake_at);
-                // Retained in place (k == j-1) unless an earlier entry
-                // issued; skip the self-copy in the common sleeping case.
-                if k < j - 1 {
-                    self.pending[k] = p;
-                }
-                k += 1;
+            let e = &mut self.window[slot(seq)];
+            if e.wake_at > cycle {
+                next_wake = next_wake.min(e.wake_at);
                 continue;
             }
+            let d = e.instr.d;
             let ready_at =
-                self.reg_ready[p.srcs[0] as usize].max(self.reg_ready[p.srcs[1] as usize]);
+                self.reg_ready[usize::from(d.srcs[0])].max(self.reg_ready[usize::from(d.srcs[1])]);
             if ready_at > cycle {
                 next_wake = next_wake.min(ready_at);
-                self.pending[k] = PendingIssue {
-                    wake_at: ready_at,
-                    ..p
-                };
-                k += 1;
+                e.wake_at = ready_at;
                 continue;
             }
-            let class = p.class;
-            let (fu_idx, fu_limit) = match class {
+            let (fu_idx, fu_limit) = match d.class {
                 OpClass::IntAlu | OpClass::Branch => (0, self.cfg.int_alu),
                 OpClass::IntMul => (1, self.cfg.int_mul),
                 OpClass::FpAlu => (2, self.cfg.fp_alu),
@@ -685,23 +626,15 @@ impl<B: ExecutionBackend> Pipeline<B> {
             if fu[fu_idx] >= fu_limit {
                 // Units free up next cycle; retry then.
                 next_wake = next_wake.min(cycle + 1);
-                self.pending[k] = PendingIssue {
-                    wake_at: cycle + 1,
-                    ..p
-                };
-                k += 1;
+                e.wake_at = cycle + 1;
                 continue;
             }
             fu[fu_idx] += 1;
+            self.pending &= !bit(seq);
 
-            let seq = p.seq;
-            let idx = (seq - self.head_seq) as usize;
-            debug_assert!(!self.ruu_hot[idx].issued, "pending entry already issued");
-            let (mem_addr, base_latency, dst) = {
-                let e = &self.ruu[idx];
-                (e.mem_addr, e.latency, e.dst)
-            };
-            let latency = match class {
+            let mem_addr = e.instr.mem_addr;
+            let base_latency = u32::from(d.latency);
+            let latency = match d.class {
                 OpClass::Load if mem_addr != NO_MEM_ADDR => {
                     base_latency + self.data_access(VirtAddr::new(mem_addr), AccessKind::Read)
                 }
@@ -716,50 +649,32 @@ impl<B: ExecutionBackend> Pipeline<B> {
             };
 
             let done_at = cycle + u64::from(latency);
-            let h = &mut self.ruu_hot[idx];
-            h.issued = true;
-            h.done_at = done_at;
-            if !h.done {
-                // Keep the in-flight list sorted by seq (age): issues run
-                // in ascending age within a cycle, so the insertion
-                // point is almost always the tail.
-                let mut pos = self.inflight.len();
-                while pos > 0 && self.inflight[pos - 1].1 > seq {
-                    pos -= 1;
-                }
-                self.inflight.insert(pos, (done_at, seq));
+            let e = &mut self.window[slot(seq)];
+            e.done_at = done_at;
+            if !e.done {
+                self.inflight |= bit(seq);
                 self.next_done_at = self.next_done_at.min(done_at);
             }
-            if let Some(dst) = dst {
-                let slot = &mut self.reg_ready[dst.0 as usize];
+            if d.dst != DecodedInstr::NO_REG {
+                let slot = &mut self.reg_ready[usize::from(d.dst)];
                 if done_at < *slot {
                     ready_decreased = true;
                 }
                 *slot = done_at;
             }
-            match class {
+            match d.class {
                 OpClass::Load => self.stats.loads += 1,
                 OpClass::Store => self.stats.stores += 1,
                 _ => {}
             }
             issued += 1;
         }
-        // Keep any entries the issue-width break left unexamined.
-        if k < j {
-            while j < self.pending.len() {
-                self.pending[k] = self.pending[j];
-                k += 1;
-                j += 1;
-            }
-            self.pending.truncate(k);
-        } else {
-            debug_assert_eq!(k, j, "write cursor cannot pass read cursor");
-        }
         if ready_decreased {
             // Cached wake times assumed ready times only move later;
             // clamp them so every sleeper is rechecked promptly.
-            for p in &mut self.pending {
-                p.wake_at = p.wake_at.min(cycle + 1);
+            for seq in oldest_first(self.pending, self.head_seq) {
+                let e = &mut self.window[slot(seq)];
+                e.wake_at = e.wake_at.min(cycle + 1);
             }
             next_wake = cycle + 1;
         }
@@ -820,13 +735,13 @@ impl<B: ExecutionBackend> Pipeline<B> {
     fn decode(&mut self) -> bool {
         let mut decoded = false;
         for _ in 0..self.cfg.decode_width {
-            if self.ruu.len() >= self.cfg.ruu_size {
+            if self.tail_seq - self.head_seq >= self.cfg.ruu_size as u64 {
                 break;
             }
             let Some(&f) = self.fetch_q.front() else {
                 break;
             };
-            let is_mem = matches!(f.class, OpClass::Load | OpClass::Store);
+            let is_mem = is_mem(f.d.class);
             if is_mem && self.lsq_used >= self.cfg.lsq_size {
                 break;
             }
@@ -837,40 +752,30 @@ impl<B: ExecutionBackend> Pipeline<B> {
             // Wrong-path branches never record a payload (they can never
             // resolve), so the flag alone decides resolution duty.
             debug_assert!(!(f.has_branch && f.wrong_path));
-            let seq = self.head_seq + self.ruu.len() as u64;
-            if f.has_branch {
-                // Move the payload from the fetch-side ring to the
-                // RUU-side ring, tagged with this entry's seq.
-                let rec = *self
+            let branch = if f.has_branch {
+                let b = *self
                     .fq_branches
                     .front()
                     .expect("branch payload in lockstep");
                 self.fq_branches.drop_front();
-                self.ruu_branches.push_back((seq, rec));
-            }
+                b
+            } else {
+                NO_BRANCH
+            };
             // A fresh entry is an issue candidate from the next cycle on.
             self.next_issue_at = self.next_issue_at.min(self.cycle + 1);
-            self.pending.push(PendingIssue {
+            let seq = self.tail_seq;
+            self.window[slot(seq)] = Entry {
+                instr: f,
                 wake_at: self.cycle + 1,
-                seq,
-                srcs: [pack_src(f.srcs[0]), pack_src(f.srcs[1])],
-                class: f.class,
-            });
-            self.ruu.push_back(RuuEntry {
-                pc: f.pc,
-                class: f.class,
-                dst: f.dst,
-                latency: f.latency,
-                mem_addr: f.mem_addr,
-                wrong_path: f.wrong_path,
-                is_boundary: f.is_boundary,
-            });
-            self.ruu_hot.push_back(RuuHot {
                 done_at: self.cycle,
-                issued: false,
-                done: matches!(f.class, OpClass::Branch) && !f.has_branch,
-                resolves_branch: f.has_branch,
-            });
+                // A wrong-path branch is a placeholder, complete from
+                // decode on.
+                done: f.d.class == OpClass::Branch && !f.has_branch,
+                branch,
+            };
+            self.pending |= bit(seq);
+            self.tail_seq += 1;
             decoded = true;
         }
         decoded
@@ -899,12 +804,13 @@ impl<B: ExecutionBackend> Pipeline<B> {
                 self.fetch_slot
             };
             let pc = self.backend.addr_of(slot);
+            let page = self.backend.page_of(slot);
             let d = self.backend.decoded(slot);
 
             // Translation event for this fetch.
             let kind = match self.pending_kind {
                 PendingKind::Sequential => FetchKind::Sequential {
-                    page_crossed: d.page != self.last_fetch_page,
+                    page_crossed: page != self.last_fetch_page,
                 },
                 PendingKind::BranchTarget {
                     in_page_marked,
@@ -945,18 +851,13 @@ impl<B: ExecutionBackend> Pipeline<B> {
             // loop never touches an `Instruction` (whose branch spec
             // carries a heap-allocated target set).
             self.pending_kind = PendingKind::Sequential;
-            self.last_fetch_page = d.page;
+            self.last_fetch_page = page;
 
             let mut fetched = FetchedInstr {
-                pc,
-                class: d.class,
-                srcs: d.srcs,
-                dst: d.dst,
-                latency: d.latency,
+                d,
                 wrong_path: self.wrong_path,
-                mem_addr: NO_MEM_ADDR,
                 has_branch: false,
-                is_boundary: d.boundary,
+                mem_addr: NO_MEM_ADDR,
             };
             let mut break_after = il1_missed;
 
@@ -998,7 +899,7 @@ impl<B: ExecutionBackend> Pipeline<B> {
 
                 // Page-crossing statistics (Table 2), on the architectural
                 // stream.
-                if d.page != self.backend.page_of(step.next_slot) {
+                if page != self.backend.page_of(step.next_slot) {
                     match step.branch {
                         Some(b) if b.taken && !step.is_boundary => {
                             self.stats.crossings_branch += 1;
@@ -1027,10 +928,11 @@ impl<B: ExecutionBackend> Pipeline<B> {
                     }
                     fetched.has_branch = true;
                     self.fq_branches.push_back(FetchedBranch {
-                        mispredicted,
-                        recovery_slot: step.next_slot,
-                        taken: exec.taken,
+                        pc,
                         target: exec.next_addr,
+                        recovery_slot: step.next_slot,
+                        mispredicted,
+                        taken: exec.taken,
                         kind: bk,
                     });
                     self.fetch_slot = predicted_next;
@@ -1100,6 +1002,15 @@ mod tests {
             );
             assert_eq!(interp.cycle(), compiled.cycle());
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "ruu_size 65 exceeds the 64-entry instruction window")]
+    fn an_ruu_over_64_entries_is_rejected() {
+        let p = laid();
+        let mut cfg = CpuConfig::default_config();
+        cfg.ruu_size = 65;
+        let _ = Pipeline::new(&p, cfg, 42);
     }
 
     #[test]

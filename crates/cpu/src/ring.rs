@@ -1,13 +1,15 @@
-//! Fixed-capacity ring buffer for the pipeline's queues.
+//! Fixed-capacity ring buffer for the pipeline's fetch queue.
 
-/// A bounded deque over a power-of-two buffer.
+/// A bounded FIFO over a power-of-two buffer.
 ///
-/// The pipeline's queues (fetch queue, RUU hot/cold arrays) are bounded
-/// by configuration and indexed on every cycle, which makes `VecDeque` a
-/// poor fit: its capacity is not guaranteed to be a power of two, so each
-/// element access pays a wrap *branch* rather than a mask. `Ring` fixes
-/// the capacity at construction (rounded up to a power of two) so every
-/// logical→physical index translation is a single AND.
+/// The fetch queue and its branch side ring are bounded by configuration
+/// and used on every cycle, which makes `VecDeque` a poor fit: its
+/// capacity is not guaranteed to be a power of two, so each element
+/// access pays a wrap *branch* rather than a mask. `Ring` fixes the
+/// capacity at construction (rounded up to a power of two) so every
+/// logical→physical index translation is a single AND. (The RUU is not a
+/// ring: it is the pipeline's 64-slot window, indexed by sequence
+/// number.)
 ///
 /// `T: Copy` keeps the implementation entirely safe Rust: the buffer is
 /// pre-filled with a caller-supplied fill value and popped slots simply
@@ -79,48 +81,9 @@ impl<T: Copy> Ring<T> {
     }
 
     #[inline]
-    pub fn back(&self) -> Option<&T> {
-        (self.len > 0).then(|| &self.buf[(self.head + self.len - 1) & self.mask])
-    }
-
-    #[inline]
-    pub fn pop_back(&mut self) -> Option<T> {
-        if self.len == 0 {
-            return None;
-        }
-        self.len -= 1;
-        Some(self.buf[(self.head + self.len) & self.mask])
-    }
-
-    #[inline]
     pub fn clear(&mut self) {
         self.head = 0;
         self.len = 0;
-    }
-}
-
-impl<T: Copy> std::ops::Index<usize> for Ring<T> {
-    type Output = T;
-    #[inline]
-    fn index(&self, i: usize) -> &T {
-        debug_assert!(
-            i < self.len,
-            "ring index {i} out of bounds (len {})",
-            self.len
-        );
-        &self.buf[(self.head + i) & self.mask]
-    }
-}
-
-impl<T: Copy> std::ops::IndexMut<usize> for Ring<T> {
-    #[inline]
-    fn index_mut(&mut self, i: usize) -> &mut T {
-        debug_assert!(
-            i < self.len,
-            "ring index {i} out of bounds (len {})",
-            self.len
-        );
-        &mut self.buf[(self.head + i) & self.mask]
     }
 }
 
@@ -148,25 +111,6 @@ mod tests {
             }
         }
         assert_eq!(next_in, next_out);
-    }
-
-    #[test]
-    fn pop_back_and_indexing() {
-        let mut r = Ring::with_capacity(4, 0u32);
-        // Offset the head so logical and physical indices differ.
-        r.push_back(99);
-        r.pop_front();
-        for v in [10, 20, 30] {
-            r.push_back(v);
-        }
-        assert_eq!(r[0], 10);
-        assert_eq!(r[2], 30);
-        assert_eq!(r.back(), Some(&30));
-        r[1] = 21;
-        assert_eq!(r.pop_back(), Some(30));
-        assert_eq!(r.pop_back(), Some(21));
-        assert_eq!(r.pop_back(), Some(10));
-        assert_eq!(r.pop_back(), None);
     }
 
     #[test]

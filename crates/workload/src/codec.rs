@@ -177,9 +177,9 @@ impl BranchSpec {
     /// Serializes as `<kind> <target> <in_page_hint> <boundary>`.
     pub fn to_record(&self, w: &mut RecordWriter) {
         match self.kind {
-            BranchKind::Conditional { taken_bias } => {
+            BranchKind::Conditional => {
                 w.token("cond");
-                w.f64(taken_bias);
+                w.f64(self.taken_bias);
             }
             BranchKind::Jump => w.token("jump"),
             BranchKind::Call => w.token("call"),
@@ -212,15 +212,13 @@ impl BranchSpec {
     ///
     /// Errors on a malformed stream.
     pub fn from_record(r: &mut RecordReader<'_>) -> Result<Self, RecordError> {
-        let kind = match r.token()? {
-            "cond" => BranchKind::Conditional {
-                taken_bias: r.f64()?,
-            },
-            "jump" => BranchKind::Jump,
-            "call" => BranchKind::Call,
-            "ret" => BranchKind::Return,
-            "ijump" => BranchKind::IndirectJump,
-            "icall" => BranchKind::IndirectCall,
+        let (kind, taken_bias) = match r.token()? {
+            "cond" => (BranchKind::Conditional, r.f64()?),
+            "jump" => (BranchKind::Jump, 1.0),
+            "call" => (BranchKind::Call, 1.0),
+            "ret" => (BranchKind::Return, 1.0),
+            "ijump" => (BranchKind::IndirectJump, 1.0),
+            "icall" => (BranchKind::IndirectCall, 1.0),
             other => return Err(RecordError::new(format!("unknown branch kind {other:?}"))),
         };
         let block_id =
@@ -245,6 +243,7 @@ impl BranchSpec {
         Ok(Self {
             kind,
             target,
+            taken_bias,
             in_page_hint: record_bool(r)?,
             boundary: record_bool(r)?,
         })

@@ -4,11 +4,12 @@
 //! the interpreting pipeline re-inspects `Instruction` structs — branch
 //! spec enums, operand options, region lookups — on every fetch of every
 //! cycle. This module compiles a laid-out program **once** into a
-//! [`CompiledTrace`]: two flat per-slot arrays ([`DecodedInstr`] for the
-//! fetch/decode metadata, [`TraceOp`] for the architectural semantics)
-//! with every branch target pre-resolved to a slot index, every data
-//! region pre-folded to its concrete page/array, and every slot's virtual
-//! page number pre-computed.
+//! [`CompiledTrace`]: two flat per-slot arrays ([`DecodedInstr`], 8 bytes
+//! of fetch/decode metadata, and [`TraceOp`], 16 bytes of architectural
+//! semantics) with every branch target pre-resolved to a slot index and
+//! every data region pre-folded to its concrete page/array. Nothing
+//! derivable is stored: a slot's page is its address shifted
+//! ([`CompiledTrace::page_of`]), and its latency and registers are bytes.
 //!
 //! [`TraceWalker`] replays a trace with **bit-identical** behaviour to
 //! [`Walker`](crate::walk::Walker): the same RNG draws in the same order,
@@ -28,7 +29,7 @@ use cfr_types::{
 };
 
 use crate::codec::{opt_reg_from_record, opt_reg_to_record, record_bool};
-use crate::isa::{BranchKind, BranchTarget, DataRegion, OpClass, RegId};
+use crate::isa::{BranchKind, BranchTarget, DataRegion, Instruction, OpClass, RegId};
 use crate::layout::LaidProgram;
 use crate::rng::SplitMix64;
 use crate::walk::{
@@ -37,27 +38,54 @@ use crate::walk::{
 
 /// Everything the pipeline's fetch/decode stages need about one slot,
 /// pre-extracted so the hot loop never touches an [`Instruction`]
-/// (`Vec`-carrying branch specs included).
-///
-/// [`Instruction`]: crate::isa::Instruction
-#[derive(Clone, Copy, Debug, PartialEq)]
+/// (`Vec`-carrying branch specs included), in 8 bytes.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct DecodedInstr {
     /// Functional class.
     pub class: OpClass,
-    /// Source registers.
-    pub srcs: [Option<RegId>; 2],
-    /// Destination register.
-    pub dst: Option<RegId>,
+    /// Source register numbers, [`DecodedInstr::NO_REG`] where absent.
+    pub srcs: [u8; 2],
+    /// Destination register number, [`DecodedInstr::NO_REG`] if none.
+    pub dst: u8,
     /// Execution latency in cycles once issued.
-    pub latency: u32,
+    pub latency: u8,
     /// Branch kind (present iff `class == Branch`).
     pub branch: Option<BranchKind>,
     /// The SoLA in-page bit.
     pub in_page_hint: bool,
     /// True for compiler-inserted page-boundary branches.
     pub boundary: bool,
-    /// Virtual page number of this slot's address.
-    pub page: u64,
+}
+
+impl DecodedInstr {
+    /// The register number of an absent operand: one past the last
+    /// register, so a scoreboard with one spare slot can index it.
+    pub const NO_REG: u8 = RegId::COUNT as u8;
+
+    /// Decodes one instruction.
+    #[must_use]
+    pub fn new(instr: &Instruction) -> Self {
+        let spec = instr.branch.as_ref();
+        Self {
+            class: instr.class,
+            srcs: instr.srcs.map(reg_byte),
+            dst: reg_byte(instr.dst),
+            latency: instr.class.latency(),
+            branch: spec.map(|s| s.kind),
+            in_page_hint: spec.is_some_and(|s| s.in_page_hint),
+            boundary: spec.is_some_and(|s| s.boundary),
+        }
+    }
+}
+
+/// A register as its [`DecodedInstr`] byte.
+fn reg_byte(reg: Option<RegId>) -> u8 {
+    reg.map_or(DecodedInstr::NO_REG, |r| r.0)
+}
+
+/// The register a [`DecodedInstr`] byte names.
+fn byte_reg(byte: u8) -> Option<RegId> {
+    (byte != DecodedInstr::NO_REG).then_some(RegId(byte))
 }
 
 /// The architectural semantics of one slot, with targets pre-resolved to
@@ -140,21 +168,10 @@ pub struct CompiledTrace {
     pub heap_array_pages: u16,
 }
 
-/// Execution latency of a class (mirrors `Instruction::latency`).
-fn class_latency(class: OpClass) -> u32 {
-    match class {
-        OpClass::IntAlu | OpClass::Branch => 1,
-        OpClass::IntMul => 3,
-        OpClass::FpAlu => 2,
-        OpClass::FpMul => 4,
-        OpClass::Load | OpClass::Store => 1,
-    }
-}
-
 /// The branch kind a [`TraceOp`] encodes, if any.
 fn branch_kind_of(op: &TraceOp) -> Option<BranchKind> {
     match op {
-        TraceOp::Cond { bias, .. } => Some(BranchKind::Conditional { taken_bias: *bias }),
+        TraceOp::Cond { .. } => Some(BranchKind::Conditional),
         TraceOp::Jump { .. } => Some(BranchKind::Jump),
         TraceOp::Call { .. } => Some(BranchKind::Call),
         TraceOp::Return => Some(BranchKind::Return),
@@ -187,12 +204,10 @@ pub fn compile_trace(laid: &LaidProgram) -> CompiledTrace {
             OpClass::Branch => {
                 let spec = instr.branch.as_ref().expect("branch has spec");
                 match (&spec.kind, &spec.target) {
-                    (BranchKind::Conditional { taken_bias }, BranchTarget::Block(b)) => {
-                        TraceOp::Cond {
-                            bias: *taken_bias,
-                            target: laid.block_slot(*b) as u32,
-                        }
-                    }
+                    (BranchKind::Conditional, BranchTarget::Block(b)) => TraceOp::Cond {
+                        bias: spec.taken_bias,
+                        target: laid.block_slot(*b) as u32,
+                    },
                     (BranchKind::Jump, BranchTarget::Block(b)) => TraceOp::Jump {
                         target: laid.block_slot(*b) as u32,
                     },
@@ -235,17 +250,7 @@ pub fn compile_trace(laid: &LaidProgram) -> CompiledTrace {
             },
             OpClass::IntAlu | OpClass::IntMul | OpClass::FpAlu | OpClass::FpMul => TraceOp::Plain,
         };
-        let spec = instr.branch.as_ref();
-        decoded.push(DecodedInstr {
-            class: instr.class,
-            srcs: instr.srcs,
-            dst: instr.dst,
-            latency: instr.latency(),
-            branch: spec.map(|s| s.kind),
-            in_page_hint: spec.is_some_and(|s| s.in_page_hint),
-            boundary: spec.is_some_and(|s| s.boundary),
-            page: laid.geom.vpn(laid.addr_of(slot)).raw(),
-        });
+        decoded.push(DecodedInstr::new(instr));
         ops.push(op);
     }
     CompiledTrace {
@@ -280,6 +285,13 @@ impl CompiledTrace {
     #[must_use]
     pub fn addr_of(&self, slot: usize) -> VirtAddr {
         self.base.add(slot as u64 * INSTRUCTION_BYTES)
+    }
+
+    /// Virtual page number of slot `i`'s address.
+    #[inline]
+    #[must_use]
+    pub fn page_of(&self, slot: usize) -> u64 {
+        self.geom.vpn(self.addr_of(slot)).raw()
     }
 
     /// Slot index at `addr`, if it names an instruction of this trace.
@@ -387,8 +399,8 @@ impl CompiledTrace {
         Ok(())
     }
 
-    /// Serializes the trace (record codec). Per-slot latency, page
-    /// number, and branch kind are derived on load rather than stored.
+    /// Serializes the trace (record codec). Per-slot latency and branch
+    /// kind are derived on load rather than stored.
     pub fn to_record(&self, w: &mut RecordWriter) {
         w.token("trace");
         w.u64(self.geom.page_bytes());
@@ -454,9 +466,9 @@ impl CompiledTrace {
                 w.u64(u64::from(d.in_page_hint));
                 w.u64(u64::from(d.boundary));
             }
-            opt_reg_to_record(d.srcs[0], w);
-            opt_reg_to_record(d.srcs[1], w);
-            opt_reg_to_record(d.dst, w);
+            opt_reg_to_record(byte_reg(d.srcs[0]), w);
+            opt_reg_to_record(byte_reg(d.srcs[1]), w);
+            opt_reg_to_record(byte_reg(d.dst), w);
         }
     }
 
@@ -490,7 +502,7 @@ impl CompiledTrace {
         let n_slots = r.usize()?;
         let mut decoded = Vec::with_capacity(n_slots.min(1 << 22));
         let mut ops = Vec::with_capacity(n_slots.min(1 << 22));
-        for slot in 0..n_slots {
+        for _ in 0..n_slots {
             let class = match r.token()? {
                 "ialu" => OpClass::IntAlu,
                 "imul" => OpClass::IntMul,
@@ -537,13 +549,15 @@ impl CompiledTrace {
             };
             decoded.push(DecodedInstr {
                 class,
-                srcs: [opt_reg_from_record(r)?, opt_reg_from_record(r)?],
-                dst: opt_reg_from_record(r)?,
-                latency: class_latency(class),
+                srcs: [
+                    reg_byte(opt_reg_from_record(r)?),
+                    reg_byte(opt_reg_from_record(r)?),
+                ],
+                dst: reg_byte(opt_reg_from_record(r)?),
+                latency: class.latency(),
                 branch: branch_kind_of(&op),
                 in_page_hint,
                 boundary,
-                page: geom.vpn(base.add(slot as u64 * INSTRUCTION_BYTES)).raw(),
             });
             ops.push(op);
         }
@@ -798,12 +812,35 @@ mod tests {
             assert_eq!(trace.slot_of(trace.addr_of(i)), Some(i));
             let d = &trace.decoded[i];
             let instr = &laid.slots[i].instr;
-            assert_eq!(d.class, instr.class);
-            assert_eq!(d.latency, instr.latency());
-            assert_eq!(d.page, laid.geom.vpn(laid.addr_of(i)).raw());
+            assert_eq!(*d, DecodedInstr::new(instr));
+            assert_eq!(trace.page_of(i), laid.geom.vpn(laid.addr_of(i)).raw());
         }
         assert_eq!(trace.slot_of(VirtAddr::new(trace.base.raw() - 4)), None);
         assert_eq!(trace.slot_of(trace.addr_of(trace.len())), None);
+    }
+
+    #[test]
+    fn a_decoded_slot_fits_in_twelve_bytes() {
+        assert!(std::mem::size_of::<DecodedInstr>() <= 12);
+    }
+
+    #[test]
+    fn the_profiles_traces_cost_at_most_28_bytes_per_slot() {
+        for profile in crate::profiles::all() {
+            let prog = profile.generate();
+            for instrumented in [false, true] {
+                let laid = LaidProgram::lay_out(&prog, PageGeometry::default_4k(), instrumented);
+                let trace = compile_trace(&laid);
+                let bytes = trace.decoded.capacity() * std::mem::size_of::<DecodedInstr>()
+                    + trace.ops.capacity() * std::mem::size_of::<TraceOp>();
+                let per_slot = bytes as f64 / trace.len() as f64;
+                assert!(
+                    per_slot <= 28.0,
+                    "{} (instrumented = {instrumented}): {per_slot:.1} B per slot",
+                    profile.name
+                );
+            }
+        }
     }
 
     #[test]

@@ -547,7 +547,7 @@ mod tests {
         for b in &p.blocks {
             if let Some(t) = b.terminator() {
                 match t.branch.as_ref().unwrap().kind {
-                    BranchKind::Conditional { .. } => cond = true,
+                    BranchKind::Conditional => cond = true,
                     BranchKind::Jump => jump = true,
                     BranchKind::Call => call = true,
                     BranchKind::Return => ret = true,
@@ -570,7 +570,7 @@ mod tests {
                 let b = &p.blocks[(f.first_block + l) as usize];
                 let Some(t) = b.terminator() else { continue };
                 let spec = t.branch.as_ref().unwrap();
-                if let (BranchKind::Conditional { .. }, BranchTarget::Block(target)) =
+                if let (BranchKind::Conditional, BranchTarget::Block(target)) =
                     (&spec.kind, &spec.target)
                 {
                     if target.0 <= f.first_block + l {

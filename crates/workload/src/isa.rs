@@ -45,15 +45,29 @@ pub enum OpClass {
     Branch,
 }
 
-/// What kind of control transfer a branch performs.
-#[derive(Clone, Copy, Debug, PartialEq)]
+impl OpClass {
+    /// Execution latency in cycles once issued.
+    #[must_use]
+    pub fn latency(self) -> u8 {
+        match self {
+            OpClass::IntAlu | OpClass::Branch => 1,
+            OpClass::IntMul => 3,
+            OpClass::FpAlu => 2,
+            OpClass::FpMul => 4,
+            OpClass::Load => 1, // plus memory latency, charged by the LSQ
+            OpClass::Store => 1,
+        }
+    }
+}
+
+/// What kind of control transfer a branch performs. The front end
+/// predicts by kind alone; a conditional's taken probability lives in
+/// its [`BranchSpec::taken_bias`], which only the architectural walkers
+/// read.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum BranchKind {
     /// Conditional, direct target; falls through when not taken.
-    /// `taken_bias` is the per-site probability of being taken.
-    Conditional {
-        /// Probability this branch is taken on any dynamic instance.
-        taken_bias: f64,
-    },
+    Conditional,
     /// Unconditional direct jump.
     Jump,
     /// Direct call; pushes the fall-through address as return address.
@@ -76,14 +90,14 @@ impl BranchKind {
     pub fn analyzable(self) -> bool {
         matches!(
             self,
-            BranchKind::Conditional { .. } | BranchKind::Jump | BranchKind::Call
+            BranchKind::Conditional | BranchKind::Jump | BranchKind::Call
         )
     }
 
     /// Whether the branch can fall through (only conditionals can).
     #[must_use]
     pub fn conditional(self) -> bool {
-        matches!(self, BranchKind::Conditional { .. })
+        matches!(self, BranchKind::Conditional)
     }
 }
 
@@ -110,6 +124,10 @@ pub struct BranchSpec {
     pub kind: BranchKind,
     /// Taken-path target.
     pub target: BranchTarget,
+    /// Probability this branch is taken on any dynamic instance: the
+    /// per-site bias of a conditional, 1.0 for every other kind, which is
+    /// always taken.
+    pub taken_bias: f64,
     /// Set by the SoLA compiler pass when the (analyzable) target is on the
     /// same page as the branch itself — the paper's extra instruction bit.
     pub in_page_hint: bool,
@@ -122,8 +140,9 @@ impl BranchSpec {
     #[must_use]
     pub fn conditional(target: BlockId, taken_bias: f64) -> Self {
         Self {
-            kind: BranchKind::Conditional { taken_bias },
+            kind: BranchKind::Conditional,
             target: BranchTarget::Block(target),
+            taken_bias,
             in_page_hint: false,
             boundary: false,
         }
@@ -135,6 +154,7 @@ impl BranchSpec {
         Self {
             kind: BranchKind::Jump,
             target: BranchTarget::Block(target),
+            taken_bias: 1.0,
             in_page_hint: false,
             boundary: false,
         }
@@ -146,6 +166,7 @@ impl BranchSpec {
         Self {
             kind: BranchKind::Call,
             target: BranchTarget::Block(entry),
+            taken_bias: 1.0,
             in_page_hint: false,
             boundary: false,
         }
@@ -157,6 +178,7 @@ impl BranchSpec {
         Self {
             kind: BranchKind::Return,
             target: BranchTarget::CallerReturn,
+            taken_bias: 1.0,
             in_page_hint: false,
             boundary: false,
         }
@@ -173,6 +195,7 @@ impl BranchSpec {
         Self {
             kind: BranchKind::IndirectJump,
             target: BranchTarget::Indirect(targets),
+            taken_bias: 1.0,
             in_page_hint: false,
             boundary: false,
         }
@@ -189,6 +212,7 @@ impl BranchSpec {
         Self {
             kind: BranchKind::IndirectCall,
             target: BranchTarget::Indirect(entries),
+            taken_bias: 1.0,
             in_page_hint: false,
             boundary: false,
         }
@@ -201,6 +225,7 @@ impl BranchSpec {
         Self {
             kind: BranchKind::Jump,
             target: BranchTarget::NextSlot,
+            taken_bias: 1.0,
             in_page_hint: false,
             boundary: true,
         }
@@ -299,19 +324,6 @@ impl Instruction {
     pub fn is_branch(&self) -> bool {
         self.class == OpClass::Branch
     }
-
-    /// Execution latency in cycles once issued.
-    #[must_use]
-    pub fn latency(&self) -> u32 {
-        match self.class {
-            OpClass::IntAlu | OpClass::Branch => 1,
-            OpClass::IntMul => 3,
-            OpClass::FpAlu => 2,
-            OpClass::FpMul => 4,
-            OpClass::Load => 1, // plus memory latency, charged by the LSQ
-            OpClass::Store => 1,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -320,7 +332,7 @@ mod tests {
 
     #[test]
     fn analyzability_matches_paper_definition() {
-        assert!(BranchKind::Conditional { taken_bias: 0.5 }.analyzable());
+        assert!(BranchKind::Conditional.analyzable());
         assert!(BranchKind::Jump.analyzable());
         assert!(BranchKind::Call.analyzable());
         assert!(!BranchKind::Return.analyzable());
@@ -329,7 +341,7 @@ mod tests {
 
     #[test]
     fn only_conditionals_fall_through() {
-        assert!(BranchKind::Conditional { taken_bias: 0.1 }.conditional());
+        assert!(BranchKind::Conditional.conditional());
         assert!(!BranchKind::Jump.conditional());
         assert!(!BranchKind::Return.conditional());
     }
@@ -363,18 +375,9 @@ mod tests {
 
     #[test]
     fn latencies_match_table1_units() {
-        assert_eq!(
-            Instruction::alu(OpClass::IntAlu, [None, None], None).latency(),
-            1
-        );
-        assert_eq!(
-            Instruction::alu(OpClass::IntMul, [None, None], None).latency(),
-            3
-        );
-        assert_eq!(
-            Instruction::alu(OpClass::FpMul, [None, None], None).latency(),
-            4
-        );
+        assert_eq!(OpClass::IntAlu.latency(), 1);
+        assert_eq!(OpClass::IntMul.latency(), 3);
+        assert_eq!(OpClass::FpMul.latency(), 4);
     }
 
     #[test]

@@ -204,7 +204,7 @@ pub fn measure(prog: &LaidProgram, n: u64, seed: u64) -> FunctionalStats {
                 }
             }
             match spec.kind {
-                BranchKind::Conditional { .. } => {
+                BranchKind::Conditional => {
                     stats.cond_branches += 1;
                     if bimodal.predict(step.addr.raw()) == exec.taken {
                         stats.cond_predicted += 1;

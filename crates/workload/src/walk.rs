@@ -114,8 +114,8 @@ impl<'p> Walker<'p> {
             OpClass::Branch => {
                 let spec = s.instr.branch.as_ref().expect("branch has spec");
                 let (taken, next) = match (&spec.kind, &spec.target) {
-                    (BranchKind::Conditional { taken_bias }, BranchTarget::Block(b)) => {
-                        if self.rng.chance(*taken_bias) {
+                    (BranchKind::Conditional, BranchTarget::Block(b)) => {
+                        if self.rng.chance(spec.taken_bias) {
                             (true, self.prog.block_slot(*b))
                         } else {
                             (false, slot + 1)
