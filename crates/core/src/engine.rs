@@ -41,15 +41,25 @@
 //! 5. **publish** the values, returned as cheap [`Arc`] handles in
 //!    request order.
 //!
+//! A claimed key is hashed once per phase: claimed through the map's
+//! `entry`, published, collected. Every map and set of the engine uses
+//! its own deterministic word-at-a-time hasher (`FastHasher`). Their keys
+//! are built in this process and none is iterated for output, so std's
+//! keyed SipHash, which guards against crafted collisions, buys nothing
+//! here; in a warm replay, which only claims, probes and publishes, it
+//! took a seventh of the CPU. The artifact store's index keeps std's
+//! hasher, because the daemon's clients choose its keys.
+//!
 //! Parallel execution is **deterministic**: a job's outcome depends only
 //! on its key (the simulator is seeded, single-threaded per run, and
 //! shares nothing mutable), and the engine reassembles results in input
 //! order, so the reports are bit-identical to serial
 //! [`Simulator::run_program`] calls regardless of worker scheduling.
 
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 use std::fmt::Debug;
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 
@@ -93,6 +103,63 @@ type PipelineId = (LaidKey, RunKey);
 /// keeps all of its 120–127 simulated runs in under 10 MB at 60k
 /// commits; at 1M commits the budget fills after 74.
 const LOG_BUDGET: u64 = 64 << 20;
+
+/// The map type of the engine's job tables, retained logs, partitions
+/// and executable memo: it hashes with [`FastHasher`], for the reasons the
+/// module docs give.
+type FastMap<K, V> = HashMap<K, V, BuildHasherDefault<FastHasher>>;
+
+/// A [`FastMap`] set.
+type FastSet<K> = HashSet<K, BuildHasherDefault<FastHasher>>;
+
+/// A deterministic word-at-a-time hasher (the multiply-rotate scheme of
+/// rustc's `FxHasher`): one multiply per integer field or 8-byte word.
+#[derive(Clone, Copy, Debug, Default)]
+struct FastHasher(u64);
+
+impl FastHasher {
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+}
+
+impl Hasher for FastHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for word in &mut words {
+            let word: [u8; 8] = word.try_into().expect("an 8-byte chunk");
+            self.add(u64::from_le_bytes(word));
+        }
+        let rest = words.remainder();
+        if !rest.is_empty() {
+            let mut word = [0; 8];
+            word[..rest.len()].copy_from_slice(rest);
+            self.add(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u8(&mut self, n: u8) {
+        self.add(u64::from(n));
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.add(u64::from(n));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.add(n);
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.add(n as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        // The table picks a bucket by the low bits, which a multiply
+        // mixes least: bring the well-mixed high bits down.
+        self.0.rotate_left(26)
+    }
+}
 
 /// The identity of one simulation run. Two runs with equal keys produce
 /// bit-identical [`RunReport`]s, which is what makes engine-level
@@ -503,7 +570,7 @@ impl Job for Walk {
 struct JobTable<J: Job> {
     /// Claiming a key's slot under this lock is what makes concurrent
     /// batches compute each key once.
-    slots: Mutex<HashMap<J, Slot<J::Value>>>,
+    slots: Mutex<FastMap<J, Slot<J::Value>>>,
     /// Signalled whenever a batch publishes values or releases its
     /// claims, so callers waiting on another batch's keys re-check.
     resolved: Condvar,
@@ -526,7 +593,7 @@ enum Slot<V> {
 impl<J: Job> Default for JobTable<J> {
     fn default() -> Self {
         Self {
-            slots: Mutex::new(HashMap::new()),
+            slots: Mutex::new(FastMap::default()),
             resolved: Condvar::new(),
             warm: AtomicU64::new(0),
             cold: AtomicU64::new(0),
@@ -536,7 +603,7 @@ impl<J: Job> Default for JobTable<J> {
 }
 
 impl<J: Job> JobTable<J> {
-    fn lock(&self) -> MutexGuard<'_, HashMap<J, Slot<J::Value>>> {
+    fn lock(&self) -> MutexGuard<'_, FastMap<J, Slot<J::Value>>> {
         self.slots.lock().expect("engine job table poisoned")
     }
 
@@ -548,30 +615,44 @@ impl<J: Job> JobTable<J> {
     }
 }
 
-/// Releases a batch's unpublished claims even if a computation panics,
-/// so concurrent callers waiting on those keys wake up and re-claim them
-/// instead of blocking forever.
+/// A batch's claims until it publishes them. Dropped unpublished — a
+/// computation panicked — it releases them, so concurrent callers waiting
+/// on those keys wake up and re-claim them instead of blocking forever.
+/// Either way it wakes the waiters.
 struct Release<'a, J: Job> {
     table: &'a JobTable<J>,
+    /// The claims still to release: all of them until they are published.
     keys: &'a [&'a J],
+}
+
+impl<J: Job> Release<'_, J> {
+    /// Publishes each claimed key's value, in claim order.
+    fn publish(mut self, values: Vec<Arc<J::Value>>) {
+        let mut slots = self.table.lock();
+        for (&key, value) in self.keys.iter().zip(values) {
+            *slots.get_mut(key).expect("a claimed key keeps its slot") = Slot::Done(value);
+        }
+        self.keys = &[];
+    }
 }
 
 impl<J: Job> Drop for Release<'_, J> {
     fn drop(&mut self) {
-        // A panic here, while a failed batch unwinds, would abort the
-        // process. Every update of the slot map is a single insert or
-        // remove, so a poisoned map is still consistent.
-        let mut slots = self
-            .table
-            .slots
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        for &key in self.keys {
-            if matches!(slots.get(key), Some(Slot::InFlight)) {
-                slots.remove(key);
+        if !self.keys.is_empty() {
+            // A panic here, while a failed batch unwinds, would abort the
+            // process. Every update of the slot map is a single insert or
+            // remove, so a poisoned map is still consistent.
+            let mut slots = self
+                .table
+                .slots
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner);
+            for &key in self.keys {
+                if matches!(slots.get(key), Some(Slot::InFlight)) {
+                    slots.remove(key);
+                }
             }
         }
-        drop(slots);
         self.table.resolved.notify_all();
     }
 }
@@ -582,7 +663,7 @@ impl<J: Job> Drop for Release<'_, J> {
 /// evicted.
 #[derive(Debug)]
 struct Logs {
-    by_pipeline: HashMap<PipelineId, Vec<Arc<Recorded>>>,
+    by_pipeline: FastMap<PipelineId, Vec<Arc<Recorded>>>,
     kept: RetainedLogs,
     budget: u64,
     /// Set by the first run that did not fit; no run is kept after it.
@@ -592,7 +673,7 @@ struct Logs {
 impl Logs {
     fn new(budget: u64) -> Self {
         Self {
-            by_pipeline: HashMap::new(),
+            by_pipeline: FastMap::default(),
             kept: RetainedLogs::default(),
             budget,
             full: false,
@@ -659,7 +740,7 @@ pub struct Engine {
     /// finds or inserts a binary's cell; whichever batch reaches an empty
     /// cell first builds it outside the lock, and concurrent batches
     /// wait on the cell.
-    exes: Mutex<HashMap<LaidKey, Arc<OnceLock<Executable>>>>,
+    exes: Mutex<FastMap<LaidKey, Arc<OnceLock<Executable>>>>,
     runs: JobTable<RunKey>,
     scenarios: JobTable<Scenario>,
     walks: JobTable<Walk>,
@@ -720,14 +801,14 @@ impl Engine {
     /// Panics if two profiles share a name (names are the cache identity).
     #[must_use]
     pub fn with_profiles(profiles: Vec<BenchmarkProfile>) -> Self {
-        let mut names = HashSet::new();
+        let mut names = FastSet::default();
         for p in &profiles {
             assert!(names.insert(p.name), "duplicate profile name {:?}", p.name);
         }
         Self {
             profiles,
             backend: ExecBackend::from_env(),
-            exes: Mutex::new(HashMap::new()),
+            exes: Mutex::new(FastMap::default()),
             runs: JobTable::default(),
             scenarios: JobTable::default(),
             walks: JobTable::default(),
@@ -985,17 +1066,19 @@ impl Engine {
     fn resolve<J: Job>(&self, keys: &[J]) -> Vec<Arc<J::Value>> {
         let table = J::table(self);
         loop {
-            // 1. Claim every requested key no batch has claimed yet.
+            // 1. Claim every requested key no batch has claimed yet. Each
+            // phase — claim, publish, collect — hashes a key once.
             let claimed: Vec<&J> = {
                 let mut slots = table.lock();
-                let mut claimed = Vec::new();
-                for key in keys {
-                    if !slots.contains_key(key) {
-                        slots.insert(key.clone(), Slot::InFlight);
-                        claimed.push(key);
-                    }
-                }
-                claimed
+                keys.iter()
+                    .filter(|&key| match slots.entry(key.clone()) {
+                        Entry::Vacant(slot) => {
+                            slot.insert(Slot::InFlight);
+                            true
+                        }
+                        Entry::Occupied(_) => false,
+                    })
+                    .collect()
             };
             if !claimed.is_empty() {
                 let release = Release {
@@ -1004,12 +1087,7 @@ impl Engine {
                 };
                 let values = self.compute_claimed(&claimed);
                 // 5. Publish, then wake waiters.
-                let mut slots = table.lock();
-                for (&key, value) in claimed.iter().zip(values) {
-                    *slots.get_mut(key).expect("a claimed key keeps its slot") = Slot::Done(value);
-                }
-                drop(slots);
-                drop(release);
+                release.publish(values);
             }
             // Collect — waiting out keys a concurrent batch is still
             // computing. A key without a slot was released by a batch
@@ -1082,7 +1160,7 @@ impl Engine {
         // batch order, with the runs of it the engine retained; every
         // other key is a partition of its own.
         let mut partitions: Vec<Partition<'_>> = Vec::new();
-        let mut of_pipeline: HashMap<PipelineId, usize> = HashMap::new();
+        let mut of_pipeline: FastMap<PipelineId, usize> = FastMap::default();
         let logs = self.logs.lock().expect("retained logs poisoned");
         for job in &jobs {
             let pipeline = claimed[job.0].pipeline();
@@ -1275,7 +1353,7 @@ impl Engine {
             bins.map(|(bin, _)| Arc::clone(memo.entry(bin.class()).or_default()))
                 .collect()
         };
-        let mut classes = HashSet::new();
+        let mut classes = FastSet::default();
         let mut groups: Vec<(&BenchmarkProfile, Vec<_>)> = Vec::new();
         for (&(bin, profile), cell) in wanted.iter().flatten().zip(&cells) {
             if cell.get().is_some() || !classes.insert(bin.class()) {

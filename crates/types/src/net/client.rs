@@ -176,11 +176,11 @@ impl RemoteStore {
         state.retry_at = Some(Instant::now() + delay);
     }
 
-    /// Writes the request's frame, then reads one reply and validates
-    /// its kind against the request. Each read of the reply times out
-    /// after [`CLIENT_IO_TIMEOUT`].
-    fn run_exchange(conn: &mut Conn, req: &Request) -> io::Result<Response> {
-        conn.stream.write_all(&req.to_frame())?;
+    /// Writes a request's `frame`, then reads one reply and validates
+    /// its kind against the request's, `req`. Each read of the reply
+    /// times out after [`CLIENT_IO_TIMEOUT`].
+    fn run_exchange(conn: &mut Conn, frame: &[u8], req: &Request) -> io::Result<Response> {
+        conn.stream.write_all(frame)?;
         let payload = conn.reader.read_frame(&mut conn.stream)?.ok_or_else(|| {
             io::Error::new(io::ErrorKind::UnexpectedEof, "daemon closed the connection")
         })?;
@@ -206,6 +206,13 @@ impl RemoteStore {
     /// the daemon never applied the frame.
     #[must_use]
     pub fn request(&self, req: &Request) -> Option<Response> {
+        self.exchange(&req.to_frame(), req)
+    }
+
+    /// [`Self::request`] of a request already encoded as `frame`, which
+    /// a retry sends again as it is. `req` is a request of the same kind:
+    /// its kind picks the reply kind expected and whether a retry is safe.
+    fn exchange(&self, frame: &[u8], req: &Request) -> Option<Response> {
         let mut state = self.state.lock().expect("remote store poisoned");
         // A reply stream that over-delivered (more frames than the last
         // exchange requested) leaves bytes parked in the frame buffer;
@@ -240,7 +247,7 @@ impl RemoteStore {
                 }
             }
             let conn = state.conn.as_mut().expect("connected above");
-            match Self::run_exchange(conn, req) {
+            match Self::run_exchange(conn, frame, req) {
                 Ok(reply) => {
                     // Only a completed exchange proves the daemon healthy.
                     // Resetting on connect alone would pin the backoff at its
@@ -331,12 +338,12 @@ impl StoreBackend for RemoteStore {
         if items.is_empty() {
             return Vec::new();
         }
-        // One MGET frame for the whole batch: one round trip. A lost
-        // exchange, an error reply or a reply with the wrong slot count
-        // degrades the batch to misses.
-        let out = match self.request(&Request::MGet {
-            items: items.to_vec(),
-        }) {
+        // One MGET frame for the whole batch, encoded from the borrowed
+        // pairs (an empty `MGET` stands in for its kind): one round trip.
+        // A lost exchange, an error reply or a reply with the wrong slot
+        // count degrades the batch to misses.
+        let kind = Request::MGet { items: Vec::new() };
+        let out = match self.exchange(&Request::mget_frame(items), &kind) {
             Some(Response::MGot { values }) if values.len() == items.len() => values,
             _ => vec![None; items.len()],
         };

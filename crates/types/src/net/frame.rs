@@ -46,11 +46,24 @@ pub fn max_frame_bytes() -> usize {
 /// configurable frame bound).
 #[must_use]
 pub fn encode_frame(payload: &[u8]) -> Vec<u8> {
-    let len = u32::try_from(payload.len()).expect("frame payload over 4 GiB");
-    let mut out = Vec::with_capacity(FRAME_HEADER_BYTES + payload.len());
+    frame_with(payload.len(), |out| out.extend_from_slice(payload))
+}
+
+/// A wire frame whose payload `encode` appends straight into the frame
+/// buffer, which starts with room for `payload_hint` payload bytes; the
+/// length header is filled in after. So a message is encoded once, with
+/// no payload buffer to copy.
+///
+/// # Panics
+///
+/// Panics if the payload exceeds `u32::MAX` bytes.
+pub(crate) fn frame_with(payload_hint: usize, encode: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+    let mut out = Vec::with_capacity(FRAME_HEADER_BYTES + payload_hint);
     out.extend_from_slice(FRAME_MAGIC);
-    out.extend_from_slice(&len.to_le_bytes());
-    out.extend_from_slice(payload);
+    out.extend_from_slice(&[0; 4]);
+    encode(&mut out);
+    let len = u32::try_from(out.len() - FRAME_HEADER_BYTES).expect("frame payload over 4 GiB");
+    out[4..FRAME_HEADER_BYTES].copy_from_slice(&len.to_le_bytes());
     out
 }
 

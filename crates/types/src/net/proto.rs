@@ -3,10 +3,16 @@
 //! and enforce the store's record shapes (namespace one token, keys and
 //! values single-line), so a decoded `Put` can always be stored without
 //! tripping the store's own input assertions.
+//!
+//! A message is encoded once, straight into its frame: `to_frame`
+//! allocates the frame with room for the message's strings and fills in
+//! the length header last, and `Request::mget_frame` encodes a batch
+//! from the caller's borrowed pairs. No payload is built and then copied
+//! into a frame.
 
 use crate::store::{GcReport, NamespaceCounts};
 
-use super::frame::encode_frame;
+use super::frame::frame_with;
 
 fn valid_ns(ns: &str) -> bool {
     !ns.is_empty() && !ns.contains(char::is_whitespace)
@@ -168,34 +174,83 @@ fn push_str(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(s.as_bytes());
 }
 
+/// Room for a message's fixed fields (a tag, then a count or a
+/// millisecond field) in a frame allocated up front.
+const FIXED_FIELD_BYTES: usize = 16;
+
+/// The wire bytes of `strs` as [`push_str`] writes them: with the fixed
+/// fields, the payload size a frame is allocated with.
+fn str_bytes<'a>(strs: impl IntoIterator<Item = &'a String>) -> usize {
+    strs.into_iter().map(|s| 4 + s.len()).sum()
+}
+
+fn push_count(out: &mut Vec<u8>, n: usize) {
+    out.extend_from_slice(
+        &u32::try_from(n)
+            .expect("batch over u32::MAX items")
+            .to_le_bytes(),
+    );
+}
+
+/// An `MGET` payload: the tag, the count, then each pair.
+fn encode_mget(out: &mut Vec<u8>, items: &[(String, String)]) {
+    out.push(TAG_MGET);
+    push_count(out, items.len());
+    for (ns, key) in items {
+        push_str(out, ns);
+        push_str(out, key);
+    }
+}
+
+fn pair_bytes(items: &[(String, String)]) -> usize {
+    str_bytes(items.iter().flat_map(|(ns, key)| [ns, key]))
+}
+
 impl Request {
     /// Serializes this request as a frame payload.
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Serializes this request as a complete wire frame, encoding the
+    /// payload straight into it.
+    #[must_use]
+    pub fn to_frame(&self) -> Vec<u8> {
+        let strings = match self {
+            Self::Put { ns, key, value } => str_bytes([ns, key, value]),
+            Self::MGet { items } => pair_bytes(items),
+            Self::Claim { ns, key, .. } | Self::Wait { ns, key, .. } => str_bytes([ns, key]),
+            Self::Stats | Self::Health | Self::Gc | Self::Shutdown => 0,
+        };
+        frame_with(FIXED_FIELD_BYTES + strings, |out| self.encode_into(out))
+    }
+
+    /// The `MGET` frame of `items`, encoded from the borrowed pairs: the
+    /// bytes of `Request::MGet { items: items.to_vec() }.to_frame()`
+    /// without that copy of every pair.
+    #[must_use]
+    pub(crate) fn mget_frame(items: &[(String, String)]) -> Vec<u8> {
+        frame_with(FIXED_FIELD_BYTES + pair_bytes(items), |out| {
+            encode_mget(out, items);
+        })
+    }
+
+    fn encode_into(&self, out: &mut Vec<u8>) {
         match self {
             Self::Put { ns, key, value } => {
                 out.push(TAG_PUT);
-                push_str(&mut out, ns);
-                push_str(&mut out, key);
-                push_str(&mut out, value);
+                push_str(out, ns);
+                push_str(out, key);
+                push_str(out, value);
             }
-            Self::MGet { items } => {
-                out.push(TAG_MGET);
-                out.extend_from_slice(
-                    &u32::try_from(items.len())
-                        .expect("batch over u32::MAX items")
-                        .to_le_bytes(),
-                );
-                for (ns, key) in items {
-                    push_str(&mut out, ns);
-                    push_str(&mut out, key);
-                }
-            }
+            Self::MGet { items } => encode_mget(out, items),
             Self::Claim { ns, key, lease_ms } => {
                 out.push(TAG_CLAIM);
-                push_str(&mut out, ns);
-                push_str(&mut out, key);
+                push_str(out, ns);
+                push_str(out, key);
                 out.extend_from_slice(&lease_ms.to_le_bytes());
             }
             Self::Wait {
@@ -204,8 +259,8 @@ impl Request {
                 timeout_ms,
             } => {
                 out.push(TAG_WAIT);
-                push_str(&mut out, ns);
-                push_str(&mut out, key);
+                push_str(out, ns);
+                push_str(out, key);
                 out.extend_from_slice(&timeout_ms.to_le_bytes());
             }
             Self::Stats => out.push(TAG_STATS),
@@ -213,13 +268,6 @@ impl Request {
             Self::Gc => out.push(TAG_GC),
             Self::Shutdown => out.push(TAG_SHUTDOWN),
         }
-        out
-    }
-
-    /// Serializes this request as a complete wire frame.
-    #[must_use]
-    pub fn to_frame(&self) -> Vec<u8> {
-        encode_frame(&self.encode())
     }
 
     /// Parses a frame payload. Total over arbitrary bytes: every
@@ -370,25 +418,40 @@ impl Response {
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Serializes this response as a complete wire frame, encoding the
+    /// payload straight into it.
+    #[must_use]
+    pub fn to_frame(&self) -> Vec<u8> {
+        let strings = match self {
+            Self::Hit { value } => str_bytes([value]),
+            // One slot tag per value, and its string when present.
+            Self::MGot { values } => values.len() + str_bytes(values.iter().flatten()),
+            Self::Error { message } => str_bytes([message]),
+            _ => 0,
+        };
+        frame_with(FIXED_FIELD_BYTES + strings, |out| self.encode_into(out))
+    }
+
+    fn encode_into(&self, out: &mut Vec<u8>) {
         match self {
             Self::Hit { value } => {
                 out.push(TAG_HIT);
-                push_str(&mut out, value);
+                push_str(out, value);
             }
             Self::Miss => out.push(TAG_MISS),
             Self::Done => out.push(TAG_DONE),
             Self::MGot { values } => {
                 out.push(TAG_MGOT);
-                out.extend_from_slice(
-                    &u32::try_from(values.len())
-                        .expect("batch over u32::MAX items")
-                        .to_le_bytes(),
-                );
+                push_count(out, values.len());
                 for slot in values {
                     match slot {
                         Some(value) => {
                             out.push(1);
-                            push_str(&mut out, value);
+                            push_str(out, value);
                         }
                         None => out.push(0),
                     }
@@ -436,16 +499,9 @@ impl Response {
             }
             Self::Error { message } => {
                 out.push(TAG_ERR);
-                push_str(&mut out, &message.replace('\n', " "));
+                push_str(out, &message.replace('\n', " "));
             }
         }
-        out
-    }
-
-    /// Serializes this response as a complete wire frame.
-    #[must_use]
-    pub fn to_frame(&self) -> Vec<u8> {
-        encode_frame(&self.encode())
     }
 
     /// Parses a frame payload; total over arbitrary bytes.
@@ -558,6 +614,7 @@ impl Response {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::net::encode_frame;
 
     fn sample_requests() -> Vec<Request> {
         vec![
@@ -664,6 +721,21 @@ mod tests {
         }
         for resp in sample_responses() {
             assert_eq!(Response::decode(&resp.encode()).as_ref(), Ok(&resp));
+        }
+    }
+
+    #[test]
+    fn a_frame_is_its_encoded_payload_framed() {
+        // Encoding straight into the frame writes what framing the
+        // encoded payload writes, byte for byte.
+        for req in sample_requests() {
+            assert_eq!(req.to_frame(), encode_frame(&req.encode()), "{req:?}");
+            if let Request::MGet { items } = &req {
+                assert_eq!(Request::mget_frame(items), req.to_frame());
+            }
+        }
+        for resp in sample_responses() {
+            assert_eq!(resp.to_frame(), encode_frame(&resp.encode()), "{resp:?}");
         }
     }
 

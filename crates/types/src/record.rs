@@ -16,7 +16,7 @@
 //! garbage) surfaces as a [`RecordError`]; callers such as the run store
 //! treat every error as a cache miss, never a crash.
 
-use core::fmt;
+use core::fmt::{self, Write as _};
 
 /// A parse failure. The message names what was expected and what was
 /// found; the run store maps any error to a cache miss.
@@ -73,21 +73,28 @@ impl RecordWriter {
             !token.is_empty() && !token.contains(char::is_whitespace),
             "record tokens must be non-empty and whitespace-free: {token:?}"
         );
-        if !self.buf.is_empty() {
-            self.buf.push(' ');
-        }
+        self.separate();
         self.buf.push_str(token);
     }
 
-    /// Appends an unsigned integer token.
+    /// Appends an unsigned integer token, formatted in place.
     pub fn u64(&mut self, value: u64) {
-        self.token(&value.to_string());
+        self.separate();
+        let _ = write!(self.buf, "{value}"); // a `String` never fails a write
     }
 
     /// Appends a float as its exact bit pattern (`0x…`), so the value
-    /// round-trips bit-for-bit.
+    /// round-trips bit-for-bit; formatted in place.
     pub fn f64(&mut self, value: f64) {
-        self.token(&format!("0x{:016x}", value.to_bits()));
+        self.separate();
+        let _ = write!(self.buf, "0x{:016x}", value.to_bits());
+    }
+
+    /// Separates the next token from the previous one.
+    fn separate(&mut self) {
+        if !self.buf.is_empty() {
+            self.buf.push(' ');
+        }
     }
 
     /// The finished record.

@@ -27,10 +27,16 @@
 //! `to_record` codecs. The **last** record for a `(namespace, key)` pair
 //! in a shard wins; earlier ones are dead bytes until compaction.
 //!
-//! An in-memory index (`(namespace, key) → shard/offset/length`) is built
+//! An in-memory index (`namespace → key → shard/offset/length`) is built
 //! by scanning every shard once at open. Next to it the store holds one
 //! open handle per shard, so a load is one positioned read of the record
-//! and a save is one append through the same handle; a shard is opened by
+//! and a save is one append through the same handle. A warm load
+//! allocates only the value it returns: the index is looked up with the
+//! borrowed namespace and key, and the record is read into one buffer,
+//! which becomes the value once the framing is checked and cut off. The
+//! index hashes with std's keyed hasher, not a faster fixed one: on the
+//! daemon, clients choose the keys, and a fixed hasher would let them
+//! choose colliding ones. A shard is opened by
 //! path only to acquire that handle or to re-acquire it once the held
 //! file is no longer the shard. That happens in two ways: this process's
 //! GC renamed a compacted file over the shard (the handle is dropped
@@ -353,7 +359,9 @@ struct Slot {
 
 #[derive(Debug)]
 struct Index {
-    map: HashMap<(String, String), Slot>,
+    /// Each live record's slot, by namespace and then key, so a lookup
+    /// borrows both strings and allocates nothing.
+    map: HashMap<String, HashMap<String, Slot>>,
     /// Physical size of each shard file as last observed by this process.
     file_bytes: Vec<u64>,
     /// Shards whose scanned tail was not a complete record (a torn write
@@ -377,8 +385,39 @@ impl Index {
         }
     }
 
+    fn slot(&self, ns: &str, key: &str) -> Option<Slot> {
+        self.map.get(ns)?.get(key).copied()
+    }
+
+    fn insert(&mut self, ns: &str, key: String, slot: Slot) {
+        if let Some(keys) = self.map.get_mut(ns) {
+            keys.insert(key, slot);
+        } else {
+            self.map
+                .insert(ns.to_string(), HashMap::from([(key, slot)]));
+        }
+    }
+
+    fn remove(&mut self, ns: &str, key: &str) {
+        if let Some(keys) = self.map.get_mut(ns) {
+            keys.remove(key);
+        }
+    }
+
+    /// Every live record: namespace, key and slot.
+    fn records(&self) -> impl Iterator<Item = (&str, &str, Slot)> {
+        self.map.iter().flat_map(|(ns, keys)| {
+            keys.iter()
+                .map(move |(key, slot)| (ns.as_str(), key.as_str(), *slot))
+        })
+    }
+
+    fn live_records(&self) -> usize {
+        self.map.values().map(HashMap::len).sum()
+    }
+
     fn live_bytes(&self) -> u64 {
-        self.map.values().map(|s| s.bytes).sum()
+        self.records().map(|(_, _, s)| s.bytes).sum()
     }
 
     fn total_file_bytes(&self) -> u64 {
@@ -398,6 +437,8 @@ struct ParsedRecord<'a> {
     stamp: u64,
     key: &'a str,
     value: &'a str,
+    /// Where the value starts, counted from the record's first byte.
+    value_start: usize,
     /// Total framed length (header line + key line + value line).
     bytes: u64,
 }
@@ -437,6 +478,7 @@ fn parse_record_at(data: &[u8], pos: usize) -> Option<ParsedRecord<'_>> {
         stamp,
         key: core::str::from_utf8(&rest[key_start..key_end]).ok()?,
         value: core::str::from_utf8(&rest[val_start..val_end]).ok()?,
+        value_start: val_start,
         bytes: total as u64,
     })
 }
@@ -444,12 +486,19 @@ fn parse_record_at(data: &[u8], pos: usize) -> Option<ParsedRecord<'_>> {
 /// Reads the record `slot` points at with one positioned read, verifying
 /// the stored namespace, key and length byte-for-byte against the
 /// request, so stale offsets and collisions degrade to misses instead of
-/// serving a wrong value.
+/// serving a wrong value. The record is read into one buffer, which
+/// becomes the value: its bytes move to the front and the rest is cut.
 fn read_slot(file: &fs::File, ns: &str, key: &str, slot: Slot) -> Option<String> {
     let mut buf = vec![0u8; usize::try_from(slot.bytes).ok()?];
     file.read_exact_at(&mut buf, slot.offset).ok()?;
     let rec = parse_record_at(&buf, 0)?;
-    (rec.bytes == slot.bytes && rec.ns == ns && rec.key == key).then(|| rec.value.to_string())
+    if rec.bytes != slot.bytes || rec.ns != ns || rec.key != key {
+        return None;
+    }
+    let value = rec.value_start..rec.value_start + rec.value.len();
+    buf.truncate(value.end);
+    buf.drain(..value.start);
+    String::from_utf8(buf).ok()
 }
 
 fn find_subsequence(haystack: &[u8], needle: &[u8]) -> Option<usize> {
@@ -737,8 +786,7 @@ impl ArtifactStore {
         ns: &str,
         key: &str,
     ) -> Option<String> {
-        let map_key = (ns.to_string(), key.to_string());
-        let slot = index.map.get(&map_key).copied()?;
+        let slot = index.slot(ns, key)?;
         let value = self
             .checked_handle(&mut index.handles, checked, slot.shard)
             .and_then(|file| read_slot(file, ns, key, slot));
@@ -746,7 +794,7 @@ impl ArtifactStore {
             // The shard changed underneath the index (another process
             // compacted it). Drop the stale entry so a later save can
             // repair it.
-            index.map.remove(&map_key);
+            index.remove(ns, key);
         }
         value
     }
@@ -856,8 +904,9 @@ impl ArtifactStore {
         let end = f.stream_position()?;
         index.file_bytes[shard as usize] = end;
         index.dirty_tail[shard as usize] = false;
-        index.map.insert(
-            (ns.to_string(), key.to_string()),
+        index.insert(
+            ns,
+            key.to_string(),
             Slot {
                 shard,
                 offset: end - record_bytes,
@@ -898,15 +947,12 @@ impl ArtifactStore {
 
         // Age eviction.
         if let Some(age) = policy.max_age_secs {
-            let expired: Vec<(String, String)> = index
-                .map
-                .iter()
-                .filter(|(_, s)| s.stamp.saturating_add(age) < now)
-                .map(|(k, _)| k.clone())
-                .collect();
-            report.evicted_age = expired.len() as u64;
-            for k in expired {
-                index.map.remove(&k);
+            for keys in index.map.values_mut() {
+                keys.retain(|_, s| {
+                    let expired = s.stamp.saturating_add(age) < now;
+                    report.evicted_age += u64::from(expired);
+                    !expired
+                });
             }
         }
 
@@ -914,15 +960,14 @@ impl ArtifactStore {
         if let Some(cap) = policy.max_bytes {
             let mut live = index.live_bytes();
             if live > cap {
-                let mut order: Vec<((String, String), Slot)> =
-                    index.map.iter().map(|(k, s)| (k.clone(), *s)).collect();
-                order.sort_by_key(|(_, s)| (s.stamp, s.shard, s.offset));
-                for (k, s) in order {
+                let mut order = owned_records(index, |_| true);
+                order.sort_by_key(|(_, _, s)| (s.stamp, s.shard, s.offset));
+                for (ns, key, s) in order {
                     if live <= cap {
                         break;
                     }
                     live -= s.bytes;
-                    index.map.remove(&k);
+                    index.remove(&ns, &key);
                     report.evicted_size += 1;
                 }
             }
@@ -930,14 +975,9 @@ impl ArtifactStore {
 
         // Compact every shard whose file holds more than its live bytes.
         for shard in 0..SHARD_COUNT {
-            let mut survivors: Vec<((String, String), Slot)> = index
-                .map
-                .iter()
-                .filter(|(_, s)| s.shard == shard)
-                .map(|(k, s)| (k.clone(), *s))
-                .collect();
-            survivors.sort_by_key(|(_, s)| s.offset);
-            let live_bytes: u64 = survivors.iter().map(|(_, s)| s.bytes).sum();
+            let mut survivors = owned_records(index, |s| s.shard == shard);
+            survivors.sort_by_key(|(_, _, s)| s.offset);
+            let live_bytes: u64 = survivors.iter().map(|(_, _, s)| s.bytes).sum();
             let file_bytes = index.file_bytes[shard as usize];
             if live_bytes == file_bytes {
                 continue;
@@ -947,7 +987,7 @@ impl ArtifactStore {
             let data = fs::read(&path).unwrap_or_default();
             let mut out = Vec::with_capacity(live_bytes as usize);
             let mut moved = Vec::with_capacity(survivors.len());
-            for (k, s) in survivors {
+            for (ns, key, s) in survivors {
                 let start = s.offset as usize;
                 let end = start + s.bytes as usize;
                 // Copy the surviving record bytes *verbatim*, so a
@@ -956,7 +996,8 @@ impl ArtifactStore {
                     let new_offset = out.len() as u64;
                     out.extend_from_slice(&data[start..end]);
                     moved.push((
-                        k,
+                        ns,
+                        key,
                         Slot {
                             shard,
                             offset: new_offset,
@@ -967,7 +1008,7 @@ impl ArtifactStore {
                 } else {
                     // The file shrank underneath us (external change):
                     // the record is lost; drop it from the index.
-                    index.map.remove(&k);
+                    index.remove(&ns, &key);
                 }
             }
             // Bytes beyond our last-known size were appended by another
@@ -987,7 +1028,8 @@ impl ArtifactStore {
                 while pos < out.len() {
                     if let Some(rec) = parse_record_at(&out, pos) {
                         moved.push((
-                            (rec.ns.to_string(), rec.key.to_string()),
+                            rec.ns.to_string(),
+                            rec.key.to_string(),
                             Slot {
                                 shard,
                                 offset: pos as u64,
@@ -1031,15 +1073,15 @@ impl ArtifactStore {
             }
             // The held handle names the file the rename just unlinked.
             index.handles[shard as usize] = None;
-            for (k, s) in moved {
-                index.map.insert(k, s);
+            for (ns, key, s) in moved {
+                index.insert(&ns, key, s);
             }
             index.file_bytes[shard as usize] = out.len() as u64;
             index.dirty_tail[shard as usize] = foreign_tail_torn;
             report.shards_rewritten += 1;
         }
 
-        report.live_records = index.map.len() as u64;
+        report.live_records = index.live_records() as u64;
         report.live_bytes = index.live_bytes();
         self.evicted
             .fetch_add(report.evicted_age + report.evicted_size, Ordering::Relaxed);
@@ -1049,28 +1091,26 @@ impl ArtifactStore {
     /// Live (latest-per-key) records across all namespaces.
     #[must_use]
     pub fn live_records(&self) -> usize {
-        self.index.lock().expect("store index poisoned").map.len()
+        self.index
+            .lock()
+            .expect("store index poisoned")
+            .live_records()
     }
 
     /// Live records in one namespace.
     #[must_use]
     pub fn namespace_records(&self, ns: &str) -> usize {
-        self.index
-            .lock()
-            .expect("store index poisoned")
-            .map
-            .keys()
-            .filter(|(n, _)| n == ns)
-            .count()
+        let index = self.index.lock().expect("store index poisoned");
+        index.map.get(ns).map_or(0, HashMap::len)
     }
 
     /// Live records in every namespace of [`NAMESPACES`], in one pass.
     #[must_use]
     pub fn namespace_counts(&self) -> NamespaceCounts {
         let mut counts = NamespaceCounts::default();
-        for (ns, _) in self.index.lock().expect("store index poisoned").map.keys() {
+        for (ns, keys) in &self.index.lock().expect("store index poisoned").map {
             if let Some(i) = NAMESPACES.iter().position(|n| n == ns) {
-                counts.0[i] += 1;
+                counts.0[i] += keys.len() as u64;
             }
         }
         counts
@@ -1120,12 +1160,14 @@ impl ArtifactStore {
         let mut checked = ShardsChecked::default();
         let mut readable = 0;
         let mut corrupt = 0;
-        for ((ns, key), slot) in &index.map {
-            let file = self.checked_handle(&mut index.handles, &mut checked, slot.shard);
-            if file.and_then(|f| read_slot(f, ns, key, *slot)).is_some() {
-                readable += 1;
-            } else {
-                corrupt += 1;
+        for (ns, keys) in &index.map {
+            for (key, slot) in keys {
+                let file = self.checked_handle(&mut index.handles, &mut checked, slot.shard);
+                if file.and_then(|f| read_slot(f, ns, key, *slot)).is_some() {
+                    readable += 1;
+                } else {
+                    corrupt += 1;
+                }
             }
         }
         (readable, corrupt)
@@ -1143,13 +1185,23 @@ impl ArtifactStore {
                 live_bytes: 0,
             })
             .collect();
-        for slot in index.map.values() {
+        for (_, _, slot) in index.records() {
             let o = &mut out[slot.shard as usize];
             o.live_records += 1;
             o.live_bytes += slot.bytes;
         }
         out
     }
+}
+
+/// The live records `keep` selects, with owned names, so the index can
+/// change while they are walked.
+fn owned_records(index: &Index, keep: impl Fn(&Slot) -> bool) -> Vec<(String, String, Slot)> {
+    index
+        .records()
+        .filter(|(_, _, s)| keep(s))
+        .map(|(ns, key, s)| (ns.to_string(), key.to_string(), s))
+        .collect()
 }
 
 fn scan_shard(dir: &Path, shard: u32, index: &mut Index) {
@@ -1163,8 +1215,9 @@ fn scan_shard(dir: &Path, shard: u32, index: &mut Index) {
     while pos < data.len() {
         if let Some(rec) = parse_record_at(&data, pos) {
             // Later records win: append order is write order.
-            index.map.insert(
-                (rec.ns.to_string(), rec.key.to_string()),
+            index.insert(
+                rec.ns,
+                rec.key.to_string(),
                 Slot {
                     shard,
                     offset: pos as u64,
